@@ -1,22 +1,17 @@
 """Sum sets, product sets and sum-product bound verification over Z_m."""
 
 from .estimates import (
+    Check,
+    Derivation,
     FieldBoundReport,
-    MasterInequalityCheck,
-    NonunitBound,
     RingBoundReport,
     RingExtremalExample,
-    RingProofChecks,
-    count_quadruples,
     count_quadruples_bruteforce,
     field_bound_report,
-    field_constant_holds,
-    master_inequality_check,
-    master_inequality_holds,
-    nonunit_bound_check,
+    field_checks,
     ring_bound_report,
-    ring_constant_holds,
-    ring_proof_checks,
+    ring_checks,
+    spectral_checks,
     zm_extremal,
 )
 from .extremal import ExtremalConstruction, best_window, build_extremal, power_prefix
@@ -43,19 +38,7 @@ from .setops import (
     sumset_fast,
     unit_quotient_rep,
 )
-from .spectra import (
-    CauchySchwarzCheck,
-    DivisorBoundRow,
-    ParsevalCheck,
-    SpectrumVector,
-    cauchy_schwarz_check,
-    dft_counts,
-    divisor_bound_checks,
-    max_nontrivial,
-    parseval_bound_check,
-    spectral_quadruple_count,
-    spectrum_of_set,
-)
+from .spectra import SpectrumVector, dft_counts, max_nontrivial, spectrum_of_set
 from .sweeps import (
     CSV_HEADER,
     DuplicateResidueWarning,

@@ -15,24 +15,17 @@ import warnings
 from dataclasses import asdict
 
 from .estimates import (
-    count_quadruples,
+    Check,
+    Derivation,
     field_bound_report,
-    field_constant_holds,
-    master_inequality_check,
+    field_checks,
     ring_bound_report,
-    ring_constant_holds,
-    ring_proof_checks,
+    ring_checks,
+    spectral_checks,
     zm_extremal,
 )
 from .extremal import build_extremal
-from .residues import ResidueSet, make_modulus
-from .setops import _sumset_best, productset
-from .spectra import (
-    REL_SLACK,
-    cauchy_schwarz_check,
-    divisor_bound_checks,
-    spectral_quadruple_count,
-)
+from .residues import make_modulus
 from .sweeps import (
     DuplicateResidueWarning,
     SweepConfig,
@@ -47,7 +40,9 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _report_failures(failed: list[str]) -> int:
+def _report_failures(checks: list[Check]) -> int:
+    """One stderr line per failed check, in list order; exit 1 if any failed."""
+    failed = [c.name for c in checks if not c.holds]
     for name in failed:
         print(f"check failed: {name}", file=sys.stderr)
     return 1 if failed else 0
@@ -83,56 +78,34 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     if args.json is not None:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)
-    failed = []
-    if built.chosen.size != built.n:
-        failed.append("size_equals_n")
-    if built.window_count < needed:
-        failed.append("pigeonhole_count")
-    if built.max_size > built.structural_cap:
-        failed.append("structural_cap")
-    return _report_failures(failed)
+    return _report_failures(
+        [
+            Check("size_equals_n", built.chosen.size, built.n, built.chosen.size == built.n),
+            Check("pigeonhole_count", built.window_count, needed, built.window_count >= needed),
+            Check(
+                "structural_cap",
+                built.max_size,
+                built.structural_cap,
+                built.max_size <= built.structural_cap,
+            ),
+        ]
+    )
 
 
 def _cmd_verify_t1(args: argparse.Namespace) -> int:
     mod = make_modulus(args.p)
     if not mod.is_prime:
         raise ValueError(f"{args.p} is not prime")
-    a_set = _load_set(args.set, mod)
-    rep = field_bound_report(a_set)
-    _emit(asdict(rep))
-    failed = []
-    if not field_constant_holds(rep.p, rep.size_a, rep.lhs):
-        failed.append("quarter_constant")
-    if rep.quad_count < rep.quad_lower:
-        failed.append("quadruple_lower_bound")
-    if rep.fourier_max > rep.fourier_cap * (1 + REL_SLACK):
-        failed.append("fourier_cap")
-    core = ResidueSet(mod, a_set.elements - {0})
-    if core.size and not master_inequality_check(core).holds:
-        failed.append("master_inequality")
-    return _report_failures(failed)
+    d = Derivation(_load_set(args.set, mod))
+    _emit(asdict(field_bound_report(d)))
+    return _report_failures(field_checks(d))
 
 
 def _cmd_verify_t2(args: argparse.Namespace) -> int:
-    mod = make_modulus(args.m)
-    a_set = _load_set(args.set, mod)
-    rep = ring_bound_report(a_set)
-    _emit(asdict(rep))
-    failed = []
-    if not ring_constant_holds(rep.m, rep.size_a, rep.divisor_halfpower_sum, rep.lhs):
-        failed.append("sixtyfourth_constant")
-    checks = ring_proof_checks(a_set)
-    if not checks.dilation_ok:
-        failed.append("dilation_bound")
-    if not (checks.nonunit.count_ok and checks.nonunit.caps_ok):
-        failed.append("nonunit_caps")
-    if not all(row.holds for row in checks.divisor_rows):
-        failed.append("divisor_square_bound")
-    if not (checks.parseval_set_ok and checks.parseval_sumset_ok):
-        failed.append("parseval_bounds")
-    if not checks.unit_majority_ok:
-        failed.append("unit_majority")
-    return _report_failures(failed)
+    d = Derivation(_load_set(args.set, make_modulus(args.m)))
+    checks = ring_checks(d)  # first: see ring_checks on peak memory
+    _emit(asdict(ring_bound_report(d)))
+    return _report_failures(checks)
 
 
 def _cmd_spectral(args: argparse.Namespace) -> int:
@@ -144,35 +117,25 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
         raise ValueError("spectral diagnostics require a set without 0")
     if a_set.size == 0:
         raise ValueError("empty set")
-    exact = count_quadruples(a_set)
-    approx = spectral_quadruple_count(a_set)
-    rel_error = abs(approx - exact) / max(exact, 1)
-    row = divisor_bound_checks(a_set)[0]
-    sums = _sumset_best(a_set, a_set)
-    cs = cauchy_schwarz_check(a_set, sums)
+    d = Derivation(a_set)
+    checks = spectral_checks(d)
+    identity, fourier, cs = checks
     _emit(
         {
             "p": mod.m,
-            "size_a": a_set.size,
-            "size_sum": sums.size,
-            "size_prod": productset(a_set, a_set).size,
-            "quad_count": exact,
-            "spectral_value": approx,
-            "rel_error": rel_error,
-            "fourier_max": math.sqrt(row.peak_sq),
-            "fourier_cap": math.sqrt(row.cap),
+            "size_a": d.size,
+            "size_sum": d.sums.size,
+            "size_prod": d.prods.size,
+            "quad_count": d.quad_count,
+            "spectral_value": d.spectral_quad_count,
+            "rel_error": identity.lhs,
+            "fourier_max": math.sqrt(fourier.lhs),
+            "fourier_cap": math.sqrt(fourier.rhs),
             "cs_lhs": cs.lhs,
-            "cs_cap": cs.cap,
+            "cs_cap": cs.rhs,
         }
     )
-    failed = []
-    if rel_error > 1e-9:
-        failed.append("spectral_identity")
-    if not row.holds:
-        failed.append("fourier_cap")
-    if not cs.holds:
-        failed.append("cauchy_schwarz")
-    return _report_failures(failed)
+    return _report_failures(checks)
 
 
 def _cmd_zm_extremal(args: argparse.Namespace) -> int:
@@ -188,10 +151,10 @@ def _cmd_zm_extremal(args: argparse.Namespace) -> int:
             "elements": sorted(example.a.elements),
         }
     )
-    failed = []
-    if (example.size_a, example.size_sum, example.size_prod) != (example.p, example.p, 1):
-        failed.append("exact_size_triple")
-    return _report_failures(failed)
+    sizes = (example.size_a, example.size_sum, example.size_prod)
+    return _report_failures(
+        [Check("exact_size_triple", example.size_prod, 1, sizes == (example.p, example.p, 1))]
+    )
 
 
 def _cmd_exhaustive(args: argparse.Namespace) -> int:
@@ -206,7 +169,9 @@ def _cmd_exhaustive(args: argparse.Namespace) -> int:
             "violations": summary.violations,
         }
     )
-    return _report_failures(["quarter_constant"] if summary.violations else [])
+    return _report_failures(
+        [Check("quarter_constant", summary.violations, 0, summary.violations == 0)]
+    )
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -223,7 +188,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = run_sweep(cfg, threads=args.threads)
     violations = sum(1 for row in rows if row_violates(row))
     _emit({"rows": len(rows), "violations": violations, "out": args.out})
-    return _report_failures(["constant_bound"] if violations else [])
+    return _report_failures([Check("constant_bound", violations, 0, violations == 0)])
 
 
 def _u64(text: str) -> int:

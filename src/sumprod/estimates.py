@@ -1,4 +1,4 @@
-"""Report generation for the two sum-product lower bounds.
+"""Reports and checks for the two sum-product lower bounds.
 
 Prime field: |A+A| * |AA| >= (1/4) * min(p |A|, |A|^4 / p). The 1/4 comes
 from splitting the master inequality
@@ -16,14 +16,20 @@ sqrt(m/d0) D < |A|/2, so the unit part A' keeps more than half of A, and
 the character-sum chain on A' gives |A'A'||A'+A'| >= |A'|^4/(4 m D^2)
 with |A'|^4 > |A|^4/16.
 
-Both constants are asserted in the test suite: the prime case in exact
-integer arithmetic, the ring case in floating point with 1e-9 slack.
+Every quantity a report or check needs comes from one Derivation of the
+input set, which builds each piece at most once. Every inequality is one
+Check carrying its two sides. Integer inequalities (the prime constant, the
+master inequality, the quadruple lower bound, the dilation bound, the
+non-unit count, Parseval) are decided exactly; the ones involving D(m), a
+square root or an FFT amplitude carry the one-sided relative slack
+REL_SLACK so a genuine equality case never fails from double rounding.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,26 +45,48 @@ from .setops import (
     MultiplicityVector,
     _sumset_best,
     additive_rep,
+    indicator,
     productset,
-    quotient_rep,
+    unit_quotient_rep,
 )
-from .spectra import (
-    REL_SLACK,
-    DivisorBoundRow,
-    dft_counts,
-    divisor_bound_checks,
-    max_nontrivial,
-    parseval_bound_check,
-)
+from .spectra import SpectrumVector, dft_counts, max_nontrivial
 
+REL_SLACK = 1e-9
 BRUTE_FORCE_CAP = 10**9
 
 
-def _mv_dot(a: MultiplicityVector, b: MultiplicityVector) -> int:
-    if a.is_dense and b.is_dense:
-        return int(np.dot(a.counts, b.counts))
-    sparse, other = (a, b) if not a.is_dense else (b, a)
-    return sum(c * other.count(t) for t, c in sparse.counts.items())
+@dataclass(frozen=True)
+class Check:
+    """One inequality on one set: its name, its two sides as compared, and
+    whether it holds. The direction (<= or >=) is part of the name's meaning."""
+
+    name: str
+    lhs: int | float
+    rhs: int | float
+    holds: bool
+
+
+def _all_of(name: str, members: list[Check]) -> Check:
+    """Holds when every member does; shows the sides of the member closest
+    to failing. Every member reads lhs <= rhs."""
+    tightest = max(members, key=lambda c: (not c.holds, c.lhs / c.rhs if c.rhs else 1.0))
+    return Check(name, tightest.lhs, tightest.rhs, all(c.holds for c in members))
+
+
+def _once(build):
+    """A property built on first use and kept on the instance. Unlike
+    functools.cached_property on Python 3.11 it takes no lock shared by every
+    instance, so sweep threads never wait on one another."""
+    key = build.__name__
+
+    @functools.wraps(build)
+    def get(self):
+        memo = self.__dict__
+        if key not in memo:
+            memo[key] = build(self)
+        return memo[key]
+
+    return property(get)
 
 
 def _require_prime_zero_free(a_set: ResidueSet) -> int:
@@ -70,30 +98,119 @@ def _require_prime_zero_free(a_set: ResidueSet) -> int:
     return mod.m
 
 
-def count_quadruples(a_set: ResidueSet) -> int:
-    """Exact number of solutions of x * a1^{-1} + a2 = y over (AA) x A x A x (A+A).
+def _mv_dot(a: MultiplicityVector, b: MultiplicityVector) -> int:
+    if a.is_dense and b.is_dense:
+        return int(np.dot(a.counts, b.counts))
+    sparse, other = (a, b) if not a.is_dense else (b, a)
+    return sum(c * other.count(t) for t, c in sparse.counts.items())
 
-    Computed as the inner product of the quotient counts of (AA, A) with
-    the difference counts of (A+A, A); requires a prime modulus and a
-    zero-free set.
+
+class Derivation:
+    """Everything the reports and checks derive from one set A.
+
+    Each piece is built on first use and kept until the instance is
+    dropped; one instance serves one report and is used by one thread.
+    Nothing is cached across instances.
     """
-    _require_prime_zero_free(a_set)
-    if a_set.size == 0:
-        return 0
-    prod = productset(a_set, a_set)
-    sums = _sumset_best(a_set, a_set)
-    return _count_quadruples_from(prod, a_set, sums)
+
+    def __init__(self, a_set: ResidueSet):
+        self.a = a_set
+        self.modulus = a_set.modulus
+        self.m = a_set.modulus.m
+        self.size = a_set.size
+
+    @_once
+    def sums(self) -> ResidueSet:
+        """A+A."""
+        return _sumset_best(self.a, self.a)
+
+    @_once
+    def prods(self) -> ResidueSet:
+        """AA."""
+        return productset(self.a, self.a)
+
+    @_once
+    def of_sums(self) -> "Derivation":
+        """The derivation of A+A."""
+        return Derivation(self.sums)
+
+    @_once
+    def _nonunits_removed(self) -> "Derivation | None":
+        part = unit_part(self.a)
+        return None if part.size == self.size else Derivation(part)
+
+    @property
+    def units(self) -> "Derivation":
+        """The derivation of the unit part A' (this one when A has no
+        non-units). Over a prime field A' is the zero-free core A minus {0}.
+        Not stored on itself: a reference cycle would keep every array alive
+        until the next garbage collection."""
+        return self._nonunits_removed or self
+
+    @_once
+    def d0(self) -> int:
+        """min gcd(a, m) over A."""
+        return min_gcd(self.a)
+
+    @_once
+    def ind(self) -> MultiplicityVector:
+        """The 0/1 indicator of A."""
+        return indicator(self.a)
+
+    @_once
+    def spectrum(self) -> SpectrumVector:
+        """Full-period spectrum of the indicator."""
+        return dft_counts(self.ind, self.m)
+
+    @_once
+    def quotients(self) -> MultiplicityVector:
+        """Counts of x a^{-1} over (x, a) in AA x A; A must consist of units."""
+        return unit_quotient_rep(self.prods, self.a)
+
+    @_once
+    def quotient_spectrum(self) -> SpectrumVector:
+        """Full-period spectrum of the quotient counts."""
+        return dft_counts(self.quotients, self.m)
+
+    @_once
+    def peak(self) -> float:
+        """Largest quotient-spectrum amplitude over frequencies coprime to m."""
+        return max_nontrivial(self.quotient_spectrum)[1]
+
+    @_once
+    def cap_sq(self) -> int:
+        """m |AA| |A|: the squared complete-sum cap on the peak."""
+        return self.m * self.prods.size * self.size
+
+    @_once
+    def quad_count(self) -> int:
+        """Exact number J of solutions of x a1^{-1} + a2 = y over
+        (AA) x A x A x (A+A): the quotient counts of (AA, A) dotted with the
+        difference counts of (A+A, A). Prime modulus and 0 not in A."""
+        _require_prime_zero_free(self.a)
+        return _mv_dot(self.quotients, additive_rep(self.sums, self.a, -1))
+
+    @_once
+    def spectral_quad_count(self) -> float:
+        """J by character orthogonality, (1/p) sum_n Q^(n) A^(n) conj(S^(n))
+        with Q the quotient counts and S the sum-set indicator. Prime modulus
+        and 0 not in A."""
+        p = _require_prime_zero_free(self.a)
+        total = np.sum(
+            self.quotient_spectrum.amplitudes
+            * self.spectrum.amplitudes
+            * np.conj(self.of_sums.spectrum.amplitudes)
+        ) / p
+        return float(total.real)
 
 
-def _count_quadruples_from(prod: ResidueSet, a_set: ResidueSet, sums: ResidueSet) -> int:
-    quotients = quotient_rep(prod, a_set)
-    differences = additive_rep(sums, a_set, -1)
-    return _mv_dot(quotients, differences)
+def _derived(a: "ResidueSet | Derivation") -> Derivation:
+    return a if isinstance(a, Derivation) else Derivation(a)
 
 
 def count_quadruples_bruteforce(a_set: ResidueSet) -> int:
     """Literal enumeration of every quadruple (x, a1, a2, y), testing the
-    defining equation on each; the independent oracle for count_quadruples.
+    defining equation on each; the independent oracle for quad_count.
 
     Refuses inputs with more than 10^9 quadruples.
     """
@@ -114,6 +231,57 @@ def count_quadruples_bruteforce(a_set: ResidueSet) -> int:
             residual = (t[lo : lo + step, None, None] + arr[None, :, None] - sums[None, None, :]) % p
             total += int(np.count_nonzero(residual == 0))
     return total
+
+
+def field_constant(p: int, size_a: int, lhs: int) -> Check:
+    """lhs >= (1/4) min(p |A|, |A|^4 / p), scaled by 4p to exact integers."""
+    scaled, bound = 4 * lhs * p, min(p * p * size_a, size_a**4)
+    return Check("quarter_constant", scaled, bound, scaled >= bound)
+
+
+def master_inequality(p: int, size_a: int, size_sum: int, size_prod: int) -> Check:
+    """|A|^3 <= main + off-diagonal term; decided in exact integers by
+    squaring the residual, the sides are shown in floating point."""
+    main = size_prod * size_a**2 * size_sum
+    excess = p * size_a**3 - main
+    holds = excess <= 0 or excess * excess <= p**3 * size_a**2 * size_prod * size_sum
+    offdiag = math.sqrt(p * size_prod * size_a) * math.sqrt(size_a * size_sum)
+    return Check("master_inequality", size_a**3, main / p + offdiag, holds)
+
+
+def ring_constant(lhs: int, bound: float) -> Check:
+    """64 lhs >= min(m |A|, |A|^4 / (m D^2)) with REL_SLACK for D."""
+    return Check("sixtyfourth_constant", 64 * lhs, bound, 64 * lhs >= bound * (1 - REL_SLACK))
+
+
+def parseval_bound(v: MultiplicityVector, q: int) -> Check:
+    """sum_{n=1..q} |S^(n)|^2 <= m * mass over one period, in exact integers.
+
+    The range covers one full period (n = q is the trivial character), so
+    the left side equals q * sum_t counts_q[t]^2. It always holds for set
+    indicators: each residue class mod q holds at most m/q elements.
+    """
+    m = v.modulus.m
+    if q < 1 or m % q != 0:
+        raise ValueError(f"period {q} does not divide the modulus {m}")
+    dense = v.dense_mod(q)
+    lhs, rhs = q * int(np.dot(dense, dense)), m * v.total_mass
+    return Check(f"parseval q={q}", lhs, rhs, lhs <= rhs)
+
+
+def divisor_square_bound(d: Derivation, divisor: int) -> Check:
+    """Peak squared quotient-spectrum amplitude at period m/divisor, over
+    frequencies coprime to it, against divisor * m * |AA| * |A|.
+
+    A must consist of units. The divisor-1 row is the complete-sum bound
+    sqrt(m |AA| |A|), squared.
+    """
+    if divisor == 1:
+        peak = d.peak
+    else:
+        peak = max_nontrivial(dft_counts(d.quotients, d.m // divisor))[1]
+    peak_sq, cap = peak * peak, float(divisor * d.cap_sq)
+    return Check(f"divisor_square_bound d={divisor}", peak_sq, cap, peak_sq <= cap * (1 + REL_SLACK))
 
 
 @dataclass(frozen=True)
@@ -141,86 +309,68 @@ class FieldBoundReport:
     stripped_zero: bool
 
 
-def field_bound_report(a_set: ResidueSet) -> FieldBoundReport:
-    mod = a_set.modulus
-    if not mod.is_prime:
-        raise ValueError(f"prime modulus required, got {mod.m}")
-    if a_set.size == 0:
+def field_bound_report(a: "ResidueSet | Derivation") -> FieldBoundReport:
+    d = _derived(a)
+    if not d.modulus.is_prime:
+        raise ValueError(f"prime modulus required, got {d.m}")
+    if d.size == 0:
         raise ValueError("empty set")
-    p = mod.m
-    sums = _sumset_best(a_set, a_set)
-    prod = productset(a_set, a_set)
-    stripped = 0 in a_set.elements
-    core = ResidueSet(mod, a_set.elements - {0}) if stripped else a_set
-    if core.size:
-        core_prod = productset(core, core)
-        core_sums = _sumset_best(core, core)
-        quad_count = _count_quadruples_from(core_prod, core, core_sums)
-        spec = dft_counts(quotient_rep(core_prod, core), p)
-        _, fourier_max = max_nontrivial(spec)
-        fourier_cap = math.sqrt(p * core_prod.size * core.size)
-    else:
-        quad_count, fourier_max, fourier_cap = 0, 0.0, 0.0
-    k = a_set.size
-    lhs = sums.size * prod.size
+    p, k, core = d.m, d.size, d.units
+    lhs = d.sums.size * d.prods.size
     term_pa = float(p * k)
     term_a4p = k**4 / p
     bound = min(term_pa, term_a4p)
     return FieldBoundReport(
         p=p,
         size_a=k,
-        size_sum=sums.size,
-        size_prod=prod.size,
+        size_sum=d.sums.size,
+        size_prod=d.prods.size,
         lhs=lhs,
         term_pa=term_pa,
         term_a4p=term_a4p,
         bound=bound,
         ratio=lhs / bound,
-        quad_count=quad_count,
+        quad_count=core.quad_count,
         quad_lower=core.size**3,
-        fourier_max=fourier_max,
-        fourier_cap=fourier_cap,
-        stripped_zero=stripped,
+        fourier_max=core.peak,
+        fourier_cap=math.sqrt(core.cap_sq),
+        stripped_zero=core is not d,
     )
 
 
-def field_constant_holds(p: int, size_a: int, lhs: int) -> bool:
-    """Exact check of lhs >= (1/4) min(p |A|, |A|^4 / p) in integers."""
-    return 4 * lhs * p >= min(p * p * size_a, size_a**4)
+def field_checks(a: "ResidueSet | Derivation") -> list[Check]:
+    """Every inequality behind the prime-field bound, in reporting order.
+    On the derivation a report was built from, nothing is built twice."""
+    d = _derived(a)
+    rep = field_bound_report(d)
+    core = d.units
+    return [
+        field_constant(rep.p, rep.size_a, rep.lhs),
+        Check("quadruple_lower_bound", rep.quad_count, rep.quad_lower, rep.quad_count >= rep.quad_lower),
+        Check(
+            "fourier_cap",
+            rep.fourier_max,
+            rep.fourier_cap,
+            rep.fourier_max <= rep.fourier_cap * (1 + REL_SLACK),
+        ),
+        master_inequality(rep.p, core.size, core.sums.size, core.prods.size),
+    ]
 
 
-@dataclass(frozen=True)
-class MasterInequalityCheck:
-    """|A|^3 <= main + offdiagonal with both terms from exact sizes.
-
-    holds is decided in exact integer arithmetic (the square root is
-    removed by squaring the residual), so no tolerance is involved.
-    """
-
-    cube: int
-    term_main: float
-    term_offdiag: float
-    holds: bool
-
-
-def master_inequality_holds(p: int, size_a: int, size_sum: int, size_prod: int) -> bool:
-    excess = p * size_a**3 - size_prod * size_a**2 * size_sum
-    if excess <= 0:
-        return True
-    return excess * excess <= p**3 * size_a**2 * size_prod * size_sum
-
-
-def master_inequality_check(a_set: ResidueSet) -> MasterInequalityCheck:
-    p = _require_prime_zero_free(a_set)
-    k = a_set.size
-    s = _sumset_best(a_set, a_set).size
-    pr = productset(a_set, a_set).size
-    return MasterInequalityCheck(
-        cube=k**3,
-        term_main=pr * k**2 * s / p,
-        term_offdiag=math.sqrt(p * pr * k) * math.sqrt(k * s),
-        holds=master_inequality_holds(p, k, s, pr),
-    )
+def spectral_checks(a: "ResidueSet | Derivation") -> list[Check]:
+    """The spectral identity for J, the complete-sum cap and the
+    Cauchy-Schwarz bound sum_n |A^(n)| |S^(n)| <= m sqrt(|A| |A+A|), for a
+    zero-free set over a prime field."""
+    d = _derived(a)
+    exact = d.quad_count
+    rel_error = abs(d.spectral_quad_count - exact) / max(exact, 1)
+    cs_lhs = float(np.sum(np.abs(d.spectrum.amplitudes) * np.abs(d.of_sums.spectrum.amplitudes)))
+    cs_cap = d.m * math.sqrt(d.size * d.sums.size)
+    return [
+        Check("spectral_identity", rel_error, 1e-9, rel_error <= 1e-9),
+        replace(divisor_square_bound(d, 1), name="fourier_cap"),
+        Check("cauchy_schwarz", cs_lhs, cs_cap, cs_lhs <= cs_cap * (1 + REL_SLACK)),
+    ]
 
 
 @dataclass(frozen=True)
@@ -244,18 +394,13 @@ class RingBoundReport:
     branch: str
 
 
-def ring_bound_report(a_set: ResidueSet) -> RingBoundReport:
-    if a_set.size == 0:
+def ring_bound_report(a: "ResidueSet | Derivation") -> RingBoundReport:
+    d = _derived(a)
+    if d.size == 0:
         raise ValueError("empty set")
-    mod = a_set.modulus
-    m = mod.m
-    k = a_set.size
-    d0 = min_gcd(a_set)
-    units = unit_part(a_set)
-    halfpower = mod.divisor_halfpower_sum
-    sums = _sumset_best(a_set, a_set)
-    prod = productset(a_set, a_set)
-    lhs = sums.size * prod.size
+    m, k, d0 = d.m, d.size, d.d0
+    halfpower = d.modulus.divisor_halfpower_sum
+    lhs = d.sums.size * d.prods.size
     term_ma = float(m * k)
     term_ring = k**4 / (m * halfpower * halfpower)
     bound = min(term_ma, term_ring)
@@ -265,134 +410,66 @@ def ring_bound_report(a_set: ResidueSet) -> RingBoundReport:
         m=m,
         d0=d0,
         size_a=k,
-        size_unit_a=units.size,
-        size_sum=sums.size,
-        size_prod=prod.size,
+        size_unit_a=d.units.size,
+        size_sum=d.sums.size,
+        size_prod=d.prods.size,
         divisor_halfpower_sum=halfpower,
         lhs=lhs,
         term_ma=term_ma,
         term_ring=term_ring,
         bound=bound,
         ratio=lhs / bound,
-        nonunit_count=k - units.size,
+        nonunit_count=k - d.units.size,
         nonunit_cap=math.sqrt(m / d0) * halfpower,
         branch=branch,
     )
 
 
-def ring_constant_holds(m: int, size_a: int, halfpower: float, lhs: int) -> bool:
-    """lhs >= (1/64) min(m |A|, |A|^4 / (m D^2)) with 1e-9 slack for D."""
-    bound = min(float(m * size_a), size_a**4 / (m * halfpower * halfpower))
-    return 64 * lhs >= bound * (1 - REL_SLACK)
+def ring_checks(a: "ResidueSet | Derivation") -> list[Check]:
+    """The ring constant and every intermediate inequality of the reduction,
+    in reporting order. A report built from the same derivation afterwards
+    builds nothing twice.
 
-
-@dataclass(frozen=True)
-class NonunitBound:
-    """Count of elements sharing a factor with m against its two caps.
-
-    The count is over gcd(a, m) >= max(d0, 2); the divisor cap sums m/d
-    over divisors d >= max(d0, 2) (exact integers); the sqrt cap is
-    sqrt(m/d0) * D(m). Both caps hold for every input set.
+    The non-unit count (elements with gcd(a, m) >= max(d0, 2)) is capped by
+    the sum of m/d over divisors d >= max(d0, 2), and that by sqrt(m/d0) D.
+    The spectral checks run on the unit part A', where inverses exist; the
+    unit-majority step is asserted only when the reduction takes that branch.
     """
-
-    m: int
-    d0: int
-    count: int
-    divisor_cap: int
-    sqrt_cap: float
-    count_ok: bool
-    caps_ok: bool
-
-
-def nonunit_bound_check(a_set: ResidueSet) -> NonunitBound:
-    mod = a_set.modulus
-    m = mod.m
-    if a_set.size == 0:
-        d0 = m
-        count = 0
-    else:
-        d0 = min_gcd(a_set)
-        threshold = max(d0, 2)
-        count = sum(1 for a in a_set.elements if math.gcd(a, m) >= threshold)
-    threshold = max(d0, 2)
-    divisor_cap = sum(m // d for d in mod.divisors if d >= threshold)
-    sqrt_cap = math.sqrt(m / d0) * mod.divisor_halfpower_sum
-    return NonunitBound(
-        m=m,
-        d0=d0,
-        count=count,
-        divisor_cap=divisor_cap,
-        sqrt_cap=sqrt_cap,
-        count_ok=count <= divisor_cap,
-        caps_ok=divisor_cap <= sqrt_cap * (1 + REL_SLACK),
-    )
-
-
-@dataclass(frozen=True)
-class RingProofChecks:
-    """Every intermediate inequality of the ring reduction, on one input set."""
-
-    dilation_ok: bool
-    nonunit: NonunitBound
-    divisor_rows: tuple[DivisorBoundRow, ...]
-    parseval_set_ok: bool
-    parseval_sumset_ok: bool
-    unit_majority_ok: bool
-    branch: str
-    all_ok: bool
-
-
-def ring_proof_checks(a_set: ResidueSet) -> RingProofChecks:
-    """Verify the dilation bound, the non-unit caps, the per-divisor square
-    bound and the one-period power-sum bounds for one set.
-
-    The spectral checks run on the unit part of the set (where inverses
-    exist); the unit-majority step is asserted only when the reduction
-    actually takes that branch.
-    """
-    if a_set.size == 0:
+    d = _derived(a)
+    if d.size == 0:
         raise ValueError("empty set")
-    mod = a_set.modulus
-    m = mod.m
-    d0 = min_gcd(a_set)
-    prod = productset(a_set, a_set)
-    dilation_ok = prod.size * d0 >= a_set.size
-    nonunit = nonunit_bound_check(a_set)
-    units = unit_part(a_set)
-    rows = divisor_bound_checks(units)
-    unit_sums = _sumset_best(units, units)
-    parseval_set_ok = True
-    parseval_sumset_ok = True
-    for d in mod.divisors[:-1]:
-        q = m // d
-        parseval_set_ok &= parseval_bound_check(units, q).holds
-        parseval_sumset_ok &= parseval_bound_check(unit_sums, q).holds
-    halfpower = mod.divisor_halfpower_sum
-    branch = (
-        "unit_reduced"
-        if a_set.size**2 * d0 > 4 * m * halfpower * halfpower
-        else "trivial_d0"
+    m, units = d.m, d.units
+    proper = d.modulus.divisors[:-1]
+    # The unit part's spectral checks run before the report builds the full
+    # set's A+A and AA, so enumerating the quotient counts, the step with the
+    # largest temporaries, never runs while those large sets are held.
+    square = _all_of("divisor_square_bound", [divisor_square_bound(units, e) for e in proper])
+    parseval = _all_of(
+        "parseval_bounds",
+        [parseval_bound(v, m // e) for e in proper for v in (units.ind, units.of_sums.ind)],
     )
-    unit_majority_ok = branch != "unit_reduced" or 2 * units.size > a_set.size
-    all_ok = (
-        dilation_ok
-        and nonunit.count_ok
-        and nonunit.caps_ok
-        and all(r.holds for r in rows)
-        and parseval_set_ok
-        and parseval_sumset_ok
-        and unit_majority_ok
-    )
-    return RingProofChecks(
-        dilation_ok=dilation_ok,
-        nonunit=nonunit,
-        divisor_rows=rows,
-        parseval_set_ok=parseval_set_ok,
-        parseval_sumset_ok=parseval_sumset_ok,
-        unit_majority_ok=unit_majority_ok,
-        branch=branch,
-        all_ok=all_ok,
-    )
+    rep = ring_bound_report(d)
+    divisor_cap = sum(m // e for e in d.modulus.divisors if e >= max(rep.d0, 2))
+    majority = 2 * units.size
+    return [
+        ring_constant(rep.lhs, rep.bound),
+        Check("dilation_bound", rep.size_prod * rep.d0, rep.size_a, rep.size_prod * rep.d0 >= rep.size_a),
+        _all_of(
+            "nonunit_caps",
+            [
+                Check("nonunit_count", rep.nonunit_count, divisor_cap, rep.nonunit_count <= divisor_cap),
+                Check(
+                    "nonunit_sqrt_cap",
+                    divisor_cap,
+                    rep.nonunit_cap,
+                    divisor_cap <= rep.nonunit_cap * (1 + REL_SLACK),
+                ),
+            ],
+        ),
+        square,
+        parseval,
+        Check("unit_majority", majority, rep.size_a, rep.branch != "unit_reduced" or majority > rep.size_a),
+    ]
 
 
 @dataclass(frozen=True)
@@ -416,21 +493,16 @@ def zm_extremal(p: int) -> RingExtremalExample:
     p_mod = make_modulus(p)
     if not p_mod.is_prime:
         raise ValueError(f"{p} is not prime")
-    mod = make_modulus(p * p)
-    a_set = residue_set(mod, range(0, p * p, p))
-    sums = _sumset_best(a_set, a_set)
-    prod = productset(a_set, a_set)
-    if (a_set.size, sums.size, prod.size) != (p, p, 1):
-        raise AssertionError(
-            f"size triple {(a_set.size, sums.size, prod.size)} != {(p, p, 1)}"
-        )
-    ratio = ring_bound_report(a_set).ratio
+    d = Derivation(residue_set(make_modulus(p * p), range(0, p * p, p)))
+    sizes = (d.size, d.sums.size, d.prods.size)
+    if sizes != (p, p, 1):
+        raise AssertionError(f"size triple {sizes} != {(p, p, 1)}")
     return RingExtremalExample(
         p=p,
         m=p * p,
-        a=a_set,
-        size_a=a_set.size,
-        size_sum=sums.size,
-        size_prod=prod.size,
-        ratio=ratio,
+        a=d.a,
+        size_a=d.size,
+        size_sum=d.sums.size,
+        size_prod=d.prods.size,
+        ratio=ring_bound_report(d).ratio,
     )

@@ -5,30 +5,18 @@ summation evaluator serves as the reference path; larger transforms go
 through numpy's FFT (conjugated to match the sign convention), which is
 validated against the direct path in the test suite.
 
-Inequality checks carry a fixed one-sided slack factor (1 + 1e-9) so a
-genuine equality case never fails from double rounding; identities are
-held to 1e-9 relative error.
+The inequalities built on these spectra are checked in estimates.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .residues import ResidueSet, unit_part
-from .setops import (
-    MultiplicityVector,
-    _sumset_best,
-    indicator,
-    productset,
-    quotient_rep,
-    unit_quotient_rep,
-)
-
-REL_SLACK = 1e-9
+from .residues import ResidueSet
+from .setops import MultiplicityVector, indicator
 
 # Direct summation is used when the period and the support are both small
 # enough that the twiddle work stays trivial; everything else goes to the
@@ -111,142 +99,3 @@ def max_nontrivial(spec: SpectrumVector) -> tuple[int, float]:
     peak = float(mags.max())
     k = int(np.argmax(mags >= peak * (1 - 1e-12)))
     return int(freqs[k]), float(mags[k])
-
-
-@dataclass(frozen=True)
-class ParsevalCheck:
-    """sum_{n=1..q} |S^(n)|^2 <= m * mass, evaluated exactly.
-
-    The summation range covers one full period (the n = q term is the
-    trivial character), so the left side equals q * sum_t counts_q[t]^2
-    exactly and the check is pure integer arithmetic.
-    """
-
-    period: int
-    lhs: int
-    rhs: int
-    holds: bool
-
-
-def parseval_bound_check(
-    source: "ResidueSet | MultiplicityVector", q: int
-) -> ParsevalCheck:
-    """Check the one-period power sum against m * mass.
-
-    The inequality always holds for set indicators (each residue class
-    mod q holds at most m/q elements); for general multiplicity vectors
-    the report is informational.
-    """
-    v = indicator(source) if isinstance(source, ResidueSet) else source
-    m = v.modulus.m
-    if q < 1 or m % q != 0:
-        raise ValueError(f"period {q} does not divide the modulus {m}")
-    dense = v.dense_mod(q)
-    lhs = q * int(np.dot(dense, dense))
-    rhs = m * v.total_mass
-    return ParsevalCheck(period=q, lhs=lhs, rhs=rhs, holds=lhs <= rhs)
-
-
-def spectral_quadruple_count(a_set: ResidueSet) -> float:
-    """Quadruple count via character orthogonality.
-
-    Counts solutions of x * a1^{-1} + a2 = y over (AA) x A x A x (A+A) as
-    (1/p) sum_n Q^(n) A^(n) conj(S^(n)) with Q the quotient counts of
-    (AA, A) and S the sum-set indicator. Agrees with the exact counter to
-    1e-9 relative error; requires a prime modulus and 0 not in A.
-    """
-    mod = a_set.modulus
-    if not mod.is_prime:
-        raise ValueError(f"spectral quadruple count requires a prime modulus, got {mod.m}")
-    if 0 in a_set.elements:
-        raise ValueError("spectral quadruple count requires 0 not in the set")
-    p = mod.m
-    prod = productset(a_set, a_set)
-    sums = _sumset_best(a_set, a_set)
-    q_hat = dft_counts(quotient_rep(prod, a_set), p).amplitudes
-    a_hat = spectrum_of_set(a_set).amplitudes
-    s_hat = spectrum_of_set(sums).amplitudes
-    total = np.sum(q_hat * a_hat * np.conj(s_hat)) / p
-    return float(total.real)
-
-
-@dataclass(frozen=True)
-class CauchySchwarzCheck:
-    """sum_n |A^(n)| |B^(n)| <= m * sqrt(|A| |B|) over the full period."""
-
-    lhs: float
-    cap: float
-    holds: bool
-
-
-def cauchy_schwarz_check(a_set: ResidueSet, b_set: ResidueSet) -> CauchySchwarzCheck:
-    if a_set.modulus.m != b_set.modulus.m:
-        raise ValueError("modulus mismatch")
-    m = a_set.modulus.m
-    lhs = float(
-        np.sum(np.abs(spectrum_of_set(a_set).amplitudes) * np.abs(spectrum_of_set(b_set).amplitudes))
-    )
-    cap = m * math.sqrt(a_set.size * b_set.size)
-    return CauchySchwarzCheck(lhs=lhs, cap=cap, holds=lhs <= cap * (1 + REL_SLACK))
-
-
-@dataclass(frozen=True)
-class DivisorBoundRow:
-    """Peak squared quotient-spectrum amplitude at period m/d vs d*m*|AA|*|A|."""
-
-    divisor: int
-    period: int
-    peak_freq: int
-    peak_sq: float
-    cap: float
-    holds: bool
-
-
-def divisor_bound_checks(unit_a: ResidueSet) -> tuple[DivisorBoundRow, ...]:
-    """One bound row per proper divisor d of m.
-
-    The input must consist of units. For each d the quotient counts of
-    (AA, A) are reduced mod q = m/d and the peak amplitude over the
-    frequencies coprime to q is squared and compared with d*m*|AA|*|A|.
-    For a prime modulus the single d = 1 row is the classical
-    complete-sum bound sqrt(p |AA| |A|), squared.
-    """
-    mod = unit_a.modulus
-    m = mod.m
-    prod = productset(unit_a, unit_a)
-    counts = unit_quotient_rep(prod, unit_a)
-    rows = []
-    for d in mod.divisors[:-1]:
-        q = m // d
-        spec = dft_counts(counts, q)
-        peak_freq, peak = max_nontrivial(spec)
-        peak_sq = peak * peak
-        cap = float(d * m * prod.size * unit_a.size)
-        rows.append(
-            DivisorBoundRow(
-                divisor=d,
-                period=q,
-                peak_freq=peak_freq,
-                peak_sq=peak_sq,
-                cap=cap,
-                holds=peak_sq <= cap * (1 + REL_SLACK),
-            )
-        )
-    return tuple(rows)
-
-
-def ring_fourier_diagnostics(a_set: ResidueSet) -> tuple[float, float]:
-    """(peak, cap) of the full-period quotient spectrum of the unit part.
-
-    This is the d = 1 divisor row without squaring: the peak amplitude
-    over frequencies coprime to m against sqrt(m |A'A'| |A'|) where A' is
-    the unit part. Returns (0.0, 0.0) when the unit part is empty.
-    """
-    units = unit_part(a_set)
-    if units.size == 0:
-        return 0.0, 0.0
-    prod = productset(units, units)
-    spec = dft_counts(unit_quotient_rep(prod, units), a_set.modulus.m)
-    _, peak = max_nontrivial(spec)
-    cap = math.sqrt(a_set.modulus.m * prod.size * units.size)
-    return peak, cap

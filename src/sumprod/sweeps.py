@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -20,13 +21,13 @@ from itertools import combinations
 import numpy as np
 
 from .estimates import (
+    Derivation,
     field_bound_report,
-    field_constant_holds,
+    field_constant,
     ring_bound_report,
-    ring_constant_holds,
+    ring_constant,
 )
 from .residues import Modulus, ResidueSet, make_modulus, residue_set
-from .spectra import ring_fourier_diagnostics
 
 CSV_HEADER = (
     "modulus,kind,size,trial,derived_seed,sum_size,prod_size,"
@@ -37,6 +38,9 @@ KIND_PRIME = "prime"
 KIND_RING = "ring"
 
 _MASK64 = (1 << 64) - 1
+# A leading minus is matched only so that a negative value is reported as
+# out of range rather than as non-numeric.
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 class DuplicateResidueWarning(UserWarning):
@@ -46,9 +50,9 @@ class DuplicateResidueWarning(UserWarning):
 def parse_set_file(path: str, modulus: Modulus) -> ResidueSet:
     """Read whitespace-separated decimal residues; '#' starts a comment.
 
-    Values must already lie in [0, m); out-of-range or non-numeric tokens
-    are errors. Duplicates are removed, one DuplicateResidueWarning per
-    extra occurrence.
+    Tokens must be ASCII decimal digits and values must already lie in
+    [0, m); anything else is an error. Duplicates are removed, one
+    DuplicateResidueWarning per extra occurrence.
     """
     m = modulus.m
     seen: set[int] = set()
@@ -56,12 +60,11 @@ def parse_set_file(path: str, modulus: Modulus) -> ResidueSet:
         for line_no, line in enumerate(handle, start=1):
             body = line.split("#", 1)[0]
             for token in body.split():
-                try:
-                    value = int(token, 10)
-                except ValueError:
-                    raise ValueError(f"{path}:{line_no}: non-numeric token {token!r}") from None
-                if value < 0 or value >= m:
-                    raise ValueError(f"{path}:{line_no}: residue {value} out of range [0, {m})")
+                if not _DECIMAL.fullmatch(token):
+                    raise ValueError(f"{path}:{line_no}: non-numeric token {token!r}")
+                value = int(token)
+                if token[0] == "-" or value >= m:
+                    raise ValueError(f"{path}:{line_no}: residue {token} out of range [0, {m})")
                 if value in seen:
                     warnings.warn(f"duplicate residue {value}", DuplicateResidueWarning, stacklevel=2)
                 else:
@@ -146,25 +149,22 @@ def _trial_row(cfg: SweepConfig, mod: Modulus, size: int, trial: int) -> SweepRo
     if cfg.kind == KIND_PRIME:
         rep = field_bound_report(subset)
         quad, fmax, fcap = rep.quad_count, rep.fourier_max, rep.fourier_cap
-        lhs, bound, ratio = rep.lhs, rep.bound, rep.ratio
-        sum_size, prod_size = rep.size_sum, rep.size_prod
     else:
-        rep = ring_bound_report(subset)
-        quad = None
-        fmax, fcap = ring_fourier_diagnostics(subset)
-        lhs, bound, ratio = rep.lhs, rep.bound, rep.ratio
-        sum_size, prod_size = rep.size_sum, rep.size_prod
+        # Ring rows carry the unsquared divisor-1 row of the unit part.
+        d = Derivation(subset)
+        rep = ring_bound_report(d)
+        quad, fmax, fcap = None, d.units.peak, math.sqrt(d.units.cap_sq)
     return SweepRow(
         modulus=cfg.modulus,
         kind=cfg.kind,
         size=size,
         trial=trial,
         derived_seed=derived,
-        sum_size=sum_size,
-        prod_size=prod_size,
-        lhs=lhs,
-        bound=bound,
-        ratio=ratio,
+        sum_size=rep.size_sum,
+        prod_size=rep.size_prod,
+        lhs=rep.lhs,
+        bound=rep.bound,
+        ratio=rep.ratio,
         quad_count=quad,
         fourier_max=fmax,
         fourier_cap=fcap,
@@ -175,9 +175,8 @@ def _trial_row(cfg: SweepConfig, mod: Modulus, size: int, trial: int) -> SweepRo
 def row_violates(row: SweepRow) -> bool:
     """Exact re-check of the explicit-constant bound for one emitted row."""
     if row.kind == KIND_PRIME:
-        return not field_constant_holds(row.modulus, row.size, row.lhs)
-    halfpower = make_modulus(row.modulus).divisor_halfpower_sum
-    return not ring_constant_holds(row.modulus, row.size, halfpower, row.lhs)
+        return not field_constant(row.modulus, row.size, row.lhs).holds
+    return not ring_constant(row.lhs, row.bound).holds
 
 
 def _format_value(x: "int | float | None") -> str:
@@ -225,8 +224,10 @@ def run_sweep(cfg: SweepConfig, threads: int | None = None) -> list[SweepRow]:
     threads affects speed only, never output; None uses machine parallelism.
     """
     mod = _validated_modulus(cfg)
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     tasks = [(pos, size, trial) for pos, size in enumerate(cfg.sizes) for trial in range(cfg.trials)]
-    workers = threads if threads and threads > 0 else (os.cpu_count() or 1)
+    workers = threads or os.cpu_count() or 1
     results: dict[tuple[int, int], SweepRow] = {}
     if workers == 1 or len(tasks) == 1:
         for pos, size, trial in tasks:
@@ -291,7 +292,7 @@ def run_exhaustive(p: int, k: int) -> ExhaustiveSummary:
             for b in combo[i:]:
                 prods.add(row[b])
         lhs = sum_size * len(prods)
-        if not field_constant_holds(p, k, lhs):
+        if not field_constant(p, k, lhs).holds:
             violations += 1
         ratio = lhs / min(p * k, k**4 / p)
         if ratio < min_ratio:

@@ -14,25 +14,18 @@ import pytest
 
 from sumprod.cli import main as cli_main
 from sumprod.estimates import (
-    count_quadruples,
+    Derivation,
     count_quadruples_bruteforce,
     field_bound_report,
-    field_constant_holds,
-    master_inequality_holds,
+    field_constant,
+    master_inequality,
     ring_bound_report,
-    ring_constant_holds,
-    ring_proof_checks,
+    ring_checks,
+    spectral_checks,
     zm_extremal,
 )
 from sumprod.extremal import build_extremal
 from sumprod.residues import make_modulus, residue_set
-from sumprod.setops import _sumset_best, productset
-from sumprod.spectra import (
-    REL_SLACK,
-    cauchy_schwarz_check,
-    divisor_bound_checks,
-    spectral_quadruple_count,
-)
 
 EXHAUSTIVE_FIELD_PRIMES = (5, 7, 11)
 RANDOM_FIELD_PRIMES = (101, 499)
@@ -97,7 +90,7 @@ def test_criterion_1_exhaustive_field_bound(exhaustive_field_cases):
     minima = {}
     for p, rows in exhaustive_field_cases.items():
         for size, lhs, ratio, _, _ in rows:
-            ok &= field_constant_holds(p, size, lhs)
+            ok &= field_constant(p, size, lhs).holds
         minima[p] = min(ratio for _, _, ratio, _, _ in rows)
     detail = "min ratios " + ", ".join(f"p={p}: {r:.6f}" for p, r in sorted(minima.items()))
     _report_line(1, ok and all(r >= 0.25 for r in minima.values()), detail, started)
@@ -108,9 +101,9 @@ def test_criterion_2_randomized_field_bound(random_field_cases):
     constant_violations = 0
     master_violations = 0
     for p, size, lhs, size_sum, size_prod, _, _ in random_field_cases:
-        if not field_constant_holds(p, size, lhs):
+        if not field_constant(p, size, lhs).holds:
             constant_violations += 1
-        if not master_inequality_holds(p, size, size_sum, size_prod):
+        if not master_inequality(p, size, size_sum, size_prod).holds:
             master_violations += 1
     detail = (
         f"{len(random_field_cases)} cases, constant violations {constant_violations}, "
@@ -137,7 +130,7 @@ def test_criterion_3_quadruple_counts(exhaustive_field_cases, random_field_cases
         for combo in combinations(range(1, 11), k):
             a = residue_set(mod11, combo)
             checked += 1
-            if count_quadruples(a) != count_quadruples_bruteforce(a):
+            if Derivation(a).quad_count != count_quadruples_bruteforce(a):
                 mismatches += 1
 
     rng = np.random.default_rng(31337)
@@ -148,7 +141,7 @@ def test_criterion_3_quadruple_counts(exhaustive_field_cases, random_field_cases
         picks = rng.choice(p - 1, size=size, replace=False) + 1
         a = residue_set(make_modulus(p), picks.tolist())
         checked += 1
-        if count_quadruples(a) != count_quadruples_bruteforce(a):
+        if Derivation(a).quad_count != count_quadruples_bruteforce(a):
             mismatches += 1
 
     detail = f"lower-bound violations {lower_violations}, oracle mismatches {mismatches}/{checked}"
@@ -165,11 +158,9 @@ def spectral_cases():
         size = int(rng.integers(2, min(40, p - 1) + 1))
         picks = rng.choice(p - 1, size=size, replace=False) + 1
         a = residue_set(make_modulus(p), picks.tolist())
-        exact = count_quadruples(a)
-        approx = spectral_quadruple_count(a)
-        row = divisor_bound_checks(a)[0]
-        cs = cauchy_schwarz_check(a, _sumset_best(a, a))
-        cases.append((p, exact, approx, row, cs))
+        d = Derivation(a)
+        _, row, cs = spectral_checks(d)
+        cases.append((p, d.quad_count, d.spectral_quad_count, row, cs))
     return cases
 
 
@@ -223,13 +214,13 @@ def test_criterion_7_ring_bound():
         worst = math.inf
         for k in range(1, m + 1):
             for combo in combinations(range(m), k):
-                a = residue_set(mod, combo)
-                rep = ring_bound_report(a)
+                d = Derivation(residue_set(mod, combo))
                 cases += 1
-                worst = min(worst, rep.ratio)
-                if not ring_constant_holds(m, rep.size_a, rep.divisor_halfpower_sum, rep.lhs):
+                worst = min(worst, ring_bound_report(d).ratio)
+                constant, *chain = ring_checks(d)
+                if not constant.holds:
                     constant_violations += 1
-                if not ring_proof_checks(a).all_ok:
+                if not all(c.holds for c in chain):
                     chain_violations += 1
         minima[m] = worst
 
@@ -240,13 +231,13 @@ def test_criterion_7_ring_bound():
         for size in _log_grid(m):
             for _ in range(1000):
                 picks = rng.choice(m, size=size, replace=False)
-                a = residue_set(mod, picks.tolist())
-                rep = ring_bound_report(a)
+                d = Derivation(residue_set(mod, picks.tolist()))
                 cases += 1
-                worst = min(worst, rep.ratio)
-                if not ring_constant_holds(m, rep.size_a, rep.divisor_halfpower_sum, rep.lhs):
+                worst = min(worst, ring_bound_report(d).ratio)
+                constant, *chain = ring_checks(d)
+                if not constant.holds:
                     constant_violations += 1
-                if not ring_proof_checks(a).all_ok:
+                if not all(c.holds for c in chain):
                     chain_violations += 1
         minima[m] = worst
 

@@ -1,10 +1,15 @@
+import dataclasses
+import importlib
 import json
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
+import sumprod
 from sumprod import cli
+from sumprod.residues import ResidueSet
 
 
 def _run(capsys, argv):
@@ -139,14 +144,105 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert code == 2
 
 
-def test_bound_violation_exits_1(capsys, tmp_path, monkeypatch):
-    # force the constant check to fail to exercise the exit-1 plumbing
-    monkeypatch.setattr(cli, "field_constant_holds", lambda *a: False)
+def _force_failure(monkeypatch, checks_attr, name):
+    """Make the named check of one command fail, leaving every value as is."""
+    real = getattr(cli, checks_attr)
+
+    def forced(d):
+        return [dataclasses.replace(c, holds=False) if c.name == name else c for c in real(d)]
+
+    monkeypatch.setattr(cli, checks_attr, forced)
+
+
+def _assert_forced_failure(capsys, tmp_path, monkeypatch, argv, elements, checks_attr, name):
     setfile = tmp_path / "s.txt"
-    setfile.write_text("1 2\n")
-    code, _, err = _run(capsys, ["verify-t1", "--p", "5", "--set", str(setfile)])
+    setfile.write_text(elements + "\n")
+    argv = argv + ["--set", str(setfile)]
+    code, expected_out, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+    _force_failure(monkeypatch, checks_attr, name)
+    code, out, err = _run(capsys, argv)
     assert code == 1
-    assert "quarter_constant" in err
+    assert out == expected_out
+    assert err == f"check failed: {name}\n"
+
+
+def test_bound_violation_exits_1(capsys, tmp_path, monkeypatch):
+    _assert_forced_failure(
+        capsys, tmp_path, monkeypatch, ["verify-t1", "--p", "5"], "1 2", "field_checks", "quarter_constant"
+    )
+
+
+def test_verify_t2_violation_exits_1(capsys, tmp_path, monkeypatch):
+    _assert_forced_failure(
+        capsys, tmp_path, monkeypatch, ["verify-t2", "--m", "36"], "1 2 5 6 7 12",
+        "ring_checks", "sixtyfourth_constant",
+    )
+
+
+def test_spectral_violation_exits_1(capsys, tmp_path, monkeypatch):
+    _assert_forced_failure(
+        capsys, tmp_path, monkeypatch, ["spectral", "--p", "11"], "1 3 4 5 9", "spectral_checks", "fourier_cap"
+    )
+
+
+def test_sweep_rejects_threads_below_one(capsys, tmp_path):
+    base = ["sweep", "--modulus", "101", "--kind", "prime", "--sizes", "5", "--trials", "2",
+            "--seed", "1", "--out", str(tmp_path / "x.csv")]
+    for threads in ("0", "-3"):
+        code, out, err = _run(capsys, base + ["--threads", threads])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: threads must be at least 1, got {threads}\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
+def _record_setops_calls(monkeypatch) -> list:
+    """Wrap every binding of a sumprod.setops function in another sumprod
+    module and record each call as (function name, argument values)."""
+    calls = []
+
+    def key(arg):
+        if isinstance(arg, ResidueSet):
+            return (arg.modulus.m, arg.elements)
+        return arg if isinstance(arg, (int, str)) else ("object", id(arg))
+
+    def recording(function):
+        def wrapper(*args):
+            calls.append((function.__name__, tuple(key(a) for a in args)))
+            return function(*args)
+
+        return wrapper
+
+    for info in pkgutil.iter_modules(sumprod.__path__):
+        if info.name in ("__main__", "setops"):
+            continue
+        module = importlib.import_module(f"sumprod.{info.name}")
+        for attr, value in list(vars(module).items()):
+            from_setops = getattr(value, "__module__", None) == "sumprod.setops"
+            if from_setops and callable(value) and not isinstance(value, type):
+                monkeypatch.setattr(module, attr, recording(value))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, elements",
+    [
+        (["verify-t1", "--p", "101"], "2 3 5 7 11 13 17 19 23 29 31"),
+        (["verify-t1", "--p", "101"], "0 2 3 5 7 11 13 17 19 23 29 31"),
+        (["verify-t2", "--m", "360"], "0 1 2 7 11 12 30 49 77 121 180 301"),
+        (["spectral", "--p", "101"], "2 3 5 7 11 13 17 19 23 29 31"),
+    ],
+)
+def test_each_derived_set_is_built_once(capsys, tmp_path, monkeypatch, argv, elements):
+    setfile = tmp_path / "s.txt"
+    setfile.write_text(elements + "\n")
+    calls = _record_setops_calls(monkeypatch)
+    code, _, _ = _run(capsys, argv + ["--set", str(setfile)])
+    assert code == 0
+    assert calls
+    repeated = {call for call in calls if calls.count(call) > 1}
+    assert sorted(name for name, _ in repeated) == []
 
 
 def test_module_invocation_smoke():

@@ -1,20 +1,21 @@
+import gc
 import math
+import weakref
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from sumprod.estimates import (
-    count_quadruples,
+    Derivation,
     count_quadruples_bruteforce,
     field_bound_report,
-    field_constant_holds,
-    master_inequality_check,
-    master_inequality_holds,
-    nonunit_bound_check,
+    field_checks,
+    field_constant,
+    master_inequality,
     ring_bound_report,
-    ring_constant_holds,
-    ring_proof_checks,
+    ring_checks,
+    ring_constant,
     zm_extremal,
 )
 from sumprod.residues import make_modulus, residue_set
@@ -24,6 +25,14 @@ from oracles import naive_productset, naive_quadruples, naive_sumset, random_sub
 
 def _set(m, elems):
     return residue_set(make_modulus(m), elems)
+
+
+def count_quadruples(a_set):
+    return Derivation(a_set).quad_count
+
+
+def _named(checks):
+    return {c.name: c for c in checks}
 
 
 def test_count_quadruples_examples():
@@ -104,7 +113,7 @@ def test_field_constant_exhaustive_p5():
     for k in range(1, p):
         for combo in combinations(range(1, p), k):
             rep = field_bound_report(_set(p, combo))
-            assert field_constant_holds(p, rep.size_a, rep.lhs)
+            assert field_constant(p, rep.size_a, rep.lhs).holds
             worst = min(worst, rep.ratio)
     assert worst >= 0.25
 
@@ -114,15 +123,17 @@ def test_master_inequality_random():
     for p in (11, 101, 499):
         for _ in range(25):
             a = _set(p, random_subset(rng, p, int(rng.integers(1, p)), exclude_zero=True))
-            check = master_inequality_check(a)
+            check = _named(field_checks(a))["master_inequality"]
             assert check.holds
-            assert check.cube <= (check.term_main + check.term_offdiag) * (1 + 1e-9)
+            # lhs is |A|^3, rhs the main plus the off-diagonal term
+            assert check.lhs == a.size**3
+            assert check.lhs <= check.rhs * (1 + 1e-9)
 
 
 def test_master_inequality_exact_form():
-    assert master_inequality_holds(5, 2, 3, 3)
+    assert master_inequality(5, 2, 3, 3).holds
     # fabricated sizes violating the inequality must be caught
-    assert not master_inequality_holds(101, 100, 1, 1)
+    assert not master_inequality(101, 100, 1, 1).holds
 
 
 def test_ring_report_multiples_of_three():
@@ -155,7 +166,7 @@ def test_ring_report_full_ring():
     rep = ring_bound_report(_set(12, range(12)))
     assert rep.lhs == 144
     assert rep.ratio >= 1 / 64
-    assert ring_constant_holds(12, 12, rep.divisor_halfpower_sum, rep.lhs)
+    assert ring_constant(rep.lhs, rep.bound).holds
 
 
 def test_ring_branch_unit_reduced():
@@ -163,24 +174,27 @@ def test_ring_branch_unit_reduced():
     rep = ring_bound_report(_set(101, range(1, 51)))
     assert rep.branch == "unit_reduced"
     assert 2 * rep.size_unit_a > rep.size_a
-    checks = ring_proof_checks(_set(101, range(1, 51)))
-    assert checks.branch == "unit_reduced"
-    assert checks.unit_majority_ok and checks.all_ok
+    checks = ring_checks(_set(101, range(1, 51)))
+    assert _named(checks)["unit_majority"].holds
+    assert all(c.holds for c in checks)
 
 
 def test_nonunit_bound_examples():
-    check = nonunit_bound_check(_set(9, [1, 3]))
-    assert (check.d0, check.count, check.divisor_cap) == (1, 1, 4)
-    assert check.sqrt_cap == pytest.approx(3 * (1 + math.sqrt(3)))
-    assert check.count_ok and check.caps_ok
+    # the grouped check shows its tightest member: divisor cap <= sqrt cap
+    rep = ring_bound_report(_set(9, [1, 3]))
+    check = _named(ring_checks(_set(9, [1, 3])))["nonunit_caps"]
+    assert (rep.d0, rep.nonunit_count, check.lhs) == (1, 1, 4)
+    assert check.rhs == pytest.approx(3 * (1 + math.sqrt(3)))
+    assert check.holds
 
-    prime = nonunit_bound_check(_set(13, [1, 5, 7]))
-    assert prime.count == 0
+    prime = ring_bound_report(_set(13, [1, 5, 7]))
+    assert prime.nonunit_count == 0
 
-    full = nonunit_bound_check(_set(12, range(12)))
-    assert full.count == 12 - 4  # 12 - phi(12)
-    assert full.divisor_cap == 16
-    assert full.count_ok and full.caps_ok
+    full = ring_bound_report(_set(12, range(12)))
+    check = _named(ring_checks(_set(12, range(12))))["nonunit_caps"]
+    assert full.nonunit_count == 12 - 4  # 12 - phi(12)
+    assert check.lhs == 16
+    assert check.holds
 
 
 def test_ring_proof_checks_random():
@@ -189,7 +203,7 @@ def test_ring_proof_checks_random():
         mod = make_modulus(m)
         for _ in range(10):
             a = residue_set(mod, random_subset(rng, m, int(rng.integers(1, m + 1))))
-            assert ring_proof_checks(a).all_ok
+            assert all(c.holds for c in ring_checks(a))
 
 
 def test_ring_constant_random():
@@ -199,7 +213,7 @@ def test_ring_constant_random():
         for _ in range(30):
             a = residue_set(mod, random_subset(rng, m, int(rng.integers(1, m + 1))))
             rep = ring_bound_report(a)
-            assert ring_constant_holds(m, rep.size_a, rep.divisor_halfpower_sum, rep.lhs)
+            assert ring_constant(rep.lhs, rep.bound).holds
 
 
 def test_zm_extremal_small_primes():
@@ -225,3 +239,21 @@ def test_zm_extremal_matches_direct_computation():
         assert len(naive_sumset(elems, elems, m)) == p
         assert len(naive_productset(elems, elems, m)) == 1
         assert 1 / 64 <= ex.ratio <= 16
+
+
+def test_derivation_is_freed_when_dropped():
+    # no reference cycle may keep a derivation's arrays alive until a
+    # garbage collection runs
+    gc.disable()
+    try:
+        for a in (_set(101, range(1, 30)), _set(101, range(0, 30)), _set(36, range(0, 20))):
+            d = Derivation(a)
+            if d.modulus.is_prime:
+                field_checks(d)
+            ring_checks(d)
+            ref = weakref.ref(d)
+            del d
+            assert ref() is None
+    finally:
+        gc.enable()
+

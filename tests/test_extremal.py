@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sumprod.estimates import field_constant_holds
+from sumprod.estimates import field_constant
 from sumprod.extremal import best_window, build_extremal, power_prefix
 from sumprod.residues import find_generator, make_modulus, residue_set
 
@@ -119,5 +119,5 @@ def test_structural_bounds_and_field_sandwich():
         assert built.window_count >= needed >= n
         # lower bound from the field estimate sandwiches the product
         lhs = built.sum_size * built.prod_size
-        assert field_constant_holds(p, n, lhs)
+        assert field_constant(p, n, lhs).holds
         assert lhs <= cap * cap

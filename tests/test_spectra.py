@@ -4,19 +4,21 @@ import math
 import numpy as np
 import pytest
 
+from sumprod.estimates import (
+    REL_SLACK,
+    Derivation,
+    divisor_square_bound,
+    parseval_bound,
+    ring_checks,
+    spectral_checks,
+)
 from sumprod.residues import make_modulus, residue_set, unit_part
 from sumprod.setops import additive_rep, indicator, quotient_rep, sumset
 from sumprod.spectra import (
-    REL_SLACK,
     _direct_dft,
     _fft_dft,
-    cauchy_schwarz_check,
     dft_counts,
-    divisor_bound_checks,
     max_nontrivial,
-    parseval_bound_check,
-    ring_fourier_diagnostics,
-    spectral_quadruple_count,
     spectrum_of_set,
 )
 
@@ -25,6 +27,18 @@ from oracles import naive_dft, naive_quadruples, naive_quotient_counts, random_s
 
 def _set(m, elems):
     return residue_set(make_modulus(m), elems)
+
+
+def spectral_quadruple_count(a_set):
+    return Derivation(a_set).spectral_quad_count
+
+
+def parseval_bound_check(a_set, q):
+    return parseval_bound(indicator(a_set), q)
+
+
+def _named(checks):
+    return {c.name: c for c in checks}
 
 
 def test_dft_examples():
@@ -186,10 +200,12 @@ def test_divisor_bound_checks_prime_is_complete_sum_bound():
         mod = make_modulus(p)
         for _ in range(10):
             a = residue_set(mod, random_subset(rng, p, int(rng.integers(1, p)), exclude_zero=True))
-            rows = divisor_bound_checks(a)
-            assert len(rows) == 1
-            assert rows[0].divisor == 1 and rows[0].period == p
-            assert rows[0].holds
+            d = Derivation(a)
+            assert mod.divisors[:-1] == (1,)
+            row = divisor_square_bound(d, 1)
+            # the divisor-1 row is the complete-sum cap p |AA| |A|, squared
+            assert row.rhs == p * d.prods.size * a.size
+            assert row.holds
 
 
 def test_divisor_bound_checks_composite():
@@ -198,9 +214,10 @@ def test_divisor_bound_checks_composite():
         mod = make_modulus(m)
         for _ in range(10):
             a = residue_set(mod, random_subset(rng, m, int(rng.integers(1, m + 1))))
-            rows = divisor_bound_checks(unit_part(a))
-            assert len(rows) == len(mod.divisors) - 1
+            units = Derivation(unit_part(a))
+            rows = [divisor_square_bound(units, e) for e in mod.divisors[:-1]]
             assert all(r.holds for r in rows)
+            assert _named(ring_checks(a))["divisor_square_bound"].holds
 
 
 def test_cauchy_schwarz_check_random():
@@ -210,14 +227,19 @@ def test_cauchy_schwarz_check_random():
         for _ in range(8):
             a = residue_set(mod, random_subset(rng, p, int(rng.integers(1, p)), exclude_zero=True))
             s = sumset(a, a)
-            check = cauchy_schwarz_check(a, s)
+            check = _named(spectral_checks(a))["cauchy_schwarz"]
             assert check.holds
-            assert check.cap == pytest.approx(p * math.sqrt(a.size * s.size))
+            assert check.rhs == pytest.approx(p * math.sqrt(a.size * s.size))
 
 
 def test_ring_fourier_diagnostics():
-    a = _set(9, [0, 3, 6])
-    assert ring_fourier_diagnostics(a) == (0.0, 0.0)
-    b = _set(9, [1, 2, 5])
-    peak, cap = ring_fourier_diagnostics(b)
-    assert 0 < peak <= cap * (1 + REL_SLACK)
+    # the divisor-1 row of the unit part, squared and unsquared
+    a = Derivation(_set(9, [0, 3, 6])).units
+    assert a.size == 0
+    row = divisor_square_bound(a, 1)
+    assert (row.lhs, row.rhs) == (0.0, 0.0)
+    assert (a.peak, math.sqrt(a.cap_sq)) == (0.0, 0.0)
+    b = Derivation(_set(9, [1, 2, 5])).units
+    row = divisor_square_bound(b, 1)
+    assert 0 < row.lhs <= row.rhs * (1 + REL_SLACK)
+    assert 0 < b.peak <= math.sqrt(b.cap_sq) * (1 + REL_SLACK)

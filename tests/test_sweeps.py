@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import pytest
@@ -49,6 +50,13 @@ def test_parse_set_file_examples(tmp_path):
     alpha.write_text("1 x\n")
     with pytest.raises(ValueError, match="non-numeric"):
         parse_set_file(str(alpha), mod7)
+
+    # int() would accept these: an underscore, a non-ASCII digit, a plus sign
+    for token in ("1_0", "\u0663", "+5"):
+        odd = tmp_path / "odd.txt"
+        odd.write_text(f"1\n2 {token} # note\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"odd.txt:2: non-numeric token '{token}'")):
+            parse_set_file(str(odd), make_modulus(101))
 
     with pytest.raises(OSError):
         parse_set_file(str(tmp_path / "missing.txt"), mod7)
