@@ -11,11 +11,10 @@ The inequalities built on these spectra are checked in estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .residues import ResidueSet
+from .residues import ResidueSet, make_modulus
 from .setops import MultiplicityVector, indicator
 
 # Direct summation is used when the period and the support are both small
@@ -76,12 +75,13 @@ def spectrum_of_set(a_set: ResidueSet, q: int | None = None) -> SpectrumVector:
     return dft_counts(indicator(a_set), a_set.modulus.m if q is None else q)
 
 
-@lru_cache(maxsize=64)
 def _coprime_frequencies(q: int) -> np.ndarray:
-    freqs = np.arange(1, q, dtype=np.int64)
-    out = freqs[np.gcd(freqs, q) == 1]
-    out.setflags(write=False)
-    return out
+    """The n in [1, q) coprime to q: a sieve clearing the multiples of each
+    prime factor of q."""
+    coprime = np.ones(q, dtype=bool)
+    for prime, _ in make_modulus(q).factorization:
+        coprime[::prime] = False
+    return np.flatnonzero(coprime)
 
 
 def max_nontrivial(spec: SpectrumVector) -> tuple[int, float]:

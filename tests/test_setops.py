@@ -2,9 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sumprod.residues import make_modulus, residue_set, NonInvertibleError
+from sumprod import setops
+from sumprod.residues import NonInvertibleError, dlog_table, find_generator, make_modulus, residue_set
 from sumprod.setops import (
+    DENSE_COUNT_LIMIT,
+    MultiplicityVector,
+    _fft_length,
     additive_rep,
     dilate,
     indicator,
@@ -252,6 +258,8 @@ def test_products_near_modulus_cap_are_exact():
     b = [m - 3, 123456789]
     got = productset(residue_set(mod, a), residue_set(mod, b)).elements
     assert got == naive_productset(a, b, m)
+    quotients = unit_quotient_rep(residue_set(mod, a), residue_set(mod, b))
+    assert _counts_dict(quotients) == naive_quotient_counts(a, b, m)
 
 
 def test_indicator_mass_and_support():
@@ -260,3 +268,208 @@ def test_indicator_mass_and_support():
     mv = indicator(a)
     assert mv.total_mass == 3
     assert mv.support() == a.elements
+
+
+# --- Exact FFT counts: both sides of the dispatch against the oracles ---
+
+_PRIMES = (2, 3, 5, 7, 11, 13, 31, 101, 257, 499)
+_MODULI = _PRIMES + (4, 6, 9, 12, 36, 64, 100, 210, 360)
+
+
+@st.composite
+def _subset(draw, m, low=0):
+    """A subset of [low, m) of any size from empty to full."""
+    size = draw(st.integers(0, m - low))
+    return sorted(draw(st.permutations(range(low, m)))[:size])
+
+
+@st.composite
+def _additive_case(draw):
+    m = draw(st.sampled_from(_MODULI))
+    return m, draw(_subset(m)), draw(_subset(m)), draw(st.sampled_from((1, -1)))
+
+
+@st.composite
+def _quotient_case(draw):
+    p = draw(st.sampled_from(_PRIMES))
+    return p, draw(_subset(p)), draw(_subset(p, low=1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_additive_case())
+def test_additive_rep_property(case):
+    m, a, b, sign = case
+    mv = additive_rep(_set(m, a), _set(m, b), sign)
+    assert mv.is_dense and mv.counts.dtype == np.int64
+    assert _counts_dict(mv) == naive_additive_counts(a, b, sign, m)
+    assert mv.total_mass == len(a) * len(b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_quotient_case())
+def test_unit_quotient_rep_prime_property(case):
+    p, xs, a = case
+    mv = unit_quotient_rep(_set(p, xs), _set(p, a))
+    assert _counts_dict(mv) == naive_quotient_counts(xs, a, p)
+    assert mv.total_mass == len(xs) * len(a)
+
+
+def test_property_cases_reach_both_sides_of_the_dispatch():
+    # The full sets of the largest moduli above take the FFT; singletons
+    # enumerate.
+    assert setops._fft_pays(499 * 499, 499) and setops._fft_pays(498 * 498, 498)
+    assert setops._fft_pays(360 * 360, 360)
+    assert not setops._fft_pays(499, 499) and not setops._fft_pays(498, 498)
+
+
+def _spy_enumeration(monkeypatch):
+    calls = []
+    original = setops._pair_counts
+
+    def spy(x, y, n, *rest):
+        calls.append(n)
+        return original(x, y, n, *rest)
+
+    monkeypatch.setattr(setops, "_pair_counts", spy)
+    return calls
+
+
+def _noisy_irfft(monkeypatch, index, noise):
+    original = np.fft.irfft
+
+    def noisy(spectrum, n):
+        out = original(spectrum, n)
+        out[index] += noise
+        return out
+
+    monkeypatch.setattr(np.fft, "irfft", noisy)
+
+
+@pytest.mark.parametrize(
+    "guard", ["a_priori_bound", "residual", "mass"],
+)
+def test_fft_guard_failure_falls_back_to_exact_enumeration(monkeypatch, guard):
+    rng = np.random.default_rng(43)
+    p = 499
+    a = random_subset(rng, p, 300)
+    b = random_subset(rng, p, 250, exclude_zero=True)
+    assert setops._fft_pays(len(a) * len(b), p) and setops._fft_pays((len(a) - 1) * len(b), p - 1)
+    calls = _spy_enumeration(monkeypatch)
+    if guard == "a_priori_bound":
+        monkeypatch.setattr(setops, "_FFT_ERROR_CONSTANT", 1e30)
+    elif guard == "residual":
+        _noisy_irfft(monkeypatch, 7, 0.3)
+    else:
+        _noisy_irfft(monkeypatch, 7, 1.0)  # rounds cleanly, one pair too many
+    for sign in (1, -1):
+        mv = additive_rep(_set(p, a), _set(p, b), sign)
+        assert _counts_dict(mv) == naive_additive_counts(a, b, sign, p)
+    mv = unit_quotient_rep(_set(p, a), _set(p, b))
+    assert _counts_dict(mv) == naive_quotient_counts(a, b, p)
+    assert calls == [p, p, p - 1]
+
+
+def test_fft_path_is_taken_without_fallback(monkeypatch):
+    calls = _spy_enumeration(monkeypatch)
+    rng = np.random.default_rng(47)
+    a = random_subset(rng, 499, 300)
+    b = random_subset(rng, 499, 250, exclude_zero=True)
+    mv = unit_quotient_rep(_set(499, a), _set(499, b))
+    assert _counts_dict(mv) == naive_quotient_counts(a, b, 499)
+    assert calls == []
+
+
+def _five_smooth_up_to(limit):
+    out = set()
+    p5 = 1
+    while p5 <= limit:
+        p35 = p5
+        while p35 <= limit:
+            p = p35
+            while p <= limit:
+                out.add(p)
+                p *= 2
+            p35 *= 3
+        p5 *= 5
+    return sorted(out)
+
+
+def test_fft_length_is_the_smallest_five_smooth_length():
+    smooth = _five_smooth_up_to(1 << 23)
+    ns = list(range(1, 3000)) + [10006, 10007, 65536, 100002, 100003, 720720, 1000002, DENSE_COUNT_LIMIT]
+    for n in ns:
+        length = _fft_length(n)
+        assert length == next(s for s in smooth if s >= 2 * n - 1), n
+
+
+def _interval_counts(start_x, len_x, start_y, len_y, sign, m):
+    """Counts of x + sign*y mod m over two intervals, by direct convolution."""
+    linear = np.convolve(np.ones(len_x, dtype=np.int64), np.ones(len_y, dtype=np.int64))
+    base = start_x + start_y if sign == 1 else start_x - start_y - (len_y - 1)
+    out = {}
+    for k, c in enumerate(linear.tolist()):
+        t = (base + k) % m
+        out[t] = out.get(t, 0) + c
+    return out
+
+
+def test_dense_count_limit_boundary_gives_equal_counts():
+    rng = np.random.default_rng(53)
+    # Dense side at the limit, large enough for the FFT (interval oracle),
+    # and both sides with small random sets (enumeration, dense and sparse).
+    m = DENSE_COUNT_LIMIT
+    len_x, len_y = 7000, 6500
+    assert setops._fft_pays(len_x * len_y, m)
+    start_x, start_y = m - 3000, 1234
+    x = _set(m, [(start_x + i) % m for i in range(len_x)])
+    y = _set(m, range(start_y, start_y + len_y))
+    for sign in (1, -1):
+        mv = additive_rep(x, y, sign)
+        assert mv.is_dense
+        assert _counts_dict(mv) == _interval_counts(start_x, len_x, start_y, len_y, sign, m)
+    for m in (DENSE_COUNT_LIMIT, DENSE_COUNT_LIMIT + 1):
+        a = random_subset(rng, m, 200)
+        b = random_subset(rng, m, 150)
+        for sign in (1, -1):
+            mv = additive_rep(_set(m, a), _set(m, b), sign)
+            assert mv.is_dense == (m <= DENSE_COUNT_LIMIT)
+            assert _counts_dict(mv) == naive_additive_counts(a, b, sign, m)
+    # Primes on either side of the limit: 2^20 - 3 and 2^20 + 7.
+    for p in ((1 << 20) - 3, (1 << 20) + 7):
+        xs = random_subset(rng, p, 120) + [0]
+        a = random_subset(rng, p, 90, exclude_zero=True)
+        mv = unit_quotient_rep(_set(p, set(xs)), _set(p, a))
+        assert mv.is_dense == (p <= DENSE_COUNT_LIMIT)
+        assert _counts_dict(mv) == naive_quotient_counts(set(xs), a, p)
+
+
+def test_dense_mod_matches_naive_aggregation_for_every_divisor():
+    rng = np.random.default_rng(59)
+    m = 720
+    mod = make_modulus(m)
+    for nnz in (0, 1, 30, 179, 180, 500, 720):
+        counts = np.zeros(m, dtype=np.int64)
+        counts[rng.choice(m, nnz, replace=False)] = rng.integers(1, 1 << 40, nnz)
+        mv = MultiplicityVector(mod, counts, int(counts.sum()))
+        for q in mod.divisors:
+            want = [0] * q
+            for t, c in enumerate(counts.tolist()):
+                want[t % q] += c
+            got = mv.dense_mod(q)
+            assert got.dtype == np.int64 and got.tolist() == want, (nnz, q)
+
+
+def test_vectorized_dlog_tables_equal_the_loop():
+    for p in (2, 3, 5, 7, 101, 499, 10007, 65537, 1000003):
+        g, exp_of, pow_of = setops._dlog_arrays(p)
+        assert g == find_generator(make_modulus(p))
+        loop_exp = np.zeros(p, dtype=np.int64)
+        loop_pow = np.zeros(p - 1, dtype=np.int64)
+        acc = 1
+        for k in range(p - 1):
+            loop_exp[acc] = k
+            loop_pow[k] = acc
+            acc = acc * g % p
+        assert np.array_equal(exp_of, loop_exp) and np.array_equal(pow_of, loop_pow), p
+        if p < 1000:
+            assert dict(zip(pow_of.tolist(), range(p - 1))) == dlog_table(make_modulus(p), g)

@@ -15,6 +15,7 @@ from sumprod.estimates import (
 from sumprod.residues import make_modulus, residue_set, unit_part
 from sumprod.setops import additive_rep, indicator, quotient_rep, sumset
 from sumprod.spectra import (
+    _coprime_frequencies,
     _direct_dft,
     _fft_dft,
     dft_counts,
@@ -142,6 +143,15 @@ def test_max_nontrivial_skips_noncoprime_frequencies():
     assert mag == pytest.approx(0.0, abs=1e-9)
     with pytest.raises(ValueError):
         max_nontrivial(dft_counts(indicator(_set(4, [1])), 1))
+
+
+def test_coprime_frequencies_equal_the_gcd_definition():
+    m = 720720
+    for q in make_modulus(m).divisors[1:]:
+        freqs = np.arange(1, q, dtype=np.int64)
+        want = freqs[np.gcd(freqs, q) == 1]
+        got = _coprime_frequencies(q)
+        assert got.dtype == want.dtype and np.array_equal(got, want), q
 
 
 def test_spectral_quadruple_count_examples():
