@@ -2,7 +2,8 @@
 
 Every report command prints a flat JSON object (lower_snake_case keys)
 to stdout. Exit codes: 0 success, 1 a verified bound was violated,
-2 usage or input error. Diagnostics and failed-check names go to stderr.
+2 usage or input error, including running out of memory. Diagnostics and
+failed-check names go to stderr.
 """
 
 from __future__ import annotations
@@ -258,6 +259,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)

@@ -275,11 +275,18 @@ def divisor_square_bound(d: Derivation, divisor: int) -> Check:
 
     A must consist of units. The divisor-1 row is the complete-sum bound
     sqrt(m |AA| |A|), squared.
+
+    Every row reads the one full-period spectrum S_m: with c the counts over
+    Z_m and q = m/divisor, the counts aggregated mod q have the spectrum
+    S_q(n) = sum_x c[x] e_q(n x) = sum_x c[x] e_m(n (m/q) x) = S_m(n m/q),
+    so the row at period q is every divisor-th amplitude of S_m.
     """
     if divisor == 1:
         peak = d.peak
     else:
-        peak = max_nontrivial(dft_counts(d.quotients, d.m // divisor))[1]
+        spectrum = d.quotient_spectrum
+        sliced = SpectrumVector(d.m // divisor, spectrum.amplitudes[::divisor], spectrum.source_mass)
+        peak = max_nontrivial(sliced)[1]
     peak_sq, cap = peak * peak, float(divisor * d.cap_sq)
     return Check(f"divisor_square_bound d={divisor}", peak_sq, cap, peak_sq <= cap * (1 + REL_SLACK))
 

@@ -10,6 +10,10 @@ oracles in the test suite.
 * Product sets: pair enumeration, or for a prime modulus and
   |A||B| > 4m an exponent sum set on bit masks in discrete-log
   coordinates (`_dlog_arrays`); 0 is stripped and added back.
+* Pair enumeration of a sum or product set (`_pairwise_values`) scatters
+  the pair values into one length-m boolean array for m <= 2^24
+  (`BITSET_LIMIT`) and reads off its nonzero positions; above that each
+  chunk goes through np.unique. Both give the same sorted array.
 * Representation counts (`additive_rep`, `unit_quotient_rep`) are dense
   int64 arrays for m <= `DENSE_COUNT_LIMIT` and dicts above it. A dense
   count is a cyclic correlation counts[t] = #{(x, y) : x + s y = t mod n}:
@@ -139,15 +143,21 @@ def _require_same_modulus(a: ResidueSet, b: ResidueSet) -> Modulus:
 
 
 def _pairwise_values(a: np.ndarray, b: np.ndarray, m: int, multiply: bool) -> np.ndarray:
-    """Unique values of a[i] op b[j] mod m over all pairs, chunked over a."""
+    """Sorted distinct values of a[i] op b[j] mod m over all pairs, chunked
+    over a. For m <= BITSET_LIMIT each chunk is scattered into one length-m
+    boolean array (at most 16 MiB), one store per pair; above it each chunk
+    goes through np.unique and the chunks are merged."""
     if a.size == 0 or b.size == 0:
         return np.empty(0, dtype=np.int64)
     step = max(1, _CHUNK_ELEMS // b.size)
-    pieces = []
-    for lo in range(0, a.size, step):
-        block = a[lo : lo + step, None]
-        vals = (block * b[None, :]) if multiply else (block + b[None, :])
-        pieces.append(np.unique(vals % m))
+    combine = np.multiply if multiply else np.add
+    chunks = (combine(a[lo : lo + step, None], b[None, :]) % m for lo in range(0, a.size, step))
+    if m <= BITSET_LIMIT:
+        seen = np.zeros(m, dtype=bool)
+        for vals in chunks:
+            seen[vals] = True
+        return np.flatnonzero(seen)
+    pieces = [np.unique(vals) for vals in chunks]
     return np.unique(np.concatenate(pieces)) if len(pieces) > 1 else pieces[0]
 
 
@@ -291,6 +301,7 @@ def _pair_counts(x: np.ndarray, y: np.ndarray, n: int, combine: np.ufunc = np.ad
     return counts
 
 
+@lru_cache(maxsize=64)
 def _fft_length(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= 2n - 1: the linear convolution of two
     length-n inputs fits without wrapping, and pocketfft is fast on such

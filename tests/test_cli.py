@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import sumprod
-from sumprod import cli
+from sumprod import cli, estimates
 from sumprod.residues import ResidueSet
 
 
@@ -195,6 +195,20 @@ def test_sweep_rejects_threads_below_one(capsys, tmp_path):
         assert out == ""
         assert err == f"error: threads must be at least 1, got {threads}\n"
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [["verify-t1", "--p", "13"], ["verify-t2", "--m", "36"]])
+def test_out_of_memory_exits_2(capsys, tmp_path, monkeypatch, argv):
+    setfile = tmp_path / "s.txt"
+    setfile.write_text("1 2 5 6 7 12\n")
+
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 16.0 GiB for an array")
+
+    monkeypatch.setattr(estimates, "productset", exhausted)
+    code, out, err = _run(capsys, argv + ["--set", str(setfile)])
+    assert (code, out) == (2, "")
+    assert err == "error: out of memory: Unable to allocate 16.0 GiB for an array\n"
 
 
 def _record_setops_calls(monkeypatch) -> list:

@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumprod import setops
-from sumprod.residues import NonInvertibleError, dlog_table, find_generator, make_modulus, residue_set
+from sumprod.residues import (
+    BITSET_LIMIT,
+    NonInvertibleError,
+    dlog_table,
+    find_generator,
+    make_modulus,
+    residue_set,
+)
 from sumprod.setops import (
     DENSE_COUNT_LIMIT,
     MultiplicityVector,
@@ -473,3 +480,61 @@ def test_vectorized_dlog_tables_equal_the_loop():
         assert np.array_equal(exp_of, loop_exp) and np.array_equal(pow_of, loop_pow), p
         if p < 1000:
             assert dict(zip(pow_of.tolist(), range(p - 1))) == dlog_table(make_modulus(p), g)
+
+
+# --- Sum and product sets: both sides of the scatter dispatch ---
+
+_SMALL_PRIMES = (2, 3, 5, 7, 101, 499, 4093)
+
+
+@st.composite
+def _operand(draw, m):
+    """A subset of Z_m: any residues, only units, or only non-units; 0 may
+    be added unless the set holds only units."""
+    kind = draw(st.sampled_from(("any", "units", "nonunits")))
+    elems = draw(st.sets(st.integers(0, m - 1), max_size=40))
+    if kind == "units":
+        return sorted(x for x in elems if math.gcd(x, m) == 1)
+    if kind == "nonunits":
+        elems = {x for x in elems if math.gcd(x, m) != 1}
+    if draw(st.booleans()):
+        elems.add(0)
+    return sorted(elems)
+
+
+@st.composite
+def _pair_set_case(draw):
+    m = draw(st.one_of(st.sampled_from(_SMALL_PRIMES), st.integers(2, 4096)))
+    return m, draw(_operand(m)), draw(_operand(m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pair_set_case())
+def test_sum_and_product_sets_property(case):
+    m, a, b = case
+    sa, sb = _set(m, a), _set(m, b)
+    assert sumset(sa, sb).elements == naive_sumset(a, b, m)
+    assert productset(sa, sb).elements == naive_productset(a, b, m)
+
+
+@pytest.mark.parametrize("chunk", [None, 1000])
+@pytest.mark.parametrize("m, scatter", [(BITSET_LIMIT, True), (BITSET_LIMIT + 1, False)])
+def test_pair_enumeration_on_both_sides_of_the_scatter_limit(monkeypatch, m, scatter, chunk):
+    rng = np.random.default_rng(67)
+    # 0, units, non-units and the largest residue, whose pair values wrap.
+    a = sorted(set(random_subset(rng, m, 150)) | {0, 1, 2, m - 1})
+    b = sorted(set(random_subset(rng, m, 120)) | {3, m - 1})
+    if chunk is not None:
+        monkeypatch.setattr(setops, "_CHUNK_ELEMS", chunk)  # several chunks
+    hashed = []
+    original = np.unique
+
+    def spy(*args, **kwargs):
+        hashed.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+    for op, oracle in ((sumset, naive_sumset), (productset, naive_productset)):
+        assert op(_set(m, a), _set(m, b)).elements == oracle(a, b, m), op.__name__
+        assert op(_set(m, a), _set(m, [])).elements == set()
+    assert bool(hashed) != scatter

@@ -230,6 +230,26 @@ def test_divisor_bound_checks_composite():
             assert _named(ring_checks(a))["divisor_square_bound"].holds
 
 
+def test_divisor_rows_sliced_from_the_full_spectrum_equal_fresh_transforms():
+    rng = np.random.default_rng(89)
+    for m in (720, 3600, 5040):
+        mod = make_modulus(m)
+        units = [x for x in range(m) if math.gcd(x, m) == 1]
+        for size in (1, 7, len(units) // 3, len(units)):
+            d = Derivation(residue_set(mod, rng.choice(units, size, replace=False).tolist()))
+            rows = []
+            for e in mod.divisors[:-1]:
+                row = divisor_square_bound(d, e)
+                fresh = max_nontrivial(dft_counts(d.quotients, m // e))[1]
+                # a peak that is 0 in exact arithmetic reads as transform
+                # rounding noise, which scales with the mass of the counts
+                noise = 1e-12 * d.quotients.total_mass
+                assert math.sqrt(row.lhs) == pytest.approx(fresh, rel=1e-12, abs=noise), (m, size, e)
+                assert row.holds == (fresh * fresh <= row.rhs * (1 + REL_SLACK))
+                rows.append(row.holds)
+            assert _named(ring_checks(d))["divisor_square_bound"].holds == all(rows)
+
+
 def test_cauchy_schwarz_check_random():
     rng = np.random.default_rng(79)
     for p in (11, 101, 499):
