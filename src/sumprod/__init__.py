@@ -19,7 +19,6 @@ from .residues import (
     Modulus,
     NonInvertibleError,
     ResidueSet,
-    dlog_table,
     find_generator,
     make_modulus,
     min_gcd,
@@ -33,9 +32,7 @@ from .setops import (
     dilate,
     indicator,
     productset,
-    quotient_rep,
     sumset,
-    sumset_fast,
     unit_quotient_rep,
 )
 from .spectra import SpectrumVector, dft_counts, max_nontrivial, spectrum_of_set

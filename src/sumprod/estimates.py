@@ -43,10 +43,10 @@ from .residues import (
 )
 from .setops import (
     MultiplicityVector,
-    _sumset_best,
     additive_rep,
     indicator,
     productset,
+    sumset,
     unit_quotient_rep,
 )
 from .spectra import SpectrumVector, dft_counts, max_nontrivial
@@ -122,7 +122,7 @@ class Derivation:
     @_once
     def sums(self) -> ResidueSet:
         """A+A."""
-        return _sumset_best(self.a, self.a)
+        return sumset(self.a, self.a)
 
     @_once
     def prods(self) -> ResidueSet:
@@ -219,7 +219,7 @@ def count_quadruples_bruteforce(a_set: ResidueSet) -> int:
         return 0
     arr = a_set.array
     prod = productset(a_set, a_set).array
-    sums = _sumset_best(a_set, a_set).array
+    sums = sumset(a_set, a_set).array
     quadruples = prod.size * arr.size * arr.size * sums.size
     if quadruples > BRUTE_FORCE_CAP:
         raise ValueError(f"{quadruples} quadruples exceed the brute-force cap {BRUTE_FORCE_CAP}")

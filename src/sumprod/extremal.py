@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .residues import Modulus, ResidueSet, find_generator, make_modulus
-from .setops import _sumset_best, productset
+from .setops import productset, sumset
 
 
 def power_prefix(mod: Modulus, g: int, length: int) -> ResidueSet:
@@ -106,7 +106,7 @@ def build_extremal(p: int, n: int) -> ExtremalConstruction:
     if count < n or len(pool) < n:
         raise AssertionError(f"window holds {len(pool)} < {n} elements")
     chosen = ResidueSet(mod, frozenset(pool[:n]))
-    sums = _sumset_best(chosen, chosen)
+    sums = sumset(chosen, chosen)
     prod = productset(chosen, chosen)
     return ExtremalConstruction(
         p=p,

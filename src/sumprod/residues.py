@@ -1,5 +1,5 @@
-"""Exact modular arithmetic: modulus metadata, residue sets, inverses,
-primitive roots and discrete-log tables.
+"""Exact modular arithmetic: modulus metadata, residue sets, inverses and
+primitive roots.
 
 Every value in this module is immutable after construction and every
 function is pure, so everything here is safe to share between threads.
@@ -15,8 +15,6 @@ from typing import Iterable, Iterator
 import numpy as np
 
 MODULUS_CAP = 1 << 31
-# Dense bit-array representation of a ResidueSet is available below this.
-BITSET_LIMIT = 1 << 24
 
 
 class NonInvertibleError(ValueError):
@@ -86,8 +84,8 @@ def make_modulus(m: int) -> Modulus:
 class ResidueSet:
     """An immutable subset of Z_m with exact membership and cardinality.
 
-    Derived views (sorted array, dense bit mask) are computed lazily and
-    cached; they never change the set's value semantics.
+    Its one derived view, the sorted int64 array, is computed lazily and
+    cached; it never changes the set's value semantics.
     """
 
     modulus: Modulus
@@ -119,35 +117,23 @@ class ResidueSet:
         arr.setflags(write=False)
         return arr
 
-    @cached_property
-    def mask(self) -> int:
-        """Dense bit array packed into a Python int; bit t set iff t in the set."""
-        m = self.modulus.m
-        if m > BITSET_LIMIT:
-            raise ValueError(f"dense representation unavailable for m={m} > 2^24")
-        if not self.elements:
-            return 0
-        bits = np.zeros(m, dtype=np.uint8)
-        bits[self.array] = 1
-        return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
 
 def residue_set(modulus: Modulus, elements: Iterable[int]) -> ResidueSet:
-    """Validate and build a ResidueSet; every element must lie in [0, m)."""
-    elems = frozenset(int(x) for x in elements)
+    """Validate and build a ResidueSet; every element must be an integer
+    (int or a NumPy integer, not bool) in [0, m)."""
+    values = list(elements)
+    # Plain ints pass in one bulk check; any other type is checked one by one.
+    if not set(map(type, values)) <= {int}:
+        for x in values:
+            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+                raise ValueError(f"residue must be an integer, got {x!r}")
+        values = [int(x) for x in values]
+    elems = frozenset(values)
     m = modulus.m
-    for x in elems:
+    for x in (min(elems, default=0), max(elems, default=0)):
         if not 0 <= x < m:
             raise ValueError(f"residue {x} out of range [0, {m})")
     return ResidueSet(modulus=modulus, elements=elems)
-
-
-def set_from_mask(modulus: Modulus, mask: int) -> ResidueSet:
-    """Inverse of ResidueSet.mask."""
-    m = modulus.m
-    raw = mask.to_bytes((m + 7) // 8, "little")
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=m, bitorder="little")
-    return ResidueSet(modulus=modulus, elements=frozenset(np.flatnonzero(bits).tolist()))
 
 
 def mod_inverse(a: int, mod: Modulus) -> int:
@@ -158,20 +144,6 @@ def mod_inverse(a: int, mod: Modulus) -> int:
     if g != 1:
         raise NonInvertibleError(a, m, g)
     return pow(a, -1, m)
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def find_generator(mod: Modulus) -> int:
@@ -186,32 +158,11 @@ def find_generator(mod: Modulus) -> int:
     p = mod.m
     if p == 2:
         return 1
-    cofactors = [(p - 1) // q for q in _prime_factors(p - 1)]
+    cofactors = [(p - 1) // q for q, _ in make_modulus(p - 1).factorization]
     for g in range(2, p):
         if all(pow(g, c, p) != 1 for c in cofactors):
             return g
     raise AssertionError("unreachable: every prime has a primitive root")
-
-
-def dlog_table(mod: Modulus, g: int) -> dict[int, int]:
-    """Discrete-log table for a primitive root g: table[g^k mod p] = k.
-
-    Built in one pass of successive multiplication; a repeated value
-    before the pass completes means g is not primitive.
-    """
-    if not mod.is_prime:
-        raise ValueError(f"discrete logs require a prime modulus, got {mod.m}")
-    p = mod.m
-    if not 1 <= g < p:
-        raise ValueError(f"generator {g} out of range [1, {p})")
-    table = {1: 0}
-    acc = 1
-    for k in range(1, p - 1):
-        acc = acc * g % p
-        if acc in table:
-            raise ValueError(f"{g} is not a primitive root mod {p}: g^{k} collides")
-        table[acc] = k
-    return table
 
 
 def min_gcd(a_set: ResidueSet) -> int:

@@ -5,28 +5,30 @@ Each operation has one exact result; the dispatch inside it only picks how
 that result is computed, and every path agrees with the pair-enumeration
 oracles in the test suite.
 
-* Sum sets: `sumset` enumerates pairs; `sumset_fast` ORs cyclic shifts of a
-  bit mask (m <= 2^24), and `_sumset_best` picks it whenever it exists.
+* Sum sets: `sumset` is the one sum-set function. When the FFT gate
+  `_fft_pays` of the counts below admits A+B it reads off the support of
+  the exact counts of `_cyclic_counts`; otherwise it enumerates pairs.
 * Product sets: pair enumeration, or for a prime modulus and
   |A||B| > 4m an exponent sum set on bit masks in discrete-log
   coordinates (`_dlog_arrays`); 0 is stripped and added back.
 * Pair enumeration of a sum or product set (`_pairwise_values`) scatters
-  the pair values into one length-m boolean array for m <= 2^24
-  (`BITSET_LIMIT`) and reads off its nonzero positions; above that each
-  chunk goes through np.unique. Both give the same sorted array.
+  the pair values into one length-m boolean array for m <= `BITSET_LIMIT`
+  (2^24) and reads off its nonzero positions; above that each chunk goes
+  through np.unique. Both give the same sorted array.
 * Representation counts (`additive_rep`, `unit_quotient_rep`) are dense
   int64 arrays for m <= `DENSE_COUNT_LIMIT` and dicts above it. A dense
   count is a cyclic correlation counts[t] = #{(x, y) : x + s y = t mod n}:
   over Z_m for `additive_rep`, and for `unit_quotient_rep` over a prime
   modulus in discrete-log coordinates over Z_{p-1} (a 0 in the numerator
   set adds |A| to counts[0]). `_cyclic_counts` computes it with a real FFT
-  of a 5-smooth length L >= 2n - 1 when the pair count |X||Y| exceeds the
-  work estimate L log2 L, and by pair enumeration otherwise; the choice is
-  made from the sizes alone, before any discrete-log table is built. The
-  FFT result is rounded to int64 only when an a-priori rounding-error
-  bound, the largest rounding residual and the total mass all certify it;
-  otherwise the count is enumerated. Quotient counts over a composite
-  modulus and the sparse dict paths always enumerate pairs.
+  of a 5-smooth length L >= 2n - 1 when `_fft_pays` (m <= DENSE_COUNT_LIMIT
+  and the pair count |X||Y| exceeds the work estimate L log2 L), and by
+  pair enumeration otherwise; the choice is made from the sizes alone,
+  before any discrete-log table is built. The FFT result is rounded to
+  int64 only when an a-priori rounding-error bound, the largest rounding
+  residual and the total mass all certify it; otherwise the count is
+  enumerated. Quotient counts over a composite modulus and the sparse dict
+  paths always enumerate pairs.
 """
 
 from __future__ import annotations
@@ -37,18 +39,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .residues import (
-    BITSET_LIMIT,
-    Modulus,
-    NonInvertibleError,
-    ResidueSet,
-    find_generator,
-    set_from_mask,
-)
+from .residues import Modulus, NonInvertibleError, ResidueSet, find_generator
 
 # Representation functions are dense length-m arrays below this, sparse
 # dicts above; both behave identically.
 DENSE_COUNT_LIMIT = 1 << 20
+# Cap on m for the length-m boolean scatter of pair enumeration (at most
+# 16 MiB) and for the discrete-log tables of a product set.
+BITSET_LIMIT = 1 << 24
 # Cap on elements materialized per vectorized chunk.
 _CHUNK_ELEMS = 1 << 22
 
@@ -162,9 +160,14 @@ def _pairwise_values(a: np.ndarray, b: np.ndarray, m: int, multiply: bool) -> np
 
 
 def sumset(a_set: ResidueSet, b_set: ResidueSet) -> ResidueSet:
-    """Exact {a + b mod m} by direct pair enumeration."""
+    """Exact {a + b mod m}: the nonzero positions of the exact sum counts
+    when their FFT pays, the distinct pair values otherwise."""
     mod = _require_same_modulus(a_set, b_set)
-    vals = _pairwise_values(a_set.array, b_set.array, mod.m, multiply=False)
+    a, b, m = a_set.array, b_set.array, mod.m
+    if _fft_pays(a.size * b.size, m, m):
+        vals = np.flatnonzero(_cyclic_counts(a, b, m))
+    else:
+        vals = _pairwise_values(a, b, m, multiply=False)
     return ResidueSet(mod, frozenset(vals.tolist()))
 
 
@@ -173,34 +176,6 @@ def _rotate_mask(mask: int, shift: int, m: int, full: int) -> int:
     if shift == 0:
         return mask
     return ((mask << shift) | (mask >> (m - shift))) & full
-
-
-def sumset_fast(a_set: ResidueSet, b_set: ResidueSet) -> ResidueSet:
-    """Bit-array sum set: union of cyclic shifts of one indicator mask.
-
-    Output is identical to sumset; requires the dense representation
-    (m <= 2^24).
-    """
-    mod = _require_same_modulus(a_set, b_set)
-    m = mod.m
-    if m > BITSET_LIMIT:
-        raise ValueError(f"dense representation unavailable for m={m} > 2^24")
-    small, big = (a_set, b_set) if a_set.size <= b_set.size else (b_set, a_set)
-    if small.size == 0:
-        return ResidueSet(mod, frozenset())
-    full = (1 << m) - 1
-    base = big.mask
-    acc = 0
-    for a in small.elements:
-        acc |= _rotate_mask(base, a, m, full)
-    return set_from_mask(mod, acc)
-
-
-def _sumset_best(a_set: ResidueSet, b_set: ResidueSet) -> ResidueSet:
-    """Fast path when the dense representation exists, exact path otherwise."""
-    if a_set.modulus.m <= BITSET_LIMIT:
-        return sumset_fast(a_set, b_set)
-    return sumset(a_set, b_set)
 
 
 def _powers(base: int, count: int, m: int) -> np.ndarray:
@@ -321,9 +296,12 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def _fft_pays(pairs: int, n: int) -> bool:
-    """Work estimate: an FFT count of length L costs about L log2 L,
-    enumeration one step per pair."""
+def _fft_pays(pairs: int, n: int, m: int) -> bool:
+    """The FFT gate of every count over Z_n of a modulus m: the counts must
+    be dense (m <= DENSE_COUNT_LIMIT), and an FFT of length L must cost less,
+    about L log2 L, than enumeration at one step per pair."""
+    if m > DENSE_COUNT_LIMIT:
+        return False
     length = _fft_length(n)
     return pairs > length * math.log2(length)
 
@@ -400,7 +378,7 @@ def additive_rep(a_set: ResidueSet, b_set: ResidueSet, sign: int) -> Multiplicit
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     m, a_arr = mod.m, a_set.array
     b_arr = b_set.array if sign == 1 else (-b_set.array) % m
-    if m <= DENSE_COUNT_LIMIT and _fft_pays(a_arr.size * b_arr.size, m):
+    if _fft_pays(a_arr.size * b_arr.size, m, m):
         return _mv_from_dense(mod, _cyclic_counts(a_arr, b_arr, m))
     return _counts_of_pairs(a_arr, b_arr, mod)
 
@@ -419,10 +397,10 @@ def unit_quotient_rep(x_set: ResidueSet, a_set: ResidueSet) -> MultiplicityVecto
     if np.any(shared != 1):
         first = int(np.argmax(shared != 1))
         raise NonInvertibleError(int(a_arr[first]), m, int(shared[first]))
-    if m <= DENSE_COUNT_LIMIT and mod.is_prime:
+    if mod.is_prime:
         has_zero = x_arr.size > 0 and x_arr[0] == 0
         x_units = x_arr[1:] if has_zero else x_arr
-        if _fft_pays(x_units.size * a_arr.size, m - 1):
+        if _fft_pays(x_units.size * a_arr.size, m - 1, m):
             _, exp_of, pow_of = _dlog_arrays(m)
             counts = np.zeros(m, dtype=np.int64)
             counts[pow_of] = _cyclic_counts(exp_of[x_units], -exp_of[a_arr] % (m - 1), m - 1)
@@ -431,16 +409,3 @@ def unit_quotient_rep(x_set: ResidueSet, a_set: ResidueSet) -> MultiplicityVecto
     inverses = np.array([pow(a, -1, m) for a in a_arr.tolist()], dtype=np.int64)
     return _counts_of_pairs(x_arr, inverses, mod, np.multiply)
 
-
-def quotient_rep(x_set: ResidueSet, a_set: ResidueSet) -> MultiplicityVector:
-    """Prime-field quotient counts: pairs (x, a) in X x A with x * a^{-1} = t.
-
-    Requires a prime modulus and 0 not in A; the ring case goes through
-    unit_quotient_rep on a unit-restricted denominator instead.
-    """
-    mod = _require_same_modulus(x_set, a_set)
-    if not mod.is_prime:
-        raise ValueError(f"quotient counts require a prime modulus, got {mod.m}")
-    if 0 in a_set.elements:
-        raise NonInvertibleError(0, mod.m, mod.m)
-    return unit_quotient_rep(x_set, a_set)

@@ -68,6 +68,16 @@ def naive_quadruples(a, m):
     return total
 
 
+def naive_dlog_table(p, g):
+    """table[g^k mod p] = k for k in [0, p - 1), by successive multiplication."""
+    table = {}
+    acc = 1
+    for k in range(p - 1):
+        table[acc] = k
+        acc = acc * g % p
+    return table
+
+
 def multiplicative_order(g, p):
     k, acc = 1, g % p
     while acc != 1:

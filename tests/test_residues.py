@@ -5,17 +5,16 @@ import pytest
 
 from sumprod.residues import (
     NonInvertibleError,
-    dlog_table,
     find_generator,
     make_modulus,
     min_gcd,
     mod_inverse,
     residue_set,
-    set_from_mask,
     unit_part,
 )
+from sumprod.setops import _dlog_arrays
 
-from oracles import multiplicative_order, naive_divisors, smallest_primitive_root
+from oracles import multiplicative_order, naive_divisors, naive_dlog_table, smallest_primitive_root
 
 
 def test_modulus_examples():
@@ -93,24 +92,23 @@ def test_mod_inverse_round_trip_up_to_2000():
                 assert a * mod_inverse(a, mod) % m == 1
 
 
+def _dlog_dict(p):
+    g, exp_of, pow_of = _dlog_arrays(p)
+    assert exp_of[pow_of].tolist() == list(range(p - 1))
+    return g, dict(zip(pow_of.tolist(), range(p - 1)))
+
+
 def test_dlog_table_examples():
-    table = dlog_table(make_modulus(5), 2)
-    assert table == {1: 0, 2: 1, 4: 2, 3: 3}
+    assert naive_dlog_table(5, 2) == {1: 0, 2: 1, 4: 2, 3: 3}
+    assert _dlog_dict(5) == (2, naive_dlog_table(5, 2))
     for p, g in ((7, 3), (13, 2), (101, 2)):
-        table = dlog_table(make_modulus(p), g)
+        got_g, table = _dlog_dict(p)
+        assert got_g == g and table == naive_dlog_table(p, g)
         assert table[g] == 1 and table[1] == 0
         assert sorted(table.keys()) == list(range(1, p))
         assert sorted(table.values()) == list(range(p - 1))
         for a, k in table.items():
             assert pow(g, k, p) == a
-
-
-def test_dlog_table_detects_non_primitive_root():
-    # 2 has order 3 mod 7, so the one-pass build collides.
-    with pytest.raises(ValueError, match="not a primitive root"):
-        dlog_table(make_modulus(7), 2)
-    with pytest.raises(ValueError):
-        dlog_table(make_modulus(12), 5)
 
 
 def test_min_gcd_examples():
@@ -148,8 +146,15 @@ def test_residue_set_membership_and_views():
     assert list(a) == [1, 3, 7]
     assert 7 in a and 2 not in a
     assert a.array.tolist() == [1, 3, 7]
-    assert set_from_mask(mod, a.mask).elements == a.elements
+    assert residue_set(mod, np.array([7, 1, 3])).elements == a.elements
     with pytest.raises(ValueError):
         residue_set(mod, [11])
     with pytest.raises(ValueError):
         residue_set(mod, [-1])
+    # Non-integers are rejected, not truncated by int().
+    seven = make_modulus(7)
+    for bad in (2.9, True, np.float64(3.5), "4", np.bool_(True)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            residue_set(seven, [1, bad])
+    with pytest.raises(ValueError, match="must be an integer"):
+        residue_set(seven, [2.9, True, np.float64(3.5), "4"])

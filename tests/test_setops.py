@@ -6,15 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumprod import setops
-from sumprod.residues import (
-    BITSET_LIMIT,
-    NonInvertibleError,
-    dlog_table,
-    find_generator,
-    make_modulus,
-    residue_set,
-)
+from sumprod.residues import NonInvertibleError, find_generator, make_modulus, residue_set
 from sumprod.setops import (
+    BITSET_LIMIT,
     DENSE_COUNT_LIMIT,
     MultiplicityVector,
     _fft_length,
@@ -22,15 +16,14 @@ from sumprod.setops import (
     dilate,
     indicator,
     productset,
-    quotient_rep,
     sumset,
-    sumset_fast,
     unit_quotient_rep,
 )
 
 from oracles import (
     naive_additive_counts,
     naive_dilate,
+    naive_dlog_table,
     naive_productset,
     naive_quotient_counts,
     naive_sumset,
@@ -171,14 +164,13 @@ def test_quotient_rep_examples():
     mod5 = make_modulus(5)
     x = residue_set(mod5, [1, 2, 4])
     a = residue_set(mod5, [1, 2])
-    mv = quotient_rep(x, a)
+    mv = unit_quotient_rep(x, a)
     assert _counts_dict(mv) == {1: 2, 2: 2, 3: 1, 4: 1}
     assert mv.total_mass == 6
-    assert _counts_dict(quotient_rep(x, residue_set(mod5, [1]))) == {1: 1, 2: 1, 4: 1}
-    with pytest.raises(NonInvertibleError):
-        quotient_rep(x, residue_set(mod5, [0, 1]))
-    with pytest.raises(ValueError, match="prime"):
-        quotient_rep(_set(9, [1]), _set(9, [1]))
+    assert _counts_dict(unit_quotient_rep(x, residue_set(mod5, [1]))) == {1: 1, 2: 1, 4: 1}
+    with pytest.raises(NonInvertibleError) as err:
+        unit_quotient_rep(x, residue_set(mod5, [0, 1]))
+    assert err.value.gcd == 5
 
 
 def test_quotient_rep_matches_oracle():
@@ -188,7 +180,7 @@ def test_quotient_rep_matches_oracle():
         for _ in range(15):
             xs = random_subset(rng, p, int(rng.integers(1, p)))
             a = random_subset(rng, p, int(rng.integers(1, p)), exclude_zero=True)
-            mv = quotient_rep(residue_set(mod, xs), residue_set(mod, a))
+            mv = unit_quotient_rep(residue_set(mod, xs), residue_set(mod, a))
             assert _counts_dict(mv) == naive_quotient_counts(xs, a, p)
 
 
@@ -204,8 +196,8 @@ def test_unit_quotient_rep_ring():
     assert err.value.gcd == 3
 
 
-def test_sumset_fast_matches_sumset_grid():
-    # density grid per modulus; counts scaled to keep the exact side cheap
+def test_sumset_matches_naive_sumset_grid():
+    # density grid per modulus; counts scaled to keep the oracle cheap
     cases = {16: 40, 97: 40, 360: 30, 1024: 20, 9973: (12, 8, 3)}
     rng = np.random.default_rng(37)
     for m, reps in cases.items():
@@ -216,11 +208,11 @@ def test_sumset_fast_matches_sumset_grid():
             for _ in range(n_cases):
                 a = residue_set(mod, random_subset(rng, m, size))
                 b = residue_set(mod, random_subset(rng, m, size))
-                assert sumset_fast(a, b).elements == sumset(a, b).elements
+                assert sumset(a, b).elements == naive_sumset(a.elements, b.elements, m)
     empty = residue_set(make_modulus(16), [])
-    assert sumset_fast(empty, empty).elements == set()
+    assert sumset(empty, empty).elements == set()
     full = residue_set(make_modulus(16), range(16))
-    assert sumset_fast(full, full).elements == set(range(16))
+    assert sumset(full, full).elements == set(range(16))
 
 
 def test_productset_dlog_path_matches_naive():
@@ -321,12 +313,32 @@ def test_unit_quotient_rep_prime_property(case):
     assert mv.total_mass == len(xs) * len(a)
 
 
-def test_property_cases_reach_both_sides_of_the_dispatch():
+def test_property_cases_reach_both_sides_of_the_dispatch(monkeypatch):
     # The full sets of the largest moduli above take the FFT; singletons
     # enumerate.
-    assert setops._fft_pays(499 * 499, 499) and setops._fft_pays(498 * 498, 498)
-    assert setops._fft_pays(360 * 360, 360)
-    assert not setops._fft_pays(499, 499) and not setops._fft_pays(498, 498)
+    assert setops._fft_pays(499 * 499, 499, 499) and setops._fft_pays(498 * 498, 498, 499)
+    assert setops._fft_pays(360 * 360, 360, 360)
+    assert not setops._fft_pays(499, 499, 499) and not setops._fft_pays(498, 498, 499)
+    # The sum sets of test_sum_and_product_sets_property: the full Z_36 and
+    # 41-element sets mod 101 are the support of FFT counts, 41-element sets
+    # mod 4096 and singletons are scattered.
+    paths = []
+    for name in ("_cyclic_counts", "_pairwise_values"):
+
+        def spy(x, y, m, *rest, original=getattr(setops, name), name=name, **kwargs):
+            paths.append((name, m))
+            return original(x, y, m, *rest, **kwargs)
+
+        monkeypatch.setattr(setops, name, spy)
+    cases = [(36, range(36)), (101, range(41)), (4096, range(41)), (36, [5])]
+    for m, a in cases:
+        assert sumset(_set(m, a), _set(m, a)).elements == naive_sumset(a, a, m)
+    assert paths == [
+        ("_cyclic_counts", 36),
+        ("_cyclic_counts", 101),
+        ("_pairwise_values", 4096),
+        ("_pairwise_values", 36),
+    ]
 
 
 def _spy_enumeration(monkeypatch):
@@ -360,7 +372,7 @@ def test_fft_guard_failure_falls_back_to_exact_enumeration(monkeypatch, guard):
     p = 499
     a = random_subset(rng, p, 300)
     b = random_subset(rng, p, 250, exclude_zero=True)
-    assert setops._fft_pays(len(a) * len(b), p) and setops._fft_pays((len(a) - 1) * len(b), p - 1)
+    assert setops._fft_pays(len(a) * len(b), p, p) and setops._fft_pays((len(a) - 1) * len(b), p - 1, p)
     calls = _spy_enumeration(monkeypatch)
     if guard == "a_priori_bound":
         monkeypatch.setattr(setops, "_FFT_ERROR_CONSTANT", 1e30)
@@ -368,12 +380,13 @@ def test_fft_guard_failure_falls_back_to_exact_enumeration(monkeypatch, guard):
         _noisy_irfft(monkeypatch, 7, 0.3)
     else:
         _noisy_irfft(monkeypatch, 7, 1.0)  # rounds cleanly, one pair too many
+    assert sumset(_set(p, a), _set(p, b)).elements == naive_sumset(a, b, p)
     for sign in (1, -1):
         mv = additive_rep(_set(p, a), _set(p, b), sign)
         assert _counts_dict(mv) == naive_additive_counts(a, b, sign, p)
     mv = unit_quotient_rep(_set(p, a), _set(p, b))
     assert _counts_dict(mv) == naive_quotient_counts(a, b, p)
-    assert calls == [p, p, p - 1]
+    assert calls == [p, p, p, p - 1]
 
 
 def test_fft_path_is_taken_without_fallback(monkeypatch):
@@ -426,7 +439,7 @@ def test_dense_count_limit_boundary_gives_equal_counts():
     # and both sides with small random sets (enumeration, dense and sparse).
     m = DENSE_COUNT_LIMIT
     len_x, len_y = 7000, 6500
-    assert setops._fft_pays(len_x * len_y, m)
+    assert setops._fft_pays(len_x * len_y, m, m)
     start_x, start_y = m - 3000, 1234
     x = _set(m, [(start_x + i) % m for i in range(len_x)])
     y = _set(m, range(start_y, start_y + len_y))
@@ -479,7 +492,7 @@ def test_vectorized_dlog_tables_equal_the_loop():
             acc = acc * g % p
         assert np.array_equal(exp_of, loop_exp) and np.array_equal(pow_of, loop_pow), p
         if p < 1000:
-            assert dict(zip(pow_of.tolist(), range(p - 1))) == dlog_table(make_modulus(p), g)
+            assert dict(zip(pow_of.tolist(), range(p - 1))) == naive_dlog_table(p, g)
 
 
 # --- Sum and product sets: both sides of the scatter dispatch ---

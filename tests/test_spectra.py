@@ -13,7 +13,7 @@ from sumprod.estimates import (
     spectral_checks,
 )
 from sumprod.residues import make_modulus, residue_set, unit_part
-from sumprod.setops import additive_rep, indicator, quotient_rep, sumset
+from sumprod.setops import additive_rep, indicator, sumset, unit_quotient_rep
 from sumprod.spectra import (
     _coprime_frequencies,
     _direct_dft,
@@ -129,7 +129,7 @@ def test_max_nontrivial_examples():
     assert max_nontrivial(delta) == (1, pytest.approx(1.0))
 
     mod5 = make_modulus(5)
-    q = quotient_rep(_set(5, [1, 2, 4]), _set(5, [1, 2]))
+    q = unit_quotient_rep(_set(5, [1, 2, 4]), _set(5, [1, 2]))
     _, mag = max_nontrivial(dft_counts(q, 5))
     assert mag <= math.sqrt(5 * 3 * 2) * (1 + REL_SLACK)
 
