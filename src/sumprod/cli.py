@@ -73,7 +73,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         "prod_size": built.prod_size,
         "max_size": built.max_size,
         "structural_cap": built.structural_cap,
-        "elements": sorted(built.chosen.elements),
+        "elements": built.chosen.array.tolist(),
     }
     _emit(payload)
     if args.json is not None:
@@ -114,7 +114,7 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
     if not mod.is_prime:
         raise ValueError(f"{args.p} is not prime")
     a_set = _load_set(args.set, mod)
-    if 0 in a_set.elements:
+    if 0 in a_set:
         raise ValueError("spectral diagnostics require a set without 0")
     if a_set.size == 0:
         raise ValueError("empty set")
@@ -149,7 +149,7 @@ def _cmd_zm_extremal(args: argparse.Namespace) -> int:
             "size_sum": example.size_sum,
             "size_prod": example.size_prod,
             "ratio": example.ratio,
-            "elements": sorted(example.a.elements),
+            "elements": example.a.array.tolist(),
         }
     )
     sizes = (example.size_a, example.size_sum, example.size_prod)

@@ -93,7 +93,7 @@ def _require_prime_zero_free(a_set: ResidueSet) -> int:
     mod = a_set.modulus
     if not mod.is_prime:
         raise ValueError(f"prime modulus required, got {mod.m}")
-    if 0 in a_set.elements:
+    if 0 in a_set:
         raise ValueError("0 must not be in the set")
     return mod.m
 

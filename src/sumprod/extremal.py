@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .residues import Modulus, ResidueSet, find_generator, make_modulus
-from .setops import productset, sumset
+from .setops import _powers, productset, sumset
 
 
 def power_prefix(mod: Modulus, g: int, length: int) -> ResidueSet:
@@ -26,13 +26,8 @@ def power_prefix(mod: Modulus, g: int, length: int) -> ResidueSet:
     p = mod.m
     if not 1 <= length <= p - 1:
         raise ValueError(f"prefix length {length} out of range [1, {p - 1}]")
-    elems = []
-    acc = 1
-    for _ in range(length):
-        acc = acc * g % p
-        elems.append(acc)
-    out = frozenset(elems)
-    if len(out) != length:
+    out = np.unique(_powers(g, length + 1, p)[1:])
+    if out.size != length:
         raise ValueError(f"{g} is not a primitive root mod {p}: prefix repeats")
     return ResidueSet(mod, out)
 
@@ -101,11 +96,11 @@ def build_extremal(p: int, n: int) -> ExtremalConstruction:
     g = find_generator(mod)
     prefix = power_prefix(mod, g, window_len)
     offset, count = best_window(prefix, window_len)
-    window = {(offset + 1 + i) % p for i in range(window_len)}
-    pool = sorted(prefix.elements & window)
-    if count < n or len(pool) < n:
-        raise AssertionError(f"window holds {len(pool)} < {n} elements")
-    chosen = ResidueSet(mod, frozenset(pool[:n]))
+    # x lies in the cyclic window {offset+1, ..., offset+window_len} mod p.
+    pool = prefix.array[(prefix.array - offset - 1) % p < window_len]
+    if count < n or pool.size < n:
+        raise AssertionError(f"window holds {pool.size} < {n} elements")
+    chosen = ResidueSet(mod, pool[:n])
     sums = sumset(chosen, chosen)
     prod = productset(chosen, chosen)
     return ExtremalConstruction(

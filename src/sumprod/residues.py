@@ -1,8 +1,10 @@
 """Exact modular arithmetic: modulus metadata, residue sets, inverses and
 primitive roots.
 
-Every value in this module is immutable after construction and every
-function is pure, so everything here is safe to share between threads.
+A residue set is stored in one form, a sorted, distinct, read-only int64
+array; its frozenset view is derived only when a caller asks for it. Every
+value in this module is immutable after construction and every function is
+pure, so everything here is safe to share between threads.
 """
 
 from __future__ import annotations
@@ -80,60 +82,72 @@ def make_modulus(m: int) -> Modulus:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResidueSet:
     """An immutable subset of Z_m with exact membership and cardinality.
 
-    Its one derived view, the sorted int64 array, is computed lazily and
-    cached; it never changes the set's value semantics.
+    The one stored form is `array`: the sorted, distinct residues as a
+    read-only int64 array. `elements` is a frozenset view derived from it on
+    first use and cached, for callers that need hashing. Sets compare and
+    hash by value, as (modulus, elements).
     """
 
     modulus: Modulus
-    elements: frozenset[int]
+    array: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.array.setflags(write=False)
+
+    @cached_property
+    def elements(self) -> frozenset[int]:
+        return frozenset(self.array.tolist())
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return self.array.size
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.array.size
 
     def __contains__(self, x: int) -> bool:
-        return x in self.elements
+        i = int(np.searchsorted(self.array, x))
+        return i < self.array.size and bool(self.array[i] == x)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(sorted(self.elements))
+        return iter(self.array.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ResidueSet):
+            return NotImplemented
+        return self.modulus == other.modulus and np.array_equal(self.array, other.array)
+
+    def __hash__(self) -> int:
+        return hash((self.modulus, self.elements))
 
     def __repr__(self) -> str:
-        shown = sorted(self.elements)
-        if len(shown) > 8:
-            shown = shown[:8] + ["..."]
+        shown = self.array[:8].tolist()
+        if self.array.size > 8:
+            shown.append("...")
         return f"ResidueSet(mod {self.modulus.m}, {shown})"
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        """Sorted int64 view of the elements (read-only)."""
-        arr = np.fromiter(sorted(self.elements), dtype=np.int64, count=len(self.elements))
-        arr.setflags(write=False)
-        return arr
 
 
 def residue_set(modulus: Modulus, elements: Iterable[int]) -> ResidueSet:
     """Validate and build a ResidueSet; every element must be an integer
     (int or a NumPy integer, not bool) in [0, m)."""
-    values = list(elements)
-    # Plain ints pass in one bulk check; any other type is checked one by one.
-    if not set(map(type, values)) <= {int}:
-        for x in values:
-            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-                raise ValueError(f"residue must be an integer, got {x!r}")
-        values = [int(x) for x in values]
-    elems = frozenset(values)
+    # An integer array passes the type check in bulk, and so do plain ints;
+    # any other element is checked one by one.
+    if not (isinstance(elements, np.ndarray) and elements.ndim == 1 and elements.dtype.kind in "iu"):
+        elements = list(elements)
+        if not set(map(type, elements)) <= {int}:
+            for x in elements:
+                if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+                    raise ValueError(f"residue must be an integer, got {x!r}")
+    values = np.unique(np.asarray(elements))
     m = modulus.m
-    for x in (min(elems, default=0), max(elems, default=0)):
-        if not 0 <= x < m:
-            raise ValueError(f"residue {x} out of range [0, {m})")
-    return ResidueSet(modulus=modulus, elements=elems)
+    if values.size and not 0 <= values[0] <= values[-1] < m:
+        bad = values[0] if values[0] < 0 else values[-1]
+        raise ValueError(f"residue {bad} out of range [0, {m})")
+    return ResidueSet(modulus, values.astype(np.int64, copy=False))
 
 
 def mod_inverse(a: int, mod: Modulus) -> int:
@@ -167,16 +181,12 @@ def find_generator(mod: Modulus) -> int:
 
 def min_gcd(a_set: ResidueSet) -> int:
     """Minimum of gcd(a, m) over a in the set, with gcd(0, m) = m."""
-    if not a_set.elements:
+    if a_set.size == 0:
         raise ValueError("min_gcd of an empty set")
-    m = a_set.modulus.m
-    return min(math.gcd(a, m) for a in a_set.elements)
+    return int(np.gcd(a_set.array, a_set.modulus.m).min())
 
 
 def unit_part(a_set: ResidueSet) -> ResidueSet:
     """The elements coprime to the modulus (the invertible ones)."""
-    m = a_set.modulus.m
-    return ResidueSet(
-        modulus=a_set.modulus,
-        elements=frozenset(a for a in a_set.elements if math.gcd(a, m) == 1),
-    )
+    arr = a_set.array
+    return ResidueSet(a_set.modulus, arr[np.gcd(arr, a_set.modulus.m) == 1])

@@ -10,7 +10,9 @@ oracles in the test suite.
   the exact counts of `_cyclic_counts`; otherwise it enumerates pairs.
 * Product sets: pair enumeration, or for a prime modulus and
   |A||B| > 4m an exponent sum set on bit masks in discrete-log
-  coordinates (`_dlog_arrays`); 0 is stripped and added back.
+  coordinates (`_dlog_arrays`), mapped back to residues and sorted. 0 is
+  stripped first and put back in front unless the pair products already
+  hold it (over a composite modulus non-units can multiply to 0).
 * Pair enumeration of a sum or product set (`_pairwise_values`) scatters
   the pair values into one length-m boolean array for m <= `BITSET_LIMIT`
   (2^24) and reads off its nonzero positions; above that each chunk goes
@@ -131,7 +133,7 @@ def indicator(a_set: ResidueSet) -> MultiplicityVector:
         counts = np.zeros(m, dtype=np.int64)
         counts[a_set.array] = 1
         return _mv_from_dense(a_set.modulus, counts)
-    return _mv_from_dict(a_set.modulus, {a: 1 for a in a_set.elements})
+    return _mv_from_dict(a_set.modulus, dict.fromkeys(a_set.array.tolist(), 1))
 
 
 def _require_same_modulus(a: ResidueSet, b: ResidueSet) -> Modulus:
@@ -168,7 +170,7 @@ def sumset(a_set: ResidueSet, b_set: ResidueSet) -> ResidueSet:
         vals = np.flatnonzero(_cyclic_counts(a, b, m))
     else:
         vals = _pairwise_values(a, b, m, multiply=False)
-    return ResidueSet(mod, frozenset(vals.tolist()))
+    return ResidueSet(mod, vals)
 
 
 def _rotate_mask(mask: int, shift: int, m: int, full: int) -> int:
@@ -213,26 +215,16 @@ def productset(a_set: ResidueSet, b_set: ResidueSet) -> ResidueSet:
 
     For a prime modulus and large zero-free dense inputs the pair
     enumeration is replaced by a discrete-log reduction (products become
-    an exponent sum set mod m-1); 0 is stripped first and appended back
-    as the absorbing element. Both routes produce identical sets.
+    an exponent sum set mod m-1); 0 is stripped first and put back as the
+    absorbing element. Both routes produce identical sets.
     """
     mod = _require_same_modulus(a_set, b_set)
     m = mod.m
-    a_arr, b_arr = a_set.array, b_set.array
-    has_zero = (a_arr.size > 0 and a_arr[0] == 0, b_arr.size > 0 and b_arr[0] == 0)
-    zero_in_result = (has_zero[0] and b_arr.size > 0) or (has_zero[1] and a_arr.size > 0)
-    if has_zero[0]:
-        a_arr = a_arr[1:]
-    if has_zero[1]:
-        b_arr = b_arr[1:]
-
-    use_dlog = (
-        mod.is_prime
-        and m <= BITSET_LIMIT
-        and m > 2
-        and a_arr.size * b_arr.size > 4 * m
-    )
-    if use_dlog:
+    a_zero, b_zero = 0 in a_set, 0 in b_set
+    zero_in_result = (a_zero and b_set.size > 0) or (b_zero and a_set.size > 0)
+    # A 0 is the first entry of a sorted array.
+    a_arr, b_arr = a_set.array[int(a_zero) :], b_set.array[int(b_zero) :]
+    if mod.is_prime and 2 < m <= BITSET_LIMIT and a_arr.size * b_arr.size > 4 * m:
         _, exp_of, pow_of = _dlog_arrays(m)
         group = m - 1
         full = (1 << group) - 1
@@ -246,22 +238,20 @@ def productset(a_set: ResidueSet, b_set: ResidueSet) -> ResidueSet:
         exps = np.flatnonzero(
             np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=group, bitorder="little")
         )
-        vals = pow_of[exps]
+        vals = np.sort(pow_of[exps])
     else:
         vals = _pairwise_values(a_arr, b_arr, m, multiply=True)
-
-    elems = set(vals.tolist())
-    if zero_in_result:
-        elems.add(0)
-    return ResidueSet(mod, frozenset(elems))
+    # Over a composite modulus the pair products may already include 0.
+    if zero_in_result and not (vals.size and vals[0] == 0):
+        vals = np.concatenate((np.zeros(1, dtype=np.int64), vals))
+    return ResidueSet(mod, vals)
 
 
 def dilate(c: int, a_set: ResidueSet) -> ResidueSet:
     """{c * a mod m}; its size is at least |A| / gcd(c, m)."""
     m = a_set.modulus.m
     c %= m
-    vals = np.unique((c * a_set.array) % m)
-    return ResidueSet(a_set.modulus, frozenset(vals.tolist()))
+    return ResidueSet(a_set.modulus, np.unique((c * a_set.array) % m))
 
 
 def _pair_counts(x: np.ndarray, y: np.ndarray, n: int, combine: np.ufunc = np.add) -> np.ndarray:

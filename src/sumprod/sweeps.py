@@ -140,7 +140,7 @@ def _draw_subset(mod: Modulus, size: int, derived: int, exclude_zero: bool) -> R
     rng = np.random.Generator(np.random.PCG64(derived))
     low = 1 if exclude_zero else 0
     picks = rng.choice(mod.m - low, size=size, replace=False) + low
-    return residue_set(mod, picks.tolist())
+    return residue_set(mod, picks)
 
 
 def _trial_row(cfg: SweepConfig, mod: Modulus, size: int, trial: int) -> SweepRow:

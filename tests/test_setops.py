@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumprod import setops
-from sumprod.residues import NonInvertibleError, find_generator, make_modulus, residue_set
+from sumprod.residues import (
+    NonInvertibleError,
+    find_generator,
+    make_modulus,
+    residue_set,
+    unit_part,
+)
 from sumprod.setops import (
     BITSET_LIMIT,
     DENSE_COUNT_LIMIT,
@@ -33,6 +40,14 @@ from oracles import (
 
 def _set(m, elems):
     return residue_set(make_modulus(m), elems)
+
+
+def _assert_stored_form(s, m):
+    """s.array is the stored form: strictly increasing int64 in [0, m), read-only."""
+    arr = s.array
+    assert arr.dtype == np.int64 and not arr.flags.writeable
+    assert np.all(np.diff(arr) > 0)
+    assert arr.size == 0 or (arr[0] >= 0 and arr[-1] < m)
 
 
 def _counts_dict(mv):
@@ -230,6 +245,31 @@ def test_productset_dlog_path_matches_naive():
         )
 
 
+def test_productset_dlog_results_are_sorted_with_and_without_zero(monkeypatch):
+    # The residues of the exponent sum set come out of pow_of unsorted.
+    p = 101
+    _, exp_of, pow_of = setops._dlog_arrays(p)
+    rng = np.random.default_rng(71)
+    a = random_subset(rng, p, 30, exclude_zero=True)
+    b = random_subset(rng, p, 25, exclude_zero=True)
+    assert len(a) * len(b) > 4 * p
+    exps = np.unique(exp_of[sorted(naive_productset(a, b, p))])
+    assert not np.all(np.diff(pow_of[exps]) > 0)
+    enumerated = []
+    original = setops._pairwise_values
+
+    def spy(*args, **kwargs):
+        enumerated.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(setops, "_pairwise_values", spy)
+    for x, y in ((a, b), ([0] + a, b), (a, [0] + b), ([0] + a, [0] + b)):
+        got = productset(_set(p, x), _set(p, y))
+        _assert_stored_form(got, p)
+        assert got.elements == naive_productset(x, y, p)
+    assert enumerated == []
+
+
 def test_zero_absorption_edges():
     mod7 = make_modulus(7)
     zero = residue_set(mod7, [0])
@@ -237,6 +277,12 @@ def test_zero_absorption_edges():
     assert productset(zero, empty).elements == set()
     assert productset(zero, residue_set(mod7, [5])).elements == {0}
     assert sumset(empty, residue_set(mod7, [5])).elements == set()
+    # 0 in A while the products of the non-zero parts already give 0.
+    for m, a, b in ((36, [0, 2, 3], [6, 12]), (36, [0, 6, 12], [0, 6]), (49, [0, 7, 14], [0, 7, 14])):
+        got = productset(_set(m, a), _set(m, b))
+        _assert_stored_form(got, m)
+        assert got.elements == naive_productset(a, b, m)
+        assert 0 in naive_productset([x for x in a if x], [y for y in b if y], m)
 
 
 def test_sparse_representation_above_dense_limit():
@@ -539,6 +585,8 @@ def test_pair_enumeration_on_both_sides_of_the_scatter_limit(monkeypatch, m, sca
     b = sorted(set(random_subset(rng, m, 120)) | {3, m - 1})
     if chunk is not None:
         monkeypatch.setattr(setops, "_CHUNK_ELEMS", chunk)  # several chunks
+    # The operands are built first: residue_set itself deduplicates with np.unique.
+    sa, sb, empty = _set(m, a), _set(m, b), _set(m, [])
     hashed = []
     original = np.unique
 
@@ -548,6 +596,79 @@ def test_pair_enumeration_on_both_sides_of_the_scatter_limit(monkeypatch, m, sca
 
     monkeypatch.setattr(np, "unique", spy)
     for op, oracle in ((sumset, naive_sumset), (productset, naive_productset)):
-        assert op(_set(m, a), _set(m, b)).elements == oracle(a, b, m), op.__name__
-        assert op(_set(m, a), _set(m, [])).elements == set()
+        assert op(sa, sb).elements == oracle(a, b, m), op.__name__
+        assert op(sa, empty).elements == set()
     assert bool(hashed) != scatter
+
+
+# --- The stored form: a sorted, distinct, read-only int64 array ---
+
+
+@st.composite
+def _stored_form_case(draw):
+    m = draw(st.one_of(st.sampled_from(_SMALL_PRIMES + (36, 720, 4096)), st.integers(2, 4096)))
+    kind = draw(st.sampled_from(("empty", "full", "any")))
+    if kind == "empty":
+        a = []
+    elif kind == "full":
+        a = list(range(m))
+    else:
+        a = sorted(draw(st.sets(st.integers(0, m - 1), max_size=80)))
+    b = sorted(draw(st.sets(st.integers(0, m - 1), max_size=80)))
+    return m, a, b, draw(st.integers(0, m - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_stored_form_case())
+def test_residue_set_stored_form_property(case):
+    m, a, b, c = case
+    mod = make_modulus(m)
+    sa, sb = residue_set(mod, a[::-1] + a[:3]), residue_set(mod, b)
+    a_nonzero = residue_set(mod, np.array([x for x in a if x], dtype=np.int64))
+    built = {
+        "list": sa,
+        "ndarray": residue_set(mod, np.array(a + a[-2:], dtype=np.int64)),
+        "productset": productset(a_nonzero, sb),
+        "productset with 0": productset(residue_set(mod, [0] + a), sb),
+        "dilate": dilate(c, sa),
+        "unit_part": unit_part(sa),
+    }
+    for pays in (True, False):
+        with mock.patch.object(setops, "_fft_pays", return_value=pays):
+            built[f"sumset fft={pays}"] = sumset(sa, sb)
+    assert built["list"] == built["ndarray"] and built["sumset fft=True"] == built["sumset fft=False"]
+    for name, s in built.items():
+        _assert_stored_form(s, m)
+        members, others = s.array[-3:].tolist(), np.setdiff1d(np.arange(m), s.array)[:3].tolist()
+        for x in [-1, 0, m - 1, m] + members + others:
+            assert (x in s) == (x in s.elements), (name, x)
+        same = residue_set(mod, s.array.tolist()[::-1])
+        assert same == s and hash(same) == hash(s), name
+        assert len(s) == s.size == len(s.elements) and list(s) == sorted(s.elements)
+
+
+@st.composite
+def _dense_mod_case(draw):
+    m = draw(st.one_of(st.sampled_from((36, 720, 2520, 3600, 4096)), st.integers(2, 4096)))
+    # dense_mod aggregates from the support below m/10 and reshapes at or above it.
+    sparse = draw(st.booleans())
+    nnz = draw(st.integers(0, (m - 1) // 10) if sparse else st.integers(-(-m // 10), m))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return m, nnz, draw(st.sampled_from(make_modulus(m).divisors)), seed
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dense_mod_case())
+def test_dense_mod_property_on_both_sides_of_the_support_rule(case):
+    m, nnz, q, seed = case
+    rng = np.random.default_rng(seed)
+    counts = np.zeros(m, dtype=np.int64)
+    support = rng.choice(m, nnz, replace=False)
+    # A dense count is at most m^2 <= 2^40 (pairs over m <= 2^20).
+    counts[support] = rng.integers(1, 1 << 40, nnz, endpoint=True)
+    mv = MultiplicityVector(make_modulus(m), counts, int(counts.sum()))
+    want = [0] * q
+    for t in support.tolist():
+        want[t % q] += int(counts[t])
+    got = mv.dense_mod(q)
+    assert got.dtype == np.int64 and got.tolist() == want
