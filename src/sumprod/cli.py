@@ -2,8 +2,8 @@
 
 Every report command prints a flat JSON object (lower_snake_case keys)
 to stdout. Exit codes: 0 success, 1 a verified bound was violated,
-2 usage or input error, including running out of memory. Diagnostics and
-failed-check names go to stderr.
+2 usage or input error, including counts over the memory budget and
+running out of memory. Diagnostics and failed-check names go to stderr.
 """
 
 from __future__ import annotations

@@ -99,10 +99,12 @@ def _require_prime_zero_free(a_set: ResidueSet) -> int:
 
 
 def _mv_dot(a: MultiplicityVector, b: MultiplicityVector) -> int:
-    if a.is_dense and b.is_dense:
-        return int(np.dot(a.counts, b.counts))
-    sparse, other = (a, b) if not a.is_dense else (b, a)
-    return sum(c * other.count(t) for t, c in sparse.counts.items())
+    """sum_t a[t] b[t], exactly: a count is at most m <= 2^31, so each
+    product fits in int64, and each block's int64 dot is short enough that
+    no partial sum passes 2^63 - 1; the blocks are added as Python ints."""
+    x, y = a.counts, b.counts
+    step = max(1, (2**63 - 1) // max(1, int(x.max()) * int(y.max())))
+    return sum(int(np.dot(x[lo : lo + step], y[lo : lo + step])) for lo in range(0, x.size, step))
 
 
 class Derivation:
@@ -261,11 +263,8 @@ def parseval_bound(v: MultiplicityVector, q: int) -> Check:
     the left side equals q * sum_t counts_q[t]^2. It always holds for set
     indicators: each residue class mod q holds at most m/q elements.
     """
-    m = v.modulus.m
-    if q < 1 or m % q != 0:
-        raise ValueError(f"period {q} does not divide the modulus {m}")
     dense = v.dense_mod(q)
-    lhs, rhs = q * int(np.dot(dense, dense)), m * v.total_mass
+    lhs, rhs = q * int(np.dot(dense, dense)), v.modulus.m * v.total_mass
     return Check(f"parseval q={q}", lhs, rhs, lhs <= rhs)
 
 
@@ -285,7 +284,7 @@ def divisor_square_bound(d: Derivation, divisor: int) -> Check:
         peak = d.peak
     else:
         spectrum = d.quotient_spectrum
-        sliced = SpectrumVector(d.m // divisor, spectrum.amplitudes[::divisor], spectrum.source_mass)
+        sliced = SpectrumVector(d.m // divisor, spectrum.amplitudes[::divisor])
         peak = max_nontrivial(sliced)[1]
     peak_sq, cap = peak * peak, float(divisor * d.cap_sq)
     return Check(f"divisor_square_bound d={divisor}", peak_sq, cap, peak_sq <= cap * (1 + REL_SLACK))

@@ -5,111 +5,108 @@ Each operation has one exact result; the dispatch inside it only picks how
 that result is computed, and every path agrees with the pair-enumeration
 oracles in the test suite.
 
-* Sum sets: `sumset` is the one sum-set function. When the FFT gate
-  `_fft_pays` of the counts below admits A+B it reads off the support of
-  the exact counts of `_cyclic_counts`; otherwise it enumerates pairs.
+* Representation counts (`indicator`, `additive_rep`, `unit_quotient_rep`)
+  are read-only int64 arrays of length m. Each constructor first checks
+  the memory budget: `BYTES_PER_RESIDUE * m`, the measured peak of a report
+  per residue, must fit in the machine's physical memory, or it raises
+  ValueError before any length-m allocation.
+* A count is a cyclic correlation counts[t] = #{(x, y) : x + s y = t mod n}:
+  over Z_m for `additive_rep`, and for `unit_quotient_rep` over a prime
+  modulus in discrete-log coordinates over Z_{p-1} (a 0 in the numerator
+  set adds |A| to counts[0]). `_cyclic_counts` computes it with a real FFT
+  of a 5-smooth length L >= 2n - 1 when `_fft_pays` (|X||Y| > L log2 L,
+  decided from the sizes alone, before any discrete-log table is built),
+  rounding to int64 only when an a-priori error bound, the largest
+  rounding residual and the total mass all certify it; otherwise, and for
+  quotient counts over a composite modulus, it enumerates pairs.
+* Sum sets: `sumset` reads A+B off the support of the additive counts when
+  their FFT pays, and otherwise enumerates pairs.
 * Product sets: pair enumeration, or for a prime modulus and
   |A||B| > 4m an exponent sum set on bit masks in discrete-log
   coordinates (`_dlog_arrays`), mapped back to residues and sorted. 0 is
   stripped first and put back in front unless the pair products already
   hold it (over a composite modulus non-units can multiply to 0).
-* Pair enumeration of a sum or product set (`_pairwise_values`) scatters
-  the pair values into one length-m boolean array for m <= `BITSET_LIMIT`
-  (2^24) and reads off its nonzero positions; above that each chunk goes
-  through np.unique. Both give the same sorted array.
-* Representation counts (`additive_rep`, `unit_quotient_rep`) are dense
-  int64 arrays for m <= `DENSE_COUNT_LIMIT` and dicts above it. A dense
-  count is a cyclic correlation counts[t] = #{(x, y) : x + s y = t mod n}:
-  over Z_m for `additive_rep`, and for `unit_quotient_rep` over a prime
-  modulus in discrete-log coordinates over Z_{p-1} (a 0 in the numerator
-  set adds |A| to counts[0]). `_cyclic_counts` computes it with a real FFT
-  of a 5-smooth length L >= 2n - 1 when `_fft_pays` (m <= DENSE_COUNT_LIMIT
-  and the pair count |X||Y| exceeds the work estimate L log2 L), and by
-  pair enumeration otherwise; the choice is made from the sizes alone,
-  before any discrete-log table is built. The FFT result is rounded to
-  int64 only when an a-priori rounding-error bound, the largest rounding
-  residual and the total mass all certify it; otherwise the count is
-  enumerated. Quotient counts over a composite modulus and the sparse dict
-  paths always enumerate pairs.
+* Pair enumeration runs over one generator of int64 pair-value blocks
+  (`_pair_blocks`): counts bincount each block, and a set scatters it into
+  one length-m boolean array for m <= `BITSET_LIMIT` (2^24), or merges the
+  np.unique of every block above that.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .residues import Modulus, NonInvertibleError, ResidueSet, find_generator
+from .residues import Modulus, NonInvertibleError, ResidueSet, find_generator, make_modulus
 
-# Representation functions are dense length-m arrays below this, sparse
-# dicts above; both behave identically.
-DENSE_COUNT_LIMIT = 1 << 20
 # Cap on m for the length-m boolean scatter of pair enumeration (at most
 # 16 MiB) and for the discrete-log tables of a product set.
 BITSET_LIMIT = 1 << 24
 # Cap on elements materialized per vectorized chunk.
 _CHUNK_ELEMS = 1 << 22
+# Peak memory of a report per residue: a field report with its spectral
+# checks (p = 1000003 and 2097143, |A| = 300 and 1000) raises the peak RSS
+# by 240-265 bytes per residue, of which tracemalloc sees about 129 (it
+# misses pocketfft's buffers); a ring report's traced peak, by at most 53.
+BYTES_PER_RESIDUE = 265
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory of this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _require_fits(m: int) -> None:
+    """Refuse, before any length-m allocation, counts over Z_m whose
+    estimated peak memory exceeds the machine's physical memory."""
+    need, have = BYTES_PER_RESIDUE * m, _physical_memory()
+    if need > have:
+        raise ValueError(
+            f"counts over Z_{m} need about {need >> 20} MiB, "
+            f"more than the {have >> 20} MiB of physical memory"
+        )
 
 
 @dataclass(frozen=True, eq=False)
 class MultiplicityVector:
-    """Integer counts per residue: counts[t] = number of ways t is hit.
-
-    counts is a read-only int64 array of length m when m <= 2^20, and a
-    dict {residue: count} above that.
-    """
+    """Integer counts per residue: counts[t] = number of ways t is hit,
+    a read-only int64 array of length m."""
 
     modulus: Modulus
-    counts: "np.ndarray | dict[int, int]"
+    counts: np.ndarray
     total_mass: int
 
-    @property
-    def is_dense(self) -> bool:
-        return isinstance(self.counts, np.ndarray)
-
-    def count(self, t: int) -> int:
-        if self.is_dense:
-            return int(self.counts[t])
-        return self.counts.get(t, 0)
-
-    def support(self) -> frozenset[int]:
-        if self.is_dense:
-            return frozenset(self._nonzero().tolist())
-        return frozenset(t for t, c in self.counts.items() if c > 0)
-
     def _nonzero(self) -> np.ndarray:
-        """Residues with a nonzero dense count, found once per vector (a
-        ring report aggregates one vector over every divisor period)."""
+        """Residues with a nonzero count, found once per vector (a ring
+        report aggregates one vector over every divisor period)."""
         memo = self.__dict__
         if "_nz" not in memo:
             memo["_nz"] = np.flatnonzero(self.counts != 0)
         return memo["_nz"]
 
     def dense_mod(self, q: int) -> np.ndarray:
-        """Aggregate the counts by residue mod q into a dense length-q array.
+        """The counts aggregated by residue mod q, as int64; for q = m the
+        stored read-only counts themselves.
 
         A support under a tenth of m is aggregated from its nonzero
         entries; each costs about as much as ten entries of the full-length
         reshape-sum used otherwise (measured at m = 720720 over every
         divisor period).
         """
-        if self.modulus.m % q != 0:
-            raise ValueError(f"{q} does not divide the modulus {self.modulus.m}")
-        if self.is_dense:
-            m = self.modulus.m
-            if q == m:
-                return self.counts.copy()
-            nz = self._nonzero()
-            if 10 * nz.size >= m:
-                return self.counts.reshape(m // q, q).sum(axis=0)
-            out = np.zeros(q, dtype=np.int64)
-            np.add.at(out, nz % q, self.counts[nz])
-            return out
+        m = self.modulus.m
+        if q < 1 or m % q != 0:
+            raise ValueError(f"period {q} does not divide the modulus {m}")
+        if q == m:
+            return self.counts
+        nz = self._nonzero()
+        if 10 * nz.size >= m:
+            return self.counts.reshape(m // q, q).sum(axis=0)
         out = np.zeros(q, dtype=np.int64)
-        for t, c in self.counts.items():
-            out[t % q] += c
+        np.add.at(out, nz % q, self.counts[nz])
         return out
 
 
@@ -122,18 +119,13 @@ def _mv_from_dense(mod: Modulus, counts: np.ndarray) -> MultiplicityVector:
     return MultiplicityVector(mod, _freeze(counts), int(counts.sum()))
 
 
-def _mv_from_dict(mod: Modulus, counts: dict[int, int]) -> MultiplicityVector:
-    return MultiplicityVector(mod, counts, sum(counts.values()))
-
-
 def indicator(a_set: ResidueSet) -> MultiplicityVector:
     """0/1 multiplicity vector of a set."""
     m = a_set.modulus.m
-    if m <= DENSE_COUNT_LIMIT:
-        counts = np.zeros(m, dtype=np.int64)
-        counts[a_set.array] = 1
-        return _mv_from_dense(a_set.modulus, counts)
-    return _mv_from_dict(a_set.modulus, dict.fromkeys(a_set.array.tolist(), 1))
+    _require_fits(m)
+    counts = np.zeros(m, dtype=np.int64)
+    counts[a_set.array] = 1
+    return _mv_from_dense(a_set.modulus, counts)
 
 
 def _require_same_modulus(a: ResidueSet, b: ResidueSet) -> Modulus:
@@ -142,34 +134,47 @@ def _require_same_modulus(a: ResidueSet, b: ResidueSet) -> Modulus:
     return a.modulus
 
 
-def _pairwise_values(a: np.ndarray, b: np.ndarray, m: int, multiply: bool) -> np.ndarray:
-    """Sorted distinct values of a[i] op b[j] mod m over all pairs, chunked
-    over a. For m <= BITSET_LIMIT each chunk is scattered into one length-m
-    boolean array (at most 16 MiB), one store per pair; above it each chunk
-    goes through np.unique and the chunks are merged."""
-    if a.size == 0 or b.size == 0:
-        return np.empty(0, dtype=np.int64)
-    step = max(1, _CHUNK_ELEMS // b.size)
-    combine = np.multiply if multiply else np.add
-    chunks = (combine(a[lo : lo + step, None], b[None, :]) % m for lo in range(0, a.size, step))
+def _pair_blocks(a: np.ndarray, b: np.ndarray, m: int, combine: np.ufunc):
+    """combine(a[i], b[j]) mod m over all pairs, in flat blocks of about
+    _CHUNK_ELEMS values, chunked over a. Entries are in [0, m) with
+    m <= 2^31, so every sum and product is below 2^62: exact in int64."""
+    if a.size and b.size:
+        step = max(1, _CHUNK_ELEMS // b.size)
+        for lo in range(0, a.size, step):
+            yield (combine(a[lo : lo + step, None], b[None, :]) % m).ravel()
+
+
+def _pairwise_values(a: np.ndarray, b: np.ndarray, m: int, combine: np.ufunc) -> np.ndarray:
+    """Sorted distinct pair values of _pair_blocks: scattered into one
+    length-m boolean array (at most 16 MiB) for m <= BITSET_LIMIT, merged
+    from each block's np.unique above it."""
     if m <= BITSET_LIMIT:
         seen = np.zeros(m, dtype=bool)
-        for vals in chunks:
+        for vals in _pair_blocks(a, b, m, combine):
             seen[vals] = True
         return np.flatnonzero(seen)
-    pieces = [np.unique(vals) for vals in chunks]
-    return np.unique(np.concatenate(pieces)) if len(pieces) > 1 else pieces[0]
+    pieces = [np.unique(vals) for vals in _pair_blocks(a, b, m, combine)]
+    return np.unique(np.concatenate(pieces)) if pieces else np.empty(0, dtype=np.int64)
+
+
+def _pair_counts(x: np.ndarray, y: np.ndarray, n: int, combine: np.ufunc = np.add) -> np.ndarray:
+    """counts[t] = #{(i, j) : combine(x[i], y[j]) = t (mod n)}: the
+    histogram of _pair_blocks."""
+    counts = np.zeros(n, dtype=np.int64)
+    for block in _pair_blocks(x, y, n, combine):
+        counts += np.bincount(block, minlength=n)
+    return counts
 
 
 def sumset(a_set: ResidueSet, b_set: ResidueSet) -> ResidueSet:
-    """Exact {a + b mod m}: the nonzero positions of the exact sum counts
-    when their FFT pays, the distinct pair values otherwise."""
+    """Exact {a + b mod m}: the nonzero positions of the sum counts when
+    their FFT pays, the distinct pair values otherwise."""
     mod = _require_same_modulus(a_set, b_set)
     a, b, m = a_set.array, b_set.array, mod.m
-    if _fft_pays(a.size * b.size, m, m):
-        vals = np.flatnonzero(_cyclic_counts(a, b, m))
+    if _fft_pays(a.size * b.size, m):
+        vals = np.flatnonzero(additive_rep(a_set, b_set, 1).counts)
     else:
-        vals = _pairwise_values(a, b, m, multiply=False)
+        vals = _pairwise_values(a, b, m, np.add)
     return ResidueSet(mod, vals)
 
 
@@ -197,8 +202,6 @@ def _dlog_arrays(m: int) -> tuple[int, np.ndarray, np.ndarray]:
     B = ceil(sqrt(m - 1)); both factors are below m < 2^31, so their product
     is exact in int64.
     """
-    from .residues import make_modulus
-
     g = find_generator(make_modulus(m))
     order = m - 1
     step = max(1, math.isqrt(order - 1) + 1)
@@ -240,7 +243,7 @@ def productset(a_set: ResidueSet, b_set: ResidueSet) -> ResidueSet:
         )
         vals = np.sort(pow_of[exps])
     else:
-        vals = _pairwise_values(a_arr, b_arr, m, multiply=True)
+        vals = _pairwise_values(a_arr, b_arr, m, np.multiply)
     # Over a composite modulus the pair products may already include 0.
     if zero_in_result and not (vals.size and vals[0] == 0):
         vals = np.concatenate((np.zeros(1, dtype=np.int64), vals))
@@ -252,18 +255,6 @@ def dilate(c: int, a_set: ResidueSet) -> ResidueSet:
     m = a_set.modulus.m
     c %= m
     return ResidueSet(a_set.modulus, np.unique((c * a_set.array) % m))
-
-
-def _pair_counts(x: np.ndarray, y: np.ndarray, n: int, combine: np.ufunc = np.add) -> np.ndarray:
-    """counts[t] = #{(i, j) : combine(x[i], y[j]) = t (mod n)} by pair
-    enumeration."""
-    counts = np.zeros(n, dtype=np.int64)
-    if x.size and y.size:
-        step = max(1, _CHUNK_ELEMS // y.size)
-        for lo in range(0, x.size, step):
-            block = combine(x[lo : lo + step, None], y[None, :]) % n
-            counts += np.bincount(block.ravel(), minlength=n)
-    return counts
 
 
 @lru_cache(maxsize=64)
@@ -286,12 +277,9 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def _fft_pays(pairs: int, n: int, m: int) -> bool:
-    """The FFT gate of every count over Z_n of a modulus m: the counts must
-    be dense (m <= DENSE_COUNT_LIMIT), and an FFT of length L must cost less,
-    about L log2 L, than enumeration at one step per pair."""
-    if m > DENSE_COUNT_LIMIT:
-        return False
+def _fft_pays(pairs: int, n: int) -> bool:
+    """The FFT gate of every count over Z_n: an FFT of length L must cost
+    less, about L log2 L, than enumeration at one step per pair."""
     length = _fft_length(n)
     return pairs > length * math.log2(length)
 
@@ -342,46 +330,29 @@ def _cyclic_counts(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
     return _pair_counts(x, y, n)
 
 
-def _counts_of_pairs(
-    a: np.ndarray, b: np.ndarray, mod: Modulus, combine: np.ufunc = np.add
-) -> MultiplicityVector:
-    """Multiplicity vector of combine(a[i], b[j]) mod m over all pairs, by
-    pair enumeration."""
-    m = mod.m
-    if m <= DENSE_COUNT_LIMIT:
-        return _mv_from_dense(mod, _pair_counts(a, b, m, combine))
-    out: dict[int, int] = {}
-    if a.size and b.size:
-        step = max(1, _CHUNK_ELEMS // b.size)
-        for lo in range(0, a.size, step):
-            block = combine(a[lo : lo + step, None], b[None, :]) % m
-            keys, reps = np.unique(block.ravel(), return_counts=True)
-            for k, r in zip(keys.tolist(), reps.tolist()):
-                out[k] = out.get(k, 0) + r
-    return _mv_from_dict(mod, out)
-
-
 def additive_rep(a_set: ResidueSet, b_set: ResidueSet, sign: int) -> MultiplicityVector:
     """counts[t] = number of pairs (a, b) with a + sign*b = t (mod m)."""
     mod = _require_same_modulus(a_set, b_set)
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     m, a_arr = mod.m, a_set.array
+    _require_fits(m)
     b_arr = b_set.array if sign == 1 else (-b_set.array) % m
-    if _fft_pays(a_arr.size * b_arr.size, m, m):
+    if _fft_pays(a_arr.size * b_arr.size, m):
         return _mv_from_dense(mod, _cyclic_counts(a_arr, b_arr, m))
-    return _counts_of_pairs(a_arr, b_arr, mod)
+    return _mv_from_dense(mod, _pair_counts(a_arr, b_arr, m))
 
 
 def unit_quotient_rep(x_set: ResidueSet, a_set: ResidueSet) -> MultiplicityVector:
     """counts[t] = number of pairs (x, a) with x * a^{-1} = t (mod m).
 
     Every element of the denominator set must be a unit of Z_m. Over a
-    dense prime modulus x a^{-1} = g^(log x - log a), so the counts of the
+    prime modulus x a^{-1} = g^(log x - log a), so the counts of the
     units of X are a cyclic correlation of discrete logs over Z_{m-1}.
     """
     mod = _require_same_modulus(x_set, a_set)
     m = mod.m
+    _require_fits(m)
     a_arr, x_arr = a_set.array, x_set.array
     shared = np.gcd(a_arr, m)
     if np.any(shared != 1):
@@ -390,12 +361,12 @@ def unit_quotient_rep(x_set: ResidueSet, a_set: ResidueSet) -> MultiplicityVecto
     if mod.is_prime:
         has_zero = x_arr.size > 0 and x_arr[0] == 0
         x_units = x_arr[1:] if has_zero else x_arr
-        if _fft_pays(x_units.size * a_arr.size, m - 1, m):
+        if _fft_pays(x_units.size * a_arr.size, m - 1):
             _, exp_of, pow_of = _dlog_arrays(m)
             counts = np.zeros(m, dtype=np.int64)
             counts[pow_of] = _cyclic_counts(exp_of[x_units], -exp_of[a_arr] % (m - 1), m - 1)
             counts[0] = a_arr.size if has_zero else 0
             return _mv_from_dense(mod, counts)
     inverses = np.array([pow(a, -1, m) for a in a_arr.tolist()], dtype=np.int64)
-    return _counts_of_pairs(x_arr, inverses, mod, np.multiply)
+    return _mv_from_dense(mod, _pair_counts(x_arr, inverses, m, np.multiply))
 

@@ -30,7 +30,6 @@ class SpectrumVector:
 
     period: int
     amplitudes: np.ndarray
-    source_mass: int
 
 
 def _direct_dft(dense: np.ndarray) -> np.ndarray:
@@ -57,9 +56,6 @@ def _fft_dft(dense: np.ndarray) -> np.ndarray:
 
 def dft_counts(v: MultiplicityVector, q: int) -> SpectrumVector:
     """Spectrum of the counts aggregated by residue mod q; q must divide m."""
-    m = v.modulus.m
-    if q < 1 or m % q != 0:
-        raise ValueError(f"period {q} does not divide the modulus {m}")
     dense = v.dense_mod(q)
     nnz = int(np.count_nonzero(dense))
     if q <= DIRECT_Q_LIMIT and q * nnz <= DIRECT_WORK_LIMIT:
@@ -67,7 +63,7 @@ def dft_counts(v: MultiplicityVector, q: int) -> SpectrumVector:
     else:
         amps = _fft_dft(dense)
     amps.setflags(write=False)
-    return SpectrumVector(period=q, amplitudes=amps, source_mass=v.total_mass)
+    return SpectrumVector(period=q, amplitudes=amps)
 
 
 def spectrum_of_set(a_set: ResidueSet, q: int | None = None) -> SpectrumVector:

@@ -4,6 +4,8 @@ import json
 import pkgutil
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import pytest
 
@@ -209,6 +211,24 @@ def test_out_of_memory_exits_2(capsys, tmp_path, monkeypatch, argv):
     code, out, err = _run(capsys, argv + ["--set", str(setfile)])
     assert (code, out) == (2, "")
     assert err == "error: out of memory: Unable to allocate 16.0 GiB for an array\n"
+
+
+@pytest.mark.parametrize("argv", [["verify-t1", "--p", "2147483647"], ["verify-t2", "--m", "2147483647"]])
+def test_over_budget_modulus_exits_2_before_allocating(capsys, tmp_path, argv):
+    # Length-m counts at m = 2^31 - 1 cannot fit in memory: refused up front.
+    setfile = tmp_path / "s.txt"
+    setfile.write_text("1 2 3\n")
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, out, err = _run(capsys, argv + ["--set", str(setfile)])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: counts over Z_2147483647 need") and err.count("\n") == 1
+    assert elapsed < 1.0 and peak < 64 << 20
 
 
 def _record_setops_calls(monkeypatch) -> list:

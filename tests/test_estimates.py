@@ -8,6 +8,7 @@ import pytest
 
 from sumprod.estimates import (
     Derivation,
+    _mv_dot,
     count_quadruples_bruteforce,
     field_bound_report,
     field_checks,
@@ -19,6 +20,7 @@ from sumprod.estimates import (
     zm_extremal,
 )
 from sumprod.residues import make_modulus, residue_set
+from sumprod.setops import MultiplicityVector
 
 from oracles import naive_productset, naive_quadruples, naive_sumset, random_subset
 
@@ -63,6 +65,31 @@ def test_counting_agreement_smoke():
         assert exact == count_quadruples_bruteforce(s)
         assert exact == naive_quadruples(a, p)
         assert exact >= len(a) ** 3
+
+
+def test_quad_count_above_two_to_the_twenty_matches_bruteforce():
+    # Above 2^20, where counts were once dicts, J is a dot of dense counts.
+    rng = np.random.default_rng(97)
+    p = (1 << 20) + 7
+    a = _set(p, random_subset(rng, p, 30, exclude_zero=True))
+    assert field_bound_report(a).quad_count == count_quadruples_bruteforce(a)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_blocked_dot_is_exact_past_int64(seed):
+    # Counts of at most 2^31 (the largest a count can be) whose dot passes
+    # 2^63, where one int64 dot would wrap.
+    rng = np.random.default_rng(seed)
+    m = 720
+    top = 1 << 31
+    x = rng.integers(0, top, m, endpoint=True)
+    y = rng.integers(0, top, m, endpoint=True)
+    x[:8] = y[:8] = top
+    want = sum(int(s) * int(t) for s, t in zip(x.tolist(), y.tolist()))
+    assert want >= 1 << 63 and int(np.dot(x, y)) != want
+    mod = make_modulus(m)
+    got = _mv_dot(MultiplicityVector(mod, x, int(x.sum())), MultiplicityVector(mod, y, int(y.sum())))
+    assert got == want
 
 
 def test_field_report_full_field():

@@ -16,7 +16,6 @@ from sumprod.residues import (
 )
 from sumprod.setops import (
     BITSET_LIMIT,
-    DENSE_COUNT_LIMIT,
     MultiplicityVector,
     _fft_length,
     additive_rep,
@@ -51,9 +50,16 @@ def _assert_stored_form(s, m):
 
 
 def _counts_dict(mv):
-    if mv.is_dense:
-        return {int(t): int(c) for t, c in enumerate(mv.counts) if c}
-    return {t: c for t, c in mv.counts.items() if c}
+    """The nonzero counts; the stored form is a read-only int64 array of
+    length m."""
+    assert mv.counts.dtype == np.int64 and mv.counts.shape == (mv.modulus.m,)
+    assert not mv.counts.flags.writeable
+    nz = np.flatnonzero(mv.counts)
+    return dict(zip(nz.tolist(), mv.counts[nz].tolist()))
+
+
+def _support(mv):
+    return set(np.flatnonzero(mv.counts).tolist())
 
 
 def test_sumset_examples():
@@ -172,7 +178,7 @@ def test_additive_rep_matches_oracle_and_support():
             assert _counts_dict(mv) == naive_additive_counts(a, b, sign, m)
             assert mv.total_mass == len(a) * len(b)
         assert mv.total_mass == sa.size * sb.size
-        assert additive_rep(sa, sb, 1).support() == sumset(sa, sb).elements
+        assert _support(additive_rep(sa, sb, 1)) == sumset(sa, sb).elements
 
 
 def test_quotient_rep_examples():
@@ -285,26 +291,63 @@ def test_zero_absorption_edges():
         assert 0 in naive_productset([x for x in a if x], [y for y in b if y], m)
 
 
-def test_sparse_representation_above_dense_limit():
+def test_counts_above_two_to_the_twenty_are_dense():
     m = (1 << 20) + 2
-    mod = make_modulus(m)
-    a = residue_set(mod, [1, 5, m - 1])
-    b = residue_set(mod, [2, 7])
-    mv = additive_rep(a, b, 1)
-    assert not mv.is_dense
-    assert _counts_dict(mv) == naive_additive_counts([1, 5, m - 1], [2, 7], 1, m)
-    assert sumset(a, b).elements == naive_sumset([1, 5, m - 1], [2, 7], m)
+    a, b = [1, 5, m - 1], [2, 7]
+    for sign in (1, -1):
+        mv = additive_rep(_set(m, a), _set(m, b), sign)
+        assert _counts_dict(mv) == naive_additive_counts(a, b, sign, m)
+    assert _support(indicator(_set(m, a))) == set(a)
+    assert sumset(_set(m, a), _set(m, b)).elements == naive_sumset(a, b, m)
+    units = [1, 5, m - 1]  # m = 2 * 3 * 174763
+    mv = unit_quotient_rep(_set(m, [0] + a), _set(m, units))
+    assert _counts_dict(mv) == naive_quotient_counts([0] + a, units, m)
 
 
 def test_products_near_modulus_cap_are_exact():
+    # m exceeds BITSET_LIMIT, so the product set takes np.unique over the
+    # int64 blocks of the shared pair generator; its products reach 2^62.
     m = (1 << 31) - 1
     mod = make_modulus(m)
     a = [m - 1, m - 2]
     b = [m - 3, 123456789]
     got = productset(residue_set(mod, a), residue_set(mod, b)).elements
     assert got == naive_productset(a, b, m)
-    quotients = unit_quotient_rep(residue_set(mod, a), residue_set(mod, b))
-    assert _counts_dict(quotients) == naive_quotient_counts(a, b, m)
+    # Length-m counts cannot fit: the budget refuses them before allocating.
+    assert setops.BYTES_PER_RESIDUE * m > setops._physical_memory()
+    with pytest.raises(ValueError, match="physical memory"):
+        unit_quotient_rep(residue_set(mod, a), residue_set(mod, b))
+
+
+def _pin_memory(monkeypatch, m, spare):
+    """Physical memory reads as the budget of counts over Z_m plus spare bytes."""
+    monkeypatch.setattr(setops, "_physical_memory", lambda: setops.BYTES_PER_RESIDUE * m + spare)
+
+
+@pytest.mark.parametrize("m", [101, 720, 1024])
+def test_memory_budget_on_both_sides_for_every_count(monkeypatch, m):
+    mod = make_modulus(m)
+    units = [x for x in range(m) if math.gcd(x, m) == 1]
+    a, b = list(range(0, m, 2)), units[: len(units) // 2 + 1]
+    sa, sb = residue_set(mod, a), residue_set(mod, b)
+    assert setops._fft_pays(len(a) * len(b), m)  # so sumset reaches its FFT branch
+    builds = {
+        "indicator": (lambda: indicator(sa), {x: 1 for x in a}),
+        "additive_rep": (lambda: additive_rep(sa, sb, -1), naive_additive_counts(a, b, -1, m)),
+        "unit_quotient_rep": (lambda: unit_quotient_rep(sa, sb), naive_quotient_counts(a, b, m)),
+    }
+    _pin_memory(monkeypatch, m, 0)
+    for name, (build, want) in builds.items():
+        assert _counts_dict(build()) == want, name
+    assert sumset(sa, sb).elements == naive_sumset(a, b, m)
+    _pin_memory(monkeypatch, m, -1)
+    for name, (build, _) in builds.items():
+        with pytest.raises(ValueError, match=f"counts over Z_{m} need"):
+            build()
+    with pytest.raises(ValueError, match="physical memory"):
+        sumset(sa, sb)
+    assert productset(sa, sb).elements == naive_productset(a, b, m)  # no count involved
+
 
 
 def test_indicator_mass_and_support():
@@ -312,7 +355,7 @@ def test_indicator_mass_and_support():
     a = residue_set(mod, [2, 3, 5])
     mv = indicator(a)
     assert mv.total_mass == 3
-    assert mv.support() == a.elements
+    assert _support(mv) == a.elements
 
 
 # --- Exact FFT counts: both sides of the dispatch against the oracles ---
@@ -345,7 +388,6 @@ def _quotient_case(draw):
 def test_additive_rep_property(case):
     m, a, b, sign = case
     mv = additive_rep(_set(m, a), _set(m, b), sign)
-    assert mv.is_dense and mv.counts.dtype == np.int64
     assert _counts_dict(mv) == naive_additive_counts(a, b, sign, m)
     assert mv.total_mass == len(a) * len(b)
 
@@ -362,9 +404,9 @@ def test_unit_quotient_rep_prime_property(case):
 def test_property_cases_reach_both_sides_of_the_dispatch(monkeypatch):
     # The full sets of the largest moduli above take the FFT; singletons
     # enumerate.
-    assert setops._fft_pays(499 * 499, 499, 499) and setops._fft_pays(498 * 498, 498, 499)
-    assert setops._fft_pays(360 * 360, 360, 360)
-    assert not setops._fft_pays(499, 499, 499) and not setops._fft_pays(498, 498, 499)
+    assert setops._fft_pays(499 * 499, 499) and setops._fft_pays(498 * 498, 498)
+    assert setops._fft_pays(360 * 360, 360)
+    assert not setops._fft_pays(499, 499) and not setops._fft_pays(498, 498)
     # The sum sets of test_sum_and_product_sets_property: the full Z_36 and
     # 41-element sets mod 101 are the support of FFT counts, 41-element sets
     # mod 4096 and singletons are scattered.
@@ -418,7 +460,7 @@ def test_fft_guard_failure_falls_back_to_exact_enumeration(monkeypatch, guard):
     p = 499
     a = random_subset(rng, p, 300)
     b = random_subset(rng, p, 250, exclude_zero=True)
-    assert setops._fft_pays(len(a) * len(b), p, p) and setops._fft_pays((len(a) - 1) * len(b), p - 1, p)
+    assert setops._fft_pays(len(a) * len(b), p) and setops._fft_pays((len(a) - 1) * len(b), p - 1)
     calls = _spy_enumeration(monkeypatch)
     if guard == "a_priori_bound":
         monkeypatch.setattr(setops, "_FFT_ERROR_CONSTANT", 1e30)
@@ -462,7 +504,7 @@ def _five_smooth_up_to(limit):
 
 def test_fft_length_is_the_smallest_five_smooth_length():
     smooth = _five_smooth_up_to(1 << 23)
-    ns = list(range(1, 3000)) + [10006, 10007, 65536, 100002, 100003, 720720, 1000002, DENSE_COUNT_LIMIT]
+    ns = list(range(1, 3000)) + [10006, 10007, 65536, 100002, 100003, 720720, 1000002, 1 << 20]
     for n in ns:
         length = _fft_length(n)
         assert length == next(s for s in smooth if s >= 2 * n - 1), n
@@ -479,34 +521,45 @@ def _interval_counts(start_x, len_x, start_y, len_y, sign, m):
     return out
 
 
-def test_dense_count_limit_boundary_gives_equal_counts():
+def test_counts_on_both_sides_of_two_to_the_twenty(monkeypatch):
+    # 2^20 was the old switch to dict counts, below which alone the FFT ran.
+    # On both sides: FFT counts of intervals (additive) and of geometric
+    # progressions (quotients, an interval in discrete-log coordinates),
+    # and enumerated counts of small random sets.
     rng = np.random.default_rng(53)
-    # Dense side at the limit, large enough for the FFT (interval oracle),
-    # and both sides with small random sets (enumeration, dense and sparse).
-    m = DENSE_COUNT_LIMIT
-    len_x, len_y = 7000, 6500
-    assert setops._fft_pays(len_x * len_y, m, m)
-    start_x, start_y = m - 3000, 1234
-    x = _set(m, [(start_x + i) % m for i in range(len_x)])
-    y = _set(m, range(start_y, start_y + len_y))
-    for sign in (1, -1):
-        mv = additive_rep(x, y, sign)
-        assert mv.is_dense
-        assert _counts_dict(mv) == _interval_counts(start_x, len_x, start_y, len_y, sign, m)
-    for m in (DENSE_COUNT_LIMIT, DENSE_COUNT_LIMIT + 1):
+    enumerated = _spy_enumeration(monkeypatch)
+    len_x, len_y = 7000, 6600
+    for m in (1 << 20, (1 << 20) + 1):
+        assert setops._fft_pays(len_x * len_y, m)
+        start_x, start_y = m - 3000, 1234
+        x = _set(m, [(start_x + i) % m for i in range(len_x)])
+        y = _set(m, range(start_y, start_y + len_y))
+        for sign in (1, -1):
+            mv = additive_rep(x, y, sign)
+            assert _counts_dict(mv) == _interval_counts(start_x, len_x, start_y, len_y, sign, m)
+    for p in ((1 << 20) - 3, (1 << 20) + 7):
+        assert setops._fft_pays(len_x * len_y, p - 1)
+        g = find_generator(make_modulus(p))
+        start_x, start_a = p - 2000, 777
+        xs = [0] + [pow(g, start_x + i, p) for i in range(len_x)]
+        a = [pow(g, start_a + j, p) for j in range(len_y)]
+        want = {}
+        for e, c in _interval_counts(start_x, len_x, start_a, len_y, -1, p - 1).items():
+            want[pow(g, e, p)] = c
+        want[0] = len_y
+        assert _counts_dict(unit_quotient_rep(_set(p, xs), _set(p, a))) == want
+    assert enumerated == []
+    for m in ((1 << 20) - 3, 1 << 20, (1 << 20) + 1, (1 << 20) + 7):
         a = random_subset(rng, m, 200)
-        b = random_subset(rng, m, 150)
+        b = random_subset(rng, m, 150, exclude_zero=True)
         for sign in (1, -1):
             mv = additive_rep(_set(m, a), _set(m, b), sign)
-            assert mv.is_dense == (m <= DENSE_COUNT_LIMIT)
             assert _counts_dict(mv) == naive_additive_counts(a, b, sign, m)
-    # Primes on either side of the limit: 2^20 - 3 and 2^20 + 7.
-    for p in ((1 << 20) - 3, (1 << 20) + 7):
-        xs = random_subset(rng, p, 120) + [0]
-        a = random_subset(rng, p, 90, exclude_zero=True)
-        mv = unit_quotient_rep(_set(p, set(xs)), _set(p, a))
-        assert mv.is_dense == (p <= DENSE_COUNT_LIMIT)
-        assert _counts_dict(mv) == naive_quotient_counts(set(xs), a, p)
+        if make_modulus(m).is_prime:
+            mv = unit_quotient_rep(_set(m, a), _set(m, b))
+            assert _counts_dict(mv) == naive_quotient_counts(a, b, m)
+    # Two additive counts per modulus, and a quotient count per prime.
+    assert enumerated == [(1 << 20) - 3] * 3 + [1 << 20] * 2 + [(1 << 20) + 1] * 2 + [(1 << 20) + 7] * 3
 
 
 def test_dense_mod_matches_naive_aggregation_for_every_divisor():

@@ -1,8 +1,13 @@
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from sumprod import spectra
 
 from sumprod.estimates import (
     REL_SLACK,
@@ -13,8 +18,10 @@ from sumprod.estimates import (
     spectral_checks,
 )
 from sumprod.residues import make_modulus, residue_set, unit_part
-from sumprod.setops import additive_rep, indicator, sumset, unit_quotient_rep
+from sumprod.setops import MultiplicityVector, additive_rep, indicator, sumset, unit_quotient_rep
 from sumprod.spectra import (
+    DIRECT_Q_LIMIT,
+    DIRECT_WORK_LIMIT,
     _coprime_frequencies,
     _direct_dft,
     _fft_dft,
@@ -92,6 +99,52 @@ def test_direct_and_fft_paths_agree():
         fast = _fft_dft(dense)
         scale = max(1.0, float(np.abs(direct).max()))
         assert np.max(np.abs(direct - fast)) <= 1e-9 * scale
+
+
+@st.composite
+def _dft_case(draw):
+    """Counts over Z_m and a period q | m on a chosen side of the direct
+    path's limits: q <= DIRECT_Q_LIMIT with q * nnz <= DIRECT_WORK_LIMIT
+    (direct), q above DIRECT_Q_LIMIT, or q * nnz above DIRECT_WORK_LIMIT."""
+    side = draw(st.sampled_from(("direct", "q_limit", "work_limit")))
+    if side == "q_limit":
+        q = draw(st.integers(DIRECT_Q_LIMIT + 1, DIRECT_Q_LIMIT + 64))
+        nnz = draw(st.integers(0, 12))
+    else:
+        q = draw(st.integers(2, DIRECT_Q_LIMIT))
+        edge = DIRECT_WORK_LIMIT // q  # the most nonzeros the direct path takes
+        if side == "direct":
+            nnz = draw(st.integers(0, min(q, edge, 40)))
+        else:
+            q = max(q, DIRECT_WORK_LIMIT // 40)
+            nnz = draw(st.integers(DIRECT_WORK_LIMIT // q + 1, min(q, DIRECT_WORK_LIMIT // q + 12)))
+    m = q * draw(st.sampled_from((1, 1, 2, 3)))
+    return side, m, q, nnz, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_dft_case())
+@example(("direct", 4096, 4096, 16, 1))  # q and q * nnz at their limits
+@example(("direct", 6144, 2048, 32, 2))
+@example(("work_limit", 8192, 4096, 17, 3))
+@example(("q_limit", 4097, 4097, 3, 4))
+def test_dft_counts_property_on_both_sides_of_the_direct_limits(case):
+    side, m, q, nnz, seed = case
+    rng = np.random.default_rng(seed)
+    counts = np.zeros(m, dtype=np.int64)
+    # nnz distinct residues mod q, each hit by one or two residues mod m.
+    for r in rng.choice(q, nnz, replace=False).tolist():
+        for k in rng.choice(m // q, min(m // q, 2), replace=False).tolist():
+            counts[r + k * q] = rng.integers(1, 1000)
+    mv = MultiplicityVector(make_modulus(m), counts, int(counts.sum()))
+    with mock.patch.object(spectra, "_direct_dft", wraps=spectra._direct_dft) as direct, mock.patch.object(
+        spectra, "_fft_dft", wraps=spectra._fft_dft
+    ) as fft:
+        got = dft_counts(mv, q).amplitudes
+    assert (direct.call_count, fft.call_count) == ((1, 0) if side == "direct" else (0, 1))
+    nz = np.flatnonzero(counts)
+    want = naive_dft(_reduced(dict(zip(nz.tolist(), counts[nz].tolist())), q), q)
+    assert np.allclose(got, np.array(want), rtol=1e-9, atol=1e-9 * max(1, mv.total_mass))
 
 
 def test_amplitude_zero_equals_mass():
