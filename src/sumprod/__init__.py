@@ -6,7 +6,6 @@ from .estimates import (
     FieldBoundReport,
     RingBoundReport,
     RingExtremalExample,
-    count_quadruples_bruteforce,
     field_bound_report,
     field_checks,
     ring_bound_report,
@@ -35,7 +34,7 @@ from .setops import (
     sumset,
     unit_quotient_rep,
 )
-from .spectra import SpectrumVector, dft_counts, max_nontrivial, spectrum_of_set
+from .spectra import dft_counts, spectrum_of_set
 from .sweeps import (
     CSV_HEADER,
     DuplicateResidueWarning,

@@ -184,7 +184,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         trials=args.trials,
         seed=args.seed,
         out_path=args.out,
-        exclude_zero=args.kind == "prime",
     )
     rows = run_sweep(cfg, threads=args.threads)
     violations = sum(1 for row in rows if row_violates(row))

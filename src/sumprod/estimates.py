@@ -49,10 +49,9 @@ from .setops import (
     sumset,
     unit_quotient_rep,
 )
-from .spectra import SpectrumVector, dft_counts, max_nontrivial
+from .spectra import dft_counts, gcd_class_peaks
 
 REL_SLACK = 1e-9
-BRUTE_FORCE_CAP = 10**9
 
 
 @dataclass(frozen=True)
@@ -160,9 +159,9 @@ class Derivation:
         return indicator(self.a)
 
     @_once
-    def spectrum(self) -> SpectrumVector:
-        """Full-period spectrum of the indicator."""
-        return dft_counts(self.ind, self.m)
+    def spectrum(self) -> np.ndarray:
+        """Spectrum of the indicator over Z_m."""
+        return dft_counts(self.ind)
 
     @_once
     def quotients(self) -> MultiplicityVector:
@@ -170,14 +169,20 @@ class Derivation:
         return unit_quotient_rep(self.prods, self.a)
 
     @_once
-    def quotient_spectrum(self) -> SpectrumVector:
-        """Full-period spectrum of the quotient counts."""
-        return dft_counts(self.quotients, self.m)
+    def quotient_spectrum(self) -> np.ndarray:
+        """Spectrum of the quotient counts over Z_m."""
+        return dft_counts(self.quotients)
 
     @_once
+    def peaks(self) -> dict[int, float]:
+        """Largest quotient-spectrum amplitude per gcd class: peaks[d] over
+        the k in [1, m) with gcd(k, m) = d, for each proper divisor d."""
+        return dict(zip(self.modulus.divisors, gcd_class_peaks(self.quotient_spectrum).tolist()))
+
+    @property
     def peak(self) -> float:
         """Largest quotient-spectrum amplitude over frequencies coprime to m."""
-        return max_nontrivial(self.quotient_spectrum)[1]
+        return self.peaks[1]
 
     @_once
     def cap_sq(self) -> int:
@@ -198,41 +203,12 @@ class Derivation:
         with Q the quotient counts and S the sum-set indicator. Prime modulus
         and 0 not in A."""
         p = _require_prime_zero_free(self.a)
-        total = np.sum(
-            self.quotient_spectrum.amplitudes
-            * self.spectrum.amplitudes
-            * np.conj(self.of_sums.spectrum.amplitudes)
-        ) / p
+        total = np.sum(self.quotient_spectrum * self.spectrum * np.conj(self.of_sums.spectrum)) / p
         return float(total.real)
 
 
 def _derived(a: "ResidueSet | Derivation") -> Derivation:
     return a if isinstance(a, Derivation) else Derivation(a)
-
-
-def count_quadruples_bruteforce(a_set: ResidueSet) -> int:
-    """Literal enumeration of every quadruple (x, a1, a2, y), testing the
-    defining equation on each; the independent oracle for quad_count.
-
-    Refuses inputs with more than 10^9 quadruples.
-    """
-    p = _require_prime_zero_free(a_set)
-    if a_set.size == 0:
-        return 0
-    arr = a_set.array
-    prod = productset(a_set, a_set).array
-    sums = sumset(a_set, a_set).array
-    quadruples = prod.size * arr.size * arr.size * sums.size
-    if quadruples > BRUTE_FORCE_CAP:
-        raise ValueError(f"{quadruples} quadruples exceed the brute-force cap {BRUTE_FORCE_CAP}")
-    total = 0
-    step = max(1, (1 << 22) // max(1, arr.size * sums.size))
-    for a1 in arr.tolist():
-        t = prod * pow(a1, -1, p) % p
-        for lo in range(0, t.size, step):
-            residual = (t[lo : lo + step, None, None] + arr[None, :, None] - sums[None, None, :]) % p
-            total += int(np.count_nonzero(residual == 0))
-    return total
 
 
 def field_constant(p: int, size_a: int, lhs: int) -> Check:
@@ -275,17 +251,13 @@ def divisor_square_bound(d: Derivation, divisor: int) -> Check:
     A must consist of units. The divisor-1 row is the complete-sum bound
     sqrt(m |AA| |A|), squared.
 
-    Every row reads the one full-period spectrum S_m: with c the counts over
-    Z_m and q = m/divisor, the counts aggregated mod q have the spectrum
-    S_q(n) = sum_x c[x] e_q(n x) = sum_x c[x] e_m(n (m/q) x) = S_m(n m/q),
-    so the row at period q is every divisor-th amplitude of S_m.
+    Every row reads the one spectrum S_m over Z_m: with c the counts and
+    q = m/divisor, the counts aggregated mod q have the spectrum
+    S_q(n) = sum_x c[x] e_q(n x) = sum_x c[x] e_m(n (m/q) x) = S_m(n m/q).
+    As n runs over the units mod q, n m/q runs over the k in [1, m) with
+    gcd(k, m) = divisor: the row's peak is that class's entry of d.peaks.
     """
-    if divisor == 1:
-        peak = d.peak
-    else:
-        spectrum = d.quotient_spectrum
-        sliced = SpectrumVector(d.m // divisor, spectrum.amplitudes[::divisor])
-        peak = max_nontrivial(sliced)[1]
+    peak = d.peaks[divisor]
     peak_sq, cap = peak * peak, float(divisor * d.cap_sq)
     return Check(f"divisor_square_bound d={divisor}", peak_sq, cap, peak_sq <= cap * (1 + REL_SLACK))
 
@@ -370,7 +342,7 @@ def spectral_checks(a: "ResidueSet | Derivation") -> list[Check]:
     d = _derived(a)
     exact = d.quad_count
     rel_error = abs(d.spectral_quad_count - exact) / max(exact, 1)
-    cs_lhs = float(np.sum(np.abs(d.spectrum.amplitudes) * np.abs(d.of_sums.spectrum.amplitudes)))
+    cs_lhs = float(np.sum(np.abs(d.spectrum) * np.abs(d.of_sums.spectrum)))
     cs_cap = d.m * math.sqrt(d.size * d.sums.size)
     return [
         Check("spectral_identity", rel_error, 1e-9, rel_error <= 1e-9),

@@ -80,12 +80,14 @@ class MultiplicityVector:
     counts: np.ndarray
     total_mass: int
 
-    def _nonzero(self) -> np.ndarray:
-        """Residues with a nonzero count, found once per vector (a ring
-        report aggregates one vector over every divisor period)."""
+    def _support(self) -> tuple[np.ndarray, np.ndarray]:
+        """The residues with a nonzero count and those counts, gathered once
+        per vector (a ring report aggregates one vector over every divisor
+        period)."""
         memo = self.__dict__
         if "_nz" not in memo:
-            memo["_nz"] = np.flatnonzero(self.counts != 0)
+            nz = np.flatnonzero(self.counts != 0)
+            memo["_nz"] = nz, self.counts[nz]
         return memo["_nz"]
 
     def dense_mod(self, q: int) -> np.ndarray:
@@ -102,11 +104,11 @@ class MultiplicityVector:
             raise ValueError(f"period {q} does not divide the modulus {m}")
         if q == m:
             return self.counts
-        nz = self._nonzero()
+        nz, values = self._support()
         if 10 * nz.size >= m:
             return self.counts.reshape(m // q, q).sum(axis=0)
         out = np.zeros(q, dtype=np.int64)
-        np.add.at(out, nz % q, self.counts[nz])
+        np.add.at(out, nz % q, values)
         return out
 
 
@@ -136,12 +138,14 @@ def _require_same_modulus(a: ResidueSet, b: ResidueSet) -> Modulus:
 
 def _pair_blocks(a: np.ndarray, b: np.ndarray, m: int, combine: np.ufunc):
     """combine(a[i], b[j]) mod m over all pairs, in flat blocks of about
-    _CHUNK_ELEMS values, chunked over a. Entries are in [0, m) with
-    m <= 2^31, so every sum and product is below 2^62: exact in int64."""
+    _CHUNK_ELEMS values, chunked over a and reduced in place. Entries are in
+    [0, m) with m <= 2^31, so every sum and product is below 2^62: exact in
+    int64."""
     if a.size and b.size:
         step = max(1, _CHUNK_ELEMS // b.size)
         for lo in range(0, a.size, step):
-            yield (combine(a[lo : lo + step, None], b[None, :]) % m).ravel()
+            vals = combine(a[lo : lo + step, None], b[None, :])
+            yield np.remainder(vals, m, out=vals).ravel()
 
 
 def _pairwise_values(a: np.ndarray, b: np.ndarray, m: int, combine: np.ufunc) -> np.ndarray:

@@ -1,35 +1,28 @@
-"""Complete exponential sums of sets and multiplicity vectors.
+"""Complete exponential sums of sets and multiplicity vectors, and their
+peaks by gcd class of the frequency.
 
-The character convention is e_q(x) = exp(2*pi*i*x/q). A small direct
-summation evaluator serves as the reference path; larger transforms go
-through numpy's FFT (conjugated to match the sign convention), which is
-validated against the direct path in the test suite.
-
-The inequalities built on these spectra are checked in estimates.
+A spectrum is a read-only complex array over Z_m with the character
+convention e_m(x) = exp(2*pi*i*x/m). A small direct summation evaluator
+serves as the reference path; larger transforms go through numpy's FFT
+(conjugated to match the sign convention), which is validated against the
+direct path in the test suite. The inequalities built on these spectra are
+checked in estimates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .residues import ResidueSet, make_modulus
-from .setops import MultiplicityVector, indicator
+from .setops import MultiplicityVector, _freeze, indicator
 
 # Direct summation is used when the period and the support are both small
 # enough that the twiddle work stays trivial; everything else goes to the
 # FFT path. The two paths agree to ~1e-12 relative error.
 DIRECT_Q_LIMIT = 4096
 DIRECT_WORK_LIMIT = 1 << 16
-
-
-@dataclass(frozen=True, eq=False)
-class SpectrumVector:
-    """Complex amplitudes S^(n) = sum_t counts[t] e_q(n t) for n in [0, q)."""
-
-    period: int
-    amplitudes: np.ndarray
 
 
 def _direct_dft(dense: np.ndarray) -> np.ndarray:
@@ -50,48 +43,56 @@ def _direct_dft(dense: np.ndarray) -> np.ndarray:
 
 def _fft_dft(dense: np.ndarray) -> np.ndarray:
     # numpy's fft uses exp(-2 pi i n t / q); the input is real, so the
-    # conjugate is exactly the e_q(+nt) transform.
-    return np.conj(np.fft.fft(dense.astype(np.float64)))
+    # conjugate, taken in place, is exactly the e_q(+nt) transform.
+    amps = np.fft.fft(dense)
+    return np.conjugate(amps, out=amps)
 
 
-def dft_counts(v: MultiplicityVector, q: int) -> SpectrumVector:
-    """Spectrum of the counts aggregated by residue mod q; q must divide m."""
-    dense = v.dense_mod(q)
-    nnz = int(np.count_nonzero(dense))
-    if q <= DIRECT_Q_LIMIT and q * nnz <= DIRECT_WORK_LIMIT:
+def dft_counts(v: MultiplicityVector) -> np.ndarray:
+    """S(n) = sum_t counts[t] e_m(n t) for n in [0, m), read-only."""
+    dense = v.counts
+    m, nnz = dense.size, int(np.count_nonzero(dense))
+    if m <= DIRECT_Q_LIMIT and m * nnz <= DIRECT_WORK_LIMIT:
         amps = _direct_dft(dense)
     else:
         amps = _fft_dft(dense)
     amps.setflags(write=False)
-    return SpectrumVector(period=q, amplitudes=amps)
+    return amps
 
 
-def spectrum_of_set(a_set: ResidueSet, q: int | None = None) -> SpectrumVector:
-    """Spectrum of a set's indicator, by default over the full modulus."""
-    return dft_counts(indicator(a_set), a_set.modulus.m if q is None else q)
+def spectrum_of_set(a_set: ResidueSet) -> np.ndarray:
+    """Spectrum of a set's indicator over Z_m."""
+    return dft_counts(indicator(a_set))
 
 
-def _coprime_frequencies(q: int) -> np.ndarray:
-    """The n in [1, q) coprime to q: a sieve clearing the multiples of each
-    prime factor of q."""
-    coprime = np.ones(q, dtype=bool)
-    for prime, _ in make_modulus(q).factorization:
-        coprime[::prime] = False
-    return np.flatnonzero(coprime)
-
-
-def max_nontrivial(spec: SpectrumVector) -> tuple[int, float]:
-    """(frequency, magnitude) of the largest amplitude over n != 0 coprime to q.
-
-    For a prime period that is every nonzero frequency. Ties go to the
-    smallest frequency; magnitudes within 1e-12 relative of the peak
-    count as tied so rounding noise cannot defeat that rule.
+@lru_cache(maxsize=16)
+def _gcd_classes(m: int) -> tuple[np.ndarray | slice, np.ndarray]:
+    """The frequencies [1, m) grouped by gcd(k, m) over the proper divisors
+    d of m, ascending in d and inside each group, and where each group
+    starts. gcd(k, m) = d exactly when k = d n with n coprime to m/d, so a
+    group is d times a sieve over [0, m/d), never empty (n = 1). They fit
+    int32 (m <= 2^31); for a prime m the one group is the slice [1, m).
     """
-    q = spec.period
-    if q < 2:
-        raise ValueError("period must be at least 2")
-    freqs = _coprime_frequencies(q)
-    mags = np.abs(spec.amplitudes[freqs])
-    peak = float(mags.max())
-    k = int(np.argmax(mags >= peak * (1 - 1e-12)))
-    return int(freqs[k]), float(mags[k])
+    mod = make_modulus(m)
+    if mod.is_prime:
+        return slice(1, m), _freeze(np.zeros(1, dtype=np.int64))
+    groups = []
+    for d in mod.divisors[:-1]:
+        coprime = np.ones(m // d, dtype=bool)
+        for prime in (p for p, _ in mod.factorization if (m // d) % p == 0):
+            coprime[::prime] = False
+        groups.append((d * np.flatnonzero(coprime)).astype(np.int32))
+    return _freeze(np.concatenate(groups)), _freeze(np.cumsum([0] + [g.size for g in groups[:-1]]))
+
+
+def gcd_class_peaks(spectrum: np.ndarray) -> np.ndarray:
+    """Per proper divisor d of m = spectrum.size, ascending, the peak of
+    |S(k)| over the k in [1, m) with gcd(k, m) = d: the row at period m/d,
+    since S_{m/d}(n) = S(d n). Within 1e-12 relative of the peak the
+    smallest k wins, so rounding noise cannot reorder tied frequencies."""
+    freqs, starts = _gcd_classes(spectrum.size)
+    mags = np.abs(spectrum)[freqs]
+    peaks = np.maximum.reduceat(mags, starts)
+    # Each class holds its own peak, so its first hit lies inside it.
+    hits = np.flatnonzero(mags >= np.repeat(peaks * (1 - 1e-12), np.diff(starts, append=mags.size)))
+    return mags[hits[np.searchsorted(hits, starts)]]

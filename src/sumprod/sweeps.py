@@ -96,7 +96,6 @@ class SweepConfig:
     trials: int
     seed: int
     out_path: str | None = None
-    exclude_zero: bool = False
 
 
 @dataclass(frozen=True)
@@ -127,7 +126,8 @@ def _validated_modulus(cfg: SweepConfig) -> Modulus:
         raise ValueError("trials must be at least 1")
     if not 0 <= cfg.seed <= _MASK64:
         raise ValueError("seed must fit in 64 bits")
-    pool = mod.m - (1 if cfg.exclude_zero else 0)
+    # Prime sweeps draw zero-free subsets.
+    pool = mod.m - (1 if cfg.kind == KIND_PRIME else 0)
     if not cfg.sizes:
         raise ValueError("no sizes given")
     for s in cfg.sizes:
@@ -136,16 +136,16 @@ def _validated_modulus(cfg: SweepConfig) -> Modulus:
     return mod
 
 
-def _draw_subset(mod: Modulus, size: int, derived: int, exclude_zero: bool) -> ResidueSet:
+def _draw_subset(mod: Modulus, size: int, derived: int, zero_free: bool) -> ResidueSet:
     rng = np.random.Generator(np.random.PCG64(derived))
-    low = 1 if exclude_zero else 0
+    low = 1 if zero_free else 0
     picks = rng.choice(mod.m - low, size=size, replace=False) + low
     return residue_set(mod, picks)
 
 
 def _trial_row(cfg: SweepConfig, mod: Modulus, size: int, trial: int) -> SweepRow:
     derived = derive_seed(cfg.seed, size, trial)
-    subset = _draw_subset(mod, size, derived, cfg.exclude_zero)
+    subset = _draw_subset(mod, size, derived, cfg.kind == KIND_PRIME)
     if cfg.kind == KIND_PRIME:
         rep = field_bound_report(subset)
         quad, fmax, fcap = rep.quad_count, rep.fourier_max, rep.fourier_cap

@@ -1,11 +1,17 @@
 """Naive reference implementations used as independent test oracles.
 
-Everything here is deliberately written as direct enumeration in plain
-Python, independent of the library's vectorized or bit-array paths.
+Everything here is deliberately written as direct enumeration, independent
+of the library's vectorized or bit-array paths: in plain Python, or with
+numpy only to test a defining equation or property on every candidate.
 """
 
 import cmath
 import math
+
+import numpy as np
+
+# The most quadruples count_quadruples_bruteforce will enumerate.
+BRUTE_FORCE_CAP = 10**9
 
 
 def naive_divisors(m):
@@ -29,6 +35,15 @@ def naive_additive_counts(a, b, sign, m):
     for x in a:
         for y in b:
             t = (x + sign * y) % m
+            out[t] = out.get(t, 0) + 1
+    return out
+
+
+def naive_product_counts(a, b, m):
+    out = {}
+    for x in a:
+        for y in b:
+            t = x * y % m
             out[t] = out.get(t, 0) + 1
     return out
 
@@ -66,6 +81,45 @@ def naive_quadruples(a, m):
                     if (lhs + a2) % m == y:
                         total += 1
     return total
+
+
+def count_quadruples_bruteforce(a_set):
+    """J by testing x a1^{-1} + a2 = y (mod m) on every quadruple (x, a1,
+    a2, y) of AA x A x A x (A+A), with AA and A+A from naive_productset and
+    naive_sumset; every element of A must be a unit.
+
+    Refuses inputs with more than BRUTE_FORCE_CAP quadruples.
+    """
+    m = a_set.modulus.m
+    a = a_set.array.tolist()
+    arr = np.array(a, dtype=np.int64)
+    prod = np.array(sorted(naive_productset(a, a, m)), dtype=np.int64)
+    sums = np.array(sorted(naive_sumset(a, a, m)), dtype=np.int64)
+    quadruples = prod.size * arr.size * arr.size * sums.size
+    if quadruples > BRUTE_FORCE_CAP:
+        raise ValueError(f"{quadruples} quadruples exceed the brute-force cap {BRUTE_FORCE_CAP}")
+    total = 0
+    step = max(1, (1 << 22) // max(1, arr.size * sums.size))
+    for a1 in a:
+        t = prod * pow(a1, -1, m) % m
+        for lo in range(0, t.size, step):
+            residual = (t[lo : lo + step, None, None] + arr[None, :, None] - sums[None, None, :]) % m
+            total += int(np.count_nonzero(residual == 0))
+    return total
+
+
+def max_nontrivial(amplitudes):
+    """(n, |S(n)|) of the largest amplitude of a spectrum over Z_q,
+    q = len(amplitudes), over the n in [1, q) with gcd(n, q) = 1. Ties go to
+    the smallest n; magnitudes within 1e-12 relative of the peak count as
+    tied."""
+    q = len(amplitudes)
+    n = np.arange(1, q, dtype=np.int64)
+    freqs = n[np.gcd(n, q) == 1]
+    mags = np.abs(amplitudes[freqs])
+    peak = float(mags.max())
+    k = int(np.argmax(mags >= peak * (1 - 1e-12)))
+    return int(freqs[k]), float(mags[k])
 
 
 def naive_dlog_table(p, g):

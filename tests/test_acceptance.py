@@ -15,7 +15,6 @@ import pytest
 from sumprod.cli import main as cli_main
 from sumprod.estimates import (
     Derivation,
-    count_quadruples_bruteforce,
     field_bound_report,
     field_constant,
     master_inequality,
@@ -26,6 +25,8 @@ from sumprod.estimates import (
 )
 from sumprod.extremal import build_extremal
 from sumprod.residues import make_modulus, residue_set
+
+from oracles import count_quadruples_bruteforce
 
 EXHAUSTIVE_FIELD_PRIMES = (5, 7, 11)
 RANDOM_FIELD_PRIMES = (101, 499)

@@ -9,7 +9,6 @@ import pytest
 from sumprod.estimates import (
     Derivation,
     _mv_dot,
-    count_quadruples_bruteforce,
     field_bound_report,
     field_checks,
     field_constant,
@@ -22,7 +21,13 @@ from sumprod.estimates import (
 from sumprod.residues import make_modulus, residue_set
 from sumprod.setops import MultiplicityVector
 
-from oracles import naive_productset, naive_quadruples, naive_sumset, random_subset
+from oracles import (
+    count_quadruples_bruteforce,
+    naive_productset,
+    naive_quadruples,
+    naive_sumset,
+    random_subset,
+)
 
 
 def _set(m, elems):

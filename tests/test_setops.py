@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sumprod import setops
@@ -30,6 +30,7 @@ from oracles import (
     naive_additive_counts,
     naive_dilate,
     naive_dlog_table,
+    naive_product_counts,
     naive_productset,
     naive_quotient_counts,
     naive_sumset,
@@ -578,6 +579,15 @@ def test_dense_mod_matches_naive_aggregation_for_every_divisor():
             assert got.dtype == np.int64 and got.tolist() == want, (nnz, q)
 
 
+def test_dense_mod_rejects_bad_period():
+    mv = indicator(_set(12, [1, 5]))
+    for q in (0, 5, 24):
+        with pytest.raises(ValueError, match="does not divide"):
+            mv.dense_mod(q)
+    for q in (1, 2, 3, 4, 6, 12):
+        assert mv.dense_mod(q).shape == (q,)
+
+
 def test_vectorized_dlog_tables_equal_the_loop():
     for p in (2, 3, 5, 7, 101, 499, 10007, 65537, 1000003):
         g, exp_of, pow_of = setops._dlog_arrays(p)
@@ -725,3 +735,44 @@ def test_dense_mod_property_on_both_sides_of_the_support_rule(case):
         want[t % q] += int(counts[t])
     got = mv.dense_mod(q)
     assert got.dtype == np.int64 and got.tolist() == want
+
+
+@st.composite
+def _pair_block_case(draw):
+    """Operands a, b and a block size _CHUNK_ELEMS with a on a chosen side
+    of one block: a block holds step = max(1, chunk // |b|) rows of a, so
+    |a| <= step gives one block and |a| > step several. Pair values go
+    through the length-m scatter or, past BITSET_LIMIT, np.unique."""
+    m = draw(st.one_of(st.sampled_from(_SMALL_PRIMES + (36, 720)), st.integers(2, 4096)))
+    b = sorted(draw(st.sets(st.integers(0, m - 1), min_size=1, max_size=min(m, 24))))
+    chunk = draw(st.integers(1, 96))
+    step = max(1, chunk // len(b))
+    if draw(st.booleans()) or step >= m:
+        size = draw(st.integers(1, min(step, m)))
+    else:
+        size = draw(st.integers(step + 1, min(m, 4 * step + 1)))
+    a = sorted(draw(st.lists(st.integers(0, m - 1), min_size=size, max_size=size, unique=True)))
+    return m, a, b, chunk, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pair_block_case())
+@example((720, [0, 1, 2, 719], [5, 6, 7], 12, True))  # |a| = step = 4: one block
+@example((720, [0, 1, 2, 3, 719], [5, 6, 7], 12, False))  # |a| = step + 1: two
+def test_pair_enumeration_property_on_both_sides_of_one_block(case):
+    m, a, b, chunk, scatter = case
+    x, y = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    blocks = -(-len(a) // max(1, chunk // len(b)))
+    with mock.patch.object(setops, "_CHUNK_ELEMS", chunk), mock.patch.object(
+        setops, "BITSET_LIMIT", setops.BITSET_LIMIT if scatter else 1
+    ):
+        for combine, counts, values in (
+            (np.add, naive_additive_counts(a, b, 1, m), naive_sumset(a, b, m)),
+            (np.multiply, naive_product_counts(a, b, m), naive_productset(a, b, m)),
+        ):
+            assert sum(1 for _ in setops._pair_blocks(x, y, m, combine)) == blocks
+            got = setops._pair_counts(x, y, m, combine)
+            assert got.dtype == np.int64 and got.shape == (m,)
+            nz = np.flatnonzero(got)
+            assert dict(zip(nz.tolist(), got[nz].tolist())) == counts, combine.__name__
+            assert setops._pairwise_values(x, y, m, combine).tolist() == sorted(values), combine.__name__

@@ -22,15 +22,15 @@ from sumprod.setops import MultiplicityVector, additive_rep, indicator, sumset, 
 from sumprod.spectra import (
     DIRECT_Q_LIMIT,
     DIRECT_WORK_LIMIT,
-    _coprime_frequencies,
     _direct_dft,
     _fft_dft,
+    _gcd_classes,
     dft_counts,
-    max_nontrivial,
+    gcd_class_peaks,
     spectrum_of_set,
 )
 
-from oracles import naive_dft, naive_quadruples, naive_quotient_counts, random_subset
+from oracles import max_nontrivial, naive_dft, naive_quadruples, naive_quotient_counts, random_subset
 
 
 def _set(m, elems):
@@ -49,24 +49,23 @@ def _named(checks):
     return {c.name: c for c in checks}
 
 
+def _vector(counts):
+    """The counts as a multiplicity vector over Z_len(counts)."""
+    counts = np.asarray(counts, dtype=np.int64)
+    return MultiplicityVector(make_modulus(counts.size), counts, int(counts.sum()))
+
+
 def test_dft_examples():
     delta = spectrum_of_set(_set(11, [0]))
-    assert np.allclose(delta.amplitudes, np.ones(11))
+    assert np.allclose(delta, np.ones(11))
+    assert delta.shape == (11,) and not delta.flags.writeable
 
     full = spectrum_of_set(_set(11, range(11)))
-    assert full.amplitudes[0] == pytest.approx(11)
-    assert np.allclose(full.amplitudes[1:], 0, atol=1e-9)
+    assert full[0] == pytest.approx(11)
+    assert np.allclose(full[1:], 0, atol=1e-9)
 
     nonzero = spectrum_of_set(_set(13, range(1, 13)))
-    assert np.allclose(nonzero.amplitudes[1:], -1, atol=1e-9)
-
-
-def test_dft_rejects_bad_period():
-    mv = indicator(_set(12, [1, 5]))
-    with pytest.raises(ValueError):
-        dft_counts(mv, 5)
-    for q in (1, 2, 3, 4, 6, 12):
-        assert dft_counts(mv, q).period == q
+    assert np.allclose(nonzero[1:], -1, atol=1e-9)
 
 
 def test_dft_matches_naive_complex_sum():
@@ -75,9 +74,9 @@ def test_dft_matches_naive_complex_sum():
         mod = make_modulus(m)
         a = residue_set(mod, random_subset(rng, m, max(1, m // 3)))
         mv = additive_rep(a, a, 1)
-        counts = {int(t): int(c) for t, c in enumerate(mv.dense_mod(m))}
-        for q in [d for d in mod.divisors]:
-            got = dft_counts(mv, q).amplitudes
+        counts = {int(t): int(c) for t, c in enumerate(mv.counts)}
+        for q in mod.divisors[1:]:
+            got = dft_counts(_vector(mv.dense_mod(q)))
             want = naive_dft({t % q: 0 for t in range(q)} | _reduced(counts, q), q)
             assert np.allclose(got, np.array(want), rtol=1e-9, atol=1e-9)
 
@@ -103,7 +102,7 @@ def test_direct_and_fft_paths_agree():
 
 @st.composite
 def _dft_case(draw):
-    """Counts over Z_m and a period q | m on a chosen side of the direct
+    """Counts over Z_q with nnz nonzeros on a chosen side of the direct
     path's limits: q <= DIRECT_Q_LIMIT with q * nnz <= DIRECT_WORK_LIMIT
     (direct), q above DIRECT_Q_LIMIT, or q * nnz above DIRECT_WORK_LIMIT."""
     side = draw(st.sampled_from(("direct", "q_limit", "work_limit")))
@@ -118,29 +117,25 @@ def _dft_case(draw):
         else:
             q = max(q, DIRECT_WORK_LIMIT // 40)
             nnz = draw(st.integers(DIRECT_WORK_LIMIT // q + 1, min(q, DIRECT_WORK_LIMIT // q + 12)))
-    m = q * draw(st.sampled_from((1, 1, 2, 3)))
-    return side, m, q, nnz, draw(st.integers(0, 2**32 - 1))
+    return side, q, nnz, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=60, deadline=None)
 @given(_dft_case())
-@example(("direct", 4096, 4096, 16, 1))  # q and q * nnz at their limits
-@example(("direct", 6144, 2048, 32, 2))
-@example(("work_limit", 8192, 4096, 17, 3))
-@example(("q_limit", 4097, 4097, 3, 4))
+@example(("direct", 4096, 16, 1))  # q and q * nnz at their limits
+@example(("direct", 2048, 32, 2))
+@example(("work_limit", 4096, 17, 3))
+@example(("q_limit", 4097, 3, 4))
 def test_dft_counts_property_on_both_sides_of_the_direct_limits(case):
-    side, m, q, nnz, seed = case
+    side, q, nnz, seed = case
     rng = np.random.default_rng(seed)
-    counts = np.zeros(m, dtype=np.int64)
-    # nnz distinct residues mod q, each hit by one or two residues mod m.
-    for r in rng.choice(q, nnz, replace=False).tolist():
-        for k in rng.choice(m // q, min(m // q, 2), replace=False).tolist():
-            counts[r + k * q] = rng.integers(1, 1000)
-    mv = MultiplicityVector(make_modulus(m), counts, int(counts.sum()))
+    counts = np.zeros(q, dtype=np.int64)
+    counts[rng.choice(q, nnz, replace=False)] = rng.integers(1, 2000, nnz)
+    mv = _vector(counts)
     with mock.patch.object(spectra, "_direct_dft", wraps=spectra._direct_dft) as direct, mock.patch.object(
         spectra, "_fft_dft", wraps=spectra._fft_dft
     ) as fft:
-        got = dft_counts(mv, q).amplitudes
+        got = dft_counts(mv)
     assert (direct.call_count, fft.call_count) == ((1, 0) if side == "direct" else (0, 1))
     nz = np.flatnonzero(counts)
     want = naive_dft(_reduced(dict(zip(nz.tolist(), counts[nz].tolist())), q), q)
@@ -153,9 +148,9 @@ def test_amplitude_zero_equals_mass():
         m = int(rng.integers(2, 2000))
         a = _set(m, random_subset(rng, m, int(rng.integers(1, min(m, 60) + 1))))
         mv = additive_rep(a, a, 1)
-        spec = dft_counts(mv, m)
-        assert abs(spec.amplitudes[0].real - mv.total_mass) <= 1e-12 * max(mv.total_mass, 1)
-        assert abs(spec.amplitudes[0].imag) <= 1e-12 * max(mv.total_mass, 1)
+        spec = dft_counts(mv)
+        assert abs(spec[0].real - mv.total_mass) <= 1e-12 * max(mv.total_mass, 1)
+        assert abs(spec[0].imag) <= 1e-12 * max(mv.total_mass, 1)
 
 
 def test_parseval_identity_for_counts():
@@ -165,46 +160,56 @@ def test_parseval_identity_for_counts():
         mod = make_modulus(m)
         a = residue_set(mod, random_subset(rng, m, int(rng.integers(1, m + 1))))
         mv = additive_rep(a, a, 1)
-        for q in mod.divisors:
-            spec = dft_counts(mv, q)
+        for q in mod.divisors[1:]:
             dense = mv.dense_mod(q)
-            lhs = float(np.sum(np.abs(spec.amplitudes) ** 2))
+            spec = dft_counts(_vector(dense))
+            lhs = float(np.sum(np.abs(spec) ** 2))
             rhs = q * float(np.dot(dense, dense))
             assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
 def test_max_nontrivial_examples():
+    # The per-period oracle and the divisor-1 entry of the grouped peaks.
     spec = spectrum_of_set(_set(13, range(1, 13)))
     freq, mag = max_nontrivial(spec)
     assert freq == 1 and mag == pytest.approx(1.0)
+    assert gcd_class_peaks(spec).tolist() == [mag]
 
     delta = spectrum_of_set(_set(11, [0]))
     assert max_nontrivial(delta) == (1, pytest.approx(1.0))
+    assert gcd_class_peaks(delta).tolist() == [max_nontrivial(delta)[1]]
 
-    mod5 = make_modulus(5)
     q = unit_quotient_rep(_set(5, [1, 2, 4]), _set(5, [1, 2]))
-    _, mag = max_nontrivial(dft_counts(q, 5))
+    _, mag = max_nontrivial(dft_counts(q))
     assert mag <= math.sqrt(5 * 3 * 2) * (1 + REL_SLACK)
+    assert gcd_class_peaks(dft_counts(q)).tolist() == [mag]
 
 
 def test_max_nontrivial_skips_noncoprime_frequencies():
     # multiples of 3 mod 9 have amplitude 3 at frequencies 3 and 6; both
-    # are skipped because gcd(n, 9) > 1
+    # are skipped because gcd(n, 9) > 1, and make up the class gcd = 3
     spec = spectrum_of_set(_set(9, [0, 3, 6]))
     freq, mag = max_nontrivial(spec)
     assert math.gcd(freq, 9) == 1
     assert mag == pytest.approx(0.0, abs=1e-9)
-    with pytest.raises(ValueError):
-        max_nontrivial(dft_counts(indicator(_set(4, [1])), 1))
+    coprime, threes = gcd_class_peaks(spec).tolist()
+    assert coprime == mag and threes == pytest.approx(3.0)
 
 
-def test_coprime_frequencies_equal_the_gcd_definition():
-    m = 720720
-    for q in make_modulus(m).divisors[1:]:
-        freqs = np.arange(1, q, dtype=np.int64)
-        want = freqs[np.gcd(freqs, q) == 1]
-        got = _coprime_frequencies(q)
-        assert got.dtype == want.dtype and np.array_equal(got, want), q
+def test_gcd_classes_equal_the_gcd_definition():
+    for m in (2, 9, 36, 97, 720720):
+        freqs, starts = _gcd_classes(m)
+        k = np.arange(1, m, dtype=np.int64)
+        g = np.gcd(k, m)
+        # k sorted by gcd class, ascending within each class
+        order = np.argsort(g, kind="stable")
+        assert np.array_equal(np.arange(m)[freqs], k[order]), m
+        divisors = make_modulus(m).divisors[:-1]
+        assert np.array_equal(g[order][starts], divisors), m
+        assert np.array_equal(starts, np.searchsorted(g[order], divisors)), m
+        assert not starts.flags.writeable
+        if not make_modulus(m).is_prime:
+            assert freqs.dtype == np.int32 and not freqs.flags.writeable
 
 
 def test_spectral_quadruple_count_examples():
@@ -250,9 +255,10 @@ def test_parseval_bound_spectral_crosscheck():
         m = int(rng.integers(2, 150))
         mod = make_modulus(m)
         a = residue_set(mod, random_subset(rng, m, int(rng.integers(1, m + 1))))
+        full = spectrum_of_set(a)
         for q in mod.divisors:
-            spec = dft_counts(indicator(a), q)
-            power = float(np.sum(np.abs(spec.amplitudes) ** 2))
+            spec = full[:: m // q]  # S_q(n) = S_m(n m/q)
+            power = float(np.sum(np.abs(spec) ** 2))
             check = parseval_bound_check(a, q)
             assert power == pytest.approx(check.lhs, rel=1e-9)
 
@@ -293,7 +299,7 @@ def test_divisor_rows_sliced_from_the_full_spectrum_equal_fresh_transforms():
             rows = []
             for e in mod.divisors[:-1]:
                 row = divisor_square_bound(d, e)
-                fresh = max_nontrivial(dft_counts(d.quotients, m // e))[1]
+                fresh = max_nontrivial(dft_counts(_vector(d.quotients.dense_mod(m // e))))[1]
                 # a peak that is 0 in exact arithmetic reads as transform
                 # rounding noise, which scales with the mass of the counts
                 noise = 1e-12 * d.quotients.total_mass
@@ -301,6 +307,47 @@ def test_divisor_rows_sliced_from_the_full_spectrum_equal_fresh_transforms():
                 assert row.holds == (fresh * fresh <= row.rhs * (1 + REL_SLACK))
                 rows.append(row.holds)
             assert _named(ring_checks(d))["divisor_square_bound"].holds == all(rows)
+
+
+_PRIMES = (2, 3, 5, 7, 11, 13, 101, 499, 4093, 5039)
+_PRIME_POWERS = (4, 8, 9, 16, 25, 27, 32, 49, 81, 121, 125, 128, 243, 343, 625, 729, 1024, 2187, 3125, 4096)
+_TWICE_ODD = (6, 10, 14, 18, 22, 30, 42, 50, 90, 126, 198, 210, 462, 1170, 2310, 4998)
+_HIGHLY_COMPOSITE = (12, 24, 36, 48, 60, 120, 180, 240, 360, 720, 840, 1260, 1680, 2520, 5040)
+
+
+@st.composite
+def _peak_case(draw):
+    """Counts over Z_m: all zero, the indicator of a symmetric set (A = -A,
+    so |S(k)| = |S(-k)| and classes hold exact or near ties), the
+    indicator of any set, or the quotient counts of a set of units."""
+    m = draw(st.sampled_from(_PRIMES + _PRIME_POWERS + _TWICE_ODD + _HIGHLY_COMPOSITE))
+    kind = draw(st.sampled_from(("zero", "symmetric", "set", "quotients")))
+    elems = sorted(draw(st.sets(st.integers(0, m - 1), max_size=60)))
+    if kind == "zero":
+        return m, kind, np.zeros(m, dtype=np.int64)
+    if kind == "symmetric":
+        elems = sorted(set(elems) | {-x % m for x in elems})
+    if kind == "quotients":
+        units = _set(m, [x for x in elems if math.gcd(x, m) == 1])
+        return m, kind, unit_quotient_rep(units, units).counts
+    return m, kind, indicator(_set(m, elems)).counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(_peak_case())
+@example((36, "symmetric", indicator(_set(36, [1, 35, 5, 31, 6, 30])).counts))
+@example((5040, "zero", np.zeros(5040, dtype=np.int64)))
+def test_gcd_class_peaks_equal_the_per_period_oracle_bit_for_bit(case):
+    m, kind, counts = case
+    spectrum = dft_counts(_vector(counts))
+    peaks = gcd_class_peaks(spectrum)
+    divisors = make_modulus(m).divisors[:-1]
+    assert peaks.shape == (len(divisors),)
+    # The row at period m/d reads every d-th amplitude of the one spectrum.
+    want = [max_nontrivial(spectrum[::d])[1] for d in divisors]
+    assert peaks.tolist() == want, (m, kind)
+    if kind == "zero":
+        assert not peaks.any()
 
 
 def test_cauchy_schwarz_check_random():

@@ -82,7 +82,8 @@ def test_sweep_config_validation(tmp_path):
     with pytest.raises(ValueError, match="prime"):
         run_sweep(SweepConfig(8, "prime", (2,), 1, 0))
     with pytest.raises(ValueError, match="available"):
-        run_sweep(SweepConfig(7, "prime", (7,), 1, 0, exclude_zero=True))
+        run_sweep(SweepConfig(7, "prime", (7,), 1, 0))  # prime sweeps are zero-free
+    assert len(run_sweep(SweepConfig(7, "ring", (7,), 1, 0))) == 1  # ring sweeps may draw 0
     with pytest.raises(ValueError, match="trials"):
         run_sweep(SweepConfig(7, "prime", (2,), 0, 0))
     with pytest.raises(ValueError, match="sizes"):
@@ -97,7 +98,6 @@ def test_sweep_deterministic_across_threads(tmp_path):
         trials=12,
         seed=42,
         out_path=str(tmp_path / out),
-        exclude_zero=True,
     )
     rows_a = run_sweep(cfg("a.csv"), threads=1)
     rows_b = run_sweep(cfg("b.csv"), threads=1)
@@ -112,7 +112,7 @@ def test_sweep_deterministic_across_threads(tmp_path):
 
 
 def test_sweep_rows_revalidate_against_fresh_reports():
-    cfg = SweepConfig(101, "prime", (4, 9), 6, 7, exclude_zero=True)
+    cfg = SweepConfig(101, "prime", (4, 9), 6, 7)
     rows = run_sweep(cfg, threads=2)
     mod = make_modulus(101)
     from sumprod.sweeps import _draw_subset
@@ -144,7 +144,7 @@ def test_ring_sweep_rows():
 
 
 def test_csv_float_formatting_roundtrips(tmp_path):
-    cfg = SweepConfig(13, "prime", (3,), 4, 5, out_path=str(tmp_path / "r.csv"), exclude_zero=True)
+    cfg = SweepConfig(13, "prime", (3,), 4, 5, out_path=str(tmp_path / "r.csv"))
     rows = run_sweep(cfg, threads=1)
     lines = (tmp_path / "r.csv").read_text().splitlines()[1:]
     for line, row in zip(lines, rows):
