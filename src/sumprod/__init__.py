@@ -21,7 +21,6 @@ from .residues import (
     find_generator,
     make_modulus,
     min_gcd,
-    mod_inverse,
     residue_set,
     unit_part,
 )

@@ -150,16 +150,6 @@ def residue_set(modulus: Modulus, elements: Iterable[int]) -> ResidueSet:
     return ResidueSet(modulus, values.astype(np.int64, copy=False))
 
 
-def mod_inverse(a: int, mod: Modulus) -> int:
-    """Return b with a*b = 1 (mod m), or raise NonInvertibleError with the gcd."""
-    m = mod.m
-    a = a % m
-    g = math.gcd(a, m)
-    if g != 1:
-        raise NonInvertibleError(a, m, g)
-    return pow(a, -1, m)
-
-
 def find_generator(mod: Modulus) -> int:
     """Smallest generator of the multiplicative group mod a prime p.
 

@@ -3,33 +3,17 @@ functions over Z_m.
 
 Each operation has one exact result; the dispatch inside it only picks how
 that result is computed, and every path agrees with the pair-enumeration
-oracles in the test suite.
-
-* Representation counts (`indicator`, `additive_rep`, `unit_quotient_rep`)
-  are read-only int64 arrays of length m. Each constructor first checks
-  the memory budget: `BYTES_PER_RESIDUE * m`, the measured peak of a report
-  per residue, must fit in the machine's physical memory, or it raises
-  ValueError before any length-m allocation.
-* A count is a cyclic correlation counts[t] = #{(x, y) : x + s y = t mod n}:
-  over Z_m for `additive_rep`, and for `unit_quotient_rep` over a prime
-  modulus in discrete-log coordinates over Z_{p-1} (a 0 in the numerator
-  set adds |A| to counts[0]). `_cyclic_counts` computes it with a real FFT
-  of a 5-smooth length L >= 2n - 1 when `_fft_pays` (|X||Y| > L log2 L,
-  decided from the sizes alone, before any discrete-log table is built),
-  rounding to int64 only when an a-priori error bound, the largest
-  rounding residual and the total mass all certify it; otherwise, and for
-  quotient counts over a composite modulus, it enumerates pairs.
-* Sum sets: `sumset` reads A+B off the support of the additive counts when
-  their FFT pays, and otherwise enumerates pairs.
-* Product sets: pair enumeration, or for a prime modulus and
-  |A||B| > 4m an exponent sum set on bit masks in discrete-log
-  coordinates (`_dlog_arrays`), mapped back to residues and sorted. 0 is
-  stripped first and put back in front unless the pair products already
-  hold it (over a composite modulus non-units can multiply to 0).
-* Pair enumeration runs over one generator of int64 pair-value blocks
-  (`_pair_blocks`): counts bincount each block, and a set scatters it into
-  one length-m boolean array for m <= `BITSET_LIMIT` (2^24), or merges the
-  np.unique of every block above that.
+oracles in the test suite. Counts (`indicator`, `additive_rep`,
+`unit_quotient_rep`) are read-only int64 arrays of length m, built only
+once the memory budget `BYTES_PER_RESIDUE * m` fits in physical memory.
+A count is a cyclic correlation, over Z_m or over the axes of the unit
+group (`_unit_group`): one exact rfftn (`_cyclic_counts`) when `_fft_pays`,
+pair enumeration otherwise. `sumset` reads A+B off the support of the
+additive counts when their FFT pays; `productset` forms, over a prime with
+|A||B| > 4m, an exponent sum set on bit masks in discrete-log coordinates.
+Otherwise pairs are enumerated in int64 blocks (`_pair_blocks`), each
+bincounted into counts or, for a set, scattered into a length-m boolean
+array (m <= `BITSET_LIMIT`, 2^24) or merged by np.unique above it.
 """
 
 from __future__ import annotations
@@ -48,6 +32,7 @@ from .residues import Modulus, NonInvertibleError, ResidueSet, find_generator, m
 BITSET_LIMIT = 1 << 24
 # Cap on elements materialized per vectorized chunk.
 _CHUNK_ELEMS = 1 << 22
+_SELF_ROWS = 32  # fewest rows in a block of a set's pairs with itself
 # Peak memory of a report per residue: a field report with its spectral
 # checks (p = 1000003 and 2097143, |A| = 300 and 1000) raises the peak RSS
 # by 240-265 bytes per residue, of which tracemalloc sees about 129 (it
@@ -136,28 +121,33 @@ def _require_same_modulus(a: ResidueSet, b: ResidueSet) -> Modulus:
     return a.modulus
 
 
-def _pair_blocks(a: np.ndarray, b: np.ndarray, m: int, combine: np.ufunc):
+def _pair_blocks(a: np.ndarray, b: np.ndarray, m: int, combine: np.ufunc, same=False):
     """combine(a[i], b[j]) mod m over all pairs, in flat blocks of about
     _CHUNK_ELEMS values, chunked over a and reduced in place. Entries are in
     [0, m) with m <= 2^31, so every sum and product is below 2^62: exact in
-    int64."""
+    int64.
+
+    With same (b is a) rows [lo, hi) meet b[lo:] alone: k blocks of at least
+    _SELF_ROWS rows form (k + 1) / (2k) of the n^2 pairs, 9/16 for k = 8."""
     if a.size and b.size:
         step = max(1, _CHUNK_ELEMS // b.size)
+        if same:
+            step = min(step, max(_SELF_ROWS, -(-a.size // 8)))
         for lo in range(0, a.size, step):
-            vals = combine(a[lo : lo + step, None], b[None, :])
+            vals = combine(a[lo : lo + step, None], b[lo if same else 0 :][None, :])
             yield np.remainder(vals, m, out=vals).ravel()
 
 
-def _pairwise_values(a: np.ndarray, b: np.ndarray, m: int, combine: np.ufunc) -> np.ndarray:
+def _pairwise_values(a: np.ndarray, b: np.ndarray, m: int, combine: np.ufunc, same=False) -> np.ndarray:
     """Sorted distinct pair values of _pair_blocks: scattered into one
     length-m boolean array (at most 16 MiB) for m <= BITSET_LIMIT, merged
     from each block's np.unique above it."""
     if m <= BITSET_LIMIT:
         seen = np.zeros(m, dtype=bool)
-        for vals in _pair_blocks(a, b, m, combine):
+        for vals in _pair_blocks(a, b, m, combine, same):
             seen[vals] = True
         return np.flatnonzero(seen)
-    pieces = [np.unique(vals) for vals in _pair_blocks(a, b, m, combine)]
+    pieces = [np.unique(vals) for vals in _pair_blocks(a, b, m, combine, same)]
     return np.unique(np.concatenate(pieces)) if pieces else np.empty(0, dtype=np.int64)
 
 
@@ -178,7 +168,7 @@ def sumset(a_set: ResidueSet, b_set: ResidueSet) -> ResidueSet:
     if _fft_pays(a.size * b.size, m):
         vals = np.flatnonzero(additive_rep(a_set, b_set, 1).counts)
     else:
-        vals = _pairwise_values(a, b, m, np.add)
+        vals = _pairwise_values(a, b, m, np.add, a_set is b_set)
     return ResidueSet(mod, vals)
 
 
@@ -189,32 +179,85 @@ def _rotate_mask(mask: int, shift: int, m: int, full: int) -> int:
     return ((mask << shift) | (mask >> (m - shift))) & full
 
 
-def _powers(base: int, count: int, m: int) -> np.ndarray:
-    out = np.empty(count, dtype=np.int64)
-    acc = 1
-    for k in range(count):
-        out[k] = acc
-        acc = acc * base % m
+def _power_table(g: int, count: int, m: int) -> np.ndarray:
+    """g^e mod m for e in [0, count): giant powers g^(kB) times baby powers
+    g^j, B = ceil(sqrt(count)), both below m <= 2^31 (exact in int64)."""
+    step = math.isqrt(count - 1) + 1
+    giant = np.array([pow(g, step * k, m) for k in range(-(-count // step))], dtype=np.int64)
+    baby = np.array([pow(g, j, m) for j in range(step)], dtype=np.int64)
+    return _outer_products([giant, baby], m)[:count]
+
+
+def _outer_products(tables: list[np.ndarray], m: int) -> np.ndarray:
+    """x_1 ... x_r mod m over one entry of each table, in C order."""
+    out = np.ones(1, dtype=np.int64)
+    for table in tables:
+        out = (out[:, None] * table[None, :] % m).ravel()
     return out
 
 
-@lru_cache(maxsize=16)
-def _dlog_arrays(m: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """Cached (g, exponent-of-residue, residue-of-exponent) tables for prime m.
+def _prime_power_axes(p: int, k: int, m: int) -> list[tuple[int, int]]:
+    """(length, generator mod p^k) of each cyclic axis of (Z/p^k)^x
+    (Ireland-Rosen, ch. 4): odd p^k has one, generated by the smallest
+    primitive root g mod p, or g + p if g^(p-1) = 1 mod p^2; 4 one; 2^k with
+    k >= 3 two (-1 and 5); 2 none (Z_2 itself: one of length 1)."""
+    if p > 2:
+        g = find_generator(make_modulus(p))
+        return [(p ** (k - 1) * (p - 1), g + p if k > 1 and pow(g, p - 1, p * p) == 1 else g)]
+    return [(2, p**k - 1), (2 ** (k - 2), 5)] if k > 2 else [(2, 3)] if k == 2 else [(1, 1)] if m == 2 else []
 
-    g^(kB + j) is giant power g^(kB) times baby power g^j with
-    B = ceil(sqrt(m - 1)); both factors are below m < 2^31, so their product
-    is exact in int64.
-    """
-    g = find_generator(make_modulus(m))
-    order = m - 1
-    step = max(1, math.isqrt(order - 1) + 1)
-    baby = _powers(g, step, m)
-    giant = _powers(pow(g, step, m), -(-order // step), m)
-    pow_of = (giant[:, None] * baby[None, :] % m).ravel()[:order]
-    exp_of = np.zeros(m, dtype=np.int64)
-    exp_of[pow_of] = np.arange(order, dtype=np.int64)
-    return g, _freeze(exp_of), _freeze(pow_of)
+
+@lru_cache(maxsize=64)
+def _unit_shape(m: int) -> tuple[int, ...]:
+    """The axis lengths of _unit_group(m), without its tables."""
+    factors = make_modulus(m).factorization
+    lengths = (n for p, k in factors for n, _ in _prime_power_axes(p, k, m))
+    return tuple(sorted(lengths, key=lambda n: (_transform_length(n), n)))
+
+
+@lru_cache(maxsize=16)
+def _unit_group(m: int) -> tuple[tuple[int, ...], np.ndarray, tuple[tuple[int, np.ndarray], ...]]:
+    """(Z/m)^x as the product of the axes of its prime powers q, each
+    generator lifted to itself mod q and 1 mod m/q. Returns _unit_shape(m),
+    ascending in transform length (rfftn halves the last axis: at m = 720720
+    the reverse order costs 61 ms per transform against 7 ms), the int64
+    residue of every element in C order, and per axis (q, an int32 table
+    from units mod q to coordinates); a prime's one axis is its discrete log."""
+    axes = []
+    for p, k in make_modulus(m).factorization:
+        q, gens = p**k, _prime_power_axes(p, k, m)
+        lift = m // q * pow(m // q, -1, q)  # 1 mod q, 0 mod m/q
+        powers = [_power_table((1 + (g - 1) * lift) % m, n, m) for n, g in gens]
+        own, coords = _outer_products(powers, m) % q, np.indices([n for n, _ in gens])
+        for (n, _), table, coord in zip(gens, powers, coords.reshape(len(gens), own.size)):
+            log = np.zeros(q, dtype=np.int32)
+            log[own] = coord
+            axes.append((n, table, q, _freeze(log)))
+    axes.sort(key=lambda axis: (_transform_length(axis[0]), axis[0]))
+    residues = _outer_products([table for _, table, _, _ in axes], m)
+    return tuple(n for n, *_ in axes), _freeze(residues), tuple((q, log) for *_, q, log in axes)
+
+
+def _inverses(units: np.ndarray, mod: Modulus) -> np.ndarray:
+    """u^-1 = u^(phi(m) - 1) mod m (Euler) for every unit u, squaring and
+    multiplying all of them at once; each product is below m^2 <= 2^62."""
+    m, e = mod.m, math.prod(p ** (k - 1) * (p - 1) for p, k in mod.factorization) - 1
+    out, base = np.ones_like(units), units.copy()
+    while e:
+        if e & 1:
+            out = out * base % m
+        base, e = base * base % m, e >> 1
+    return out
+
+
+def _units_mask(arr: np.ndarray, mod: Modulus) -> np.ndarray:
+    """Which entries of arr are units mod m (a remainder per prime costs less than np.gcd)."""
+    return np.logical_and.reduce([arr % p != 0 for p, _ in mod.factorization])
+
+
+def _coords(logs: tuple[tuple[int, np.ndarray], ...], units: np.ndarray, m: int) -> tuple:
+    """The coordinate rows of units mod m on the axes of _unit_group."""
+    return tuple(log[units % q if q < m else units] for q, log in logs)
 
 
 def productset(a_set: ResidueSet, b_set: ResidueSet) -> ResidueSet:
@@ -232,7 +275,7 @@ def productset(a_set: ResidueSet, b_set: ResidueSet) -> ResidueSet:
     # A 0 is the first entry of a sorted array.
     a_arr, b_arr = a_set.array[int(a_zero) :], b_set.array[int(b_zero) :]
     if mod.is_prime and 2 < m <= BITSET_LIMIT and a_arr.size * b_arr.size > 4 * m:
-        _, exp_of, pow_of = _dlog_arrays(m)
+        _, pow_of, ((_, exp_of),) = _unit_group(m)
         group = m - 1
         full = (1 << group) - 1
         bits = np.zeros(group, dtype=np.uint8)
@@ -247,7 +290,7 @@ def productset(a_set: ResidueSet, b_set: ResidueSet) -> ResidueSet:
         )
         vals = np.sort(pow_of[exps])
     else:
-        vals = _pairwise_values(a_arr, b_arr, m, np.multiply)
+        vals = _pairwise_values(a_arr, b_arr, m, np.multiply, a_set is b_set)
     # Over a composite modulus the pair products may already include 0.
     if zero_in_result and not (vals.size and vals[0] == 0):
         vals = np.concatenate((np.zeros(1, dtype=np.int64), vals))
@@ -265,39 +308,48 @@ def dilate(c: int, a_set: ResidueSet) -> ResidueSet:
 def _fft_length(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= 2n - 1: the linear convolution of two
     length-n inputs fits without wrapping, and pocketfft is fast on such
-    lengths (n = p and n = p - 1 are not smooth)."""
+    lengths (n = p and n = p - 1 are not smooth); n <= 2^31."""
     need = 2 * n - 1
-    best = 1 << (need - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            p = p35
-            while p < need:
-                p *= 2
-            best = min(best, p)
-            p35 *= 3
-        p5 *= 5
-    return best
+    odd = (3**b * 5**c for b in range(21) for c in range(15) if 3**b * 5**c < 2 * need)
+    return min(s << ((need - 1) // s).bit_length() for s in odd)
 
 
-def _fft_pays(pairs: int, n: int) -> bool:
-    """The FFT gate of every count over Z_n: an FFT of length L must cost
-    less, about L log2 L, than enumeration at one step per pair."""
-    length = _fft_length(n)
-    return pairs > length * math.log2(length)
+def _transform_length(n: int) -> int:
+    """n if it is 5-smooth (as n < 2^32: it divides 2^32 3^21 5^14), as it is;
+    otherwise _fft_length(n), zero-padded and then folded mod n."""
+    return n if 2**32 * 3**21 * 5**14 % n == 0 else _fft_length(n)
 
 
-# c and u of the a-priori FFT error bound c u log2(L) |X| |Y| < 1/4 derived
+# Enumeration steps per extra FFT axis (three more pocketfft passes): the
+# measured crossovers at m = 720, 3600 and 4096 put it at 9,500 to 14,500.
+_AXIS_STEPS = 1 << 13
+
+
+def _fft_pays(pairs: int, *shape: int) -> bool:
+    """The FFT gate of every count over Z_n1 x ... x Z_nr: a transform of
+    size S, the product of the axes' transform lengths, must cost less,
+    about S log2 S plus _AXIS_STEPS per axis after the first, than
+    enumeration at one step per pair."""
+    size = math.prod(map(_transform_length, shape))
+    return pairs > size * math.log2(size) + _AXIS_STEPS * (len(shape) - 1)
+
+
+# c and u of the a-priori FFT error bound c u log2(S) |X| |Y| < 1/4 derived
 # in _cyclic_counts; u is the unit roundoff of float64.
 _FFT_ERROR_CONSTANT = 64
 _UNIT_ROUNDOFF = 2.0**-53
 
 
-def _cyclic_counts(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
-    """counts[t] = #{(i, j) : x[i] + y[j] = t (mod n)}, exactly, for x, y
-    with entries in [0, n): the real FFT of the two histograms, zero-padded
-    to L = _fft_length(n), gives their linear convolution, folded mod n.
+def _histogram(coords: tuple, padded: tuple[int, ...]) -> np.ndarray:
+    counts = np.bincount(np.ravel_multi_index(coords, padded), minlength=math.prod(padded))
+    return counts.reshape(padded).astype(np.float64)
+
+
+def _cyclic_counts(x: tuple, y: tuple, *shape: int) -> np.ndarray | None:
+    """counts[t] = #{(i, j) : x[i] + y[j] = t} over Z_n1 x ... x Z_nr, in C
+    order, exactly (None if the guard fails); x, y hold a coordinate row per
+    axis, padded to L >= 2n - 1 and folded mod n unless n is 5-smooth. rfftn
+    composes 1-D transforms, so t = log2 S = sum log2 L_i below.
 
     Error bound. Higham (Accuracy and Stability of Numerical Algorithms,
     2nd ed., Thm 24.2) bounds a computed length-L FFT by
@@ -315,23 +367,27 @@ def _cyclic_counts(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
     real-input transforms, which the radix-2 theorem does not cover.
 
     The result is rounded to int64 only when c u t N < 1/4, the largest
-    rounding residual is below 1/4 and the rounded counts sum to N;
-    otherwise the pairs are enumerated.
+    rounding residual is below 1/4 and the rounded counts sum to N.
     """
-    pairs = x.size * y.size
-    length = _fft_length(n)
-    bound = _FFT_ERROR_CONSTANT * _UNIT_ROUNDOFF * max(1.0, math.log2(length)) * pairs
-    if pairs and bound < 0.25:
-        spectrum = np.fft.rfft(np.bincount(x, minlength=length).astype(np.float64))
-        spectrum *= np.fft.rfft(np.bincount(y, minlength=length).astype(np.float64))
-        linear = np.fft.irfft(spectrum, length)
-        rounded = np.rint(linear)
-        if float(np.max(np.abs(linear - rounded))) < 0.25:
-            counts = rounded[:n].astype(np.int64)
-            counts[: n - 1] += rounded[n : 2 * n - 1].astype(np.int64)
-            if int(counts.sum()) == pairs:
-                return counts
-    return _pair_counts(x, y, n)
+    pairs = x[0].size * y[0].size
+    padded = tuple(map(_transform_length, shape))
+    bound = _FFT_ERROR_CONSTANT * _UNIT_ROUNDOFF * max(1.0, sum(map(math.log2, padded))) * pairs
+    if not (pairs and bound < 0.25):
+        return None
+    spectrum = np.fft.rfftn(_histogram(x, padded))
+    spectrum *= np.fft.rfftn(_histogram(y, padded))
+    linear = np.fft.irfftn(spectrum, padded, axes=range(len(padded)))
+    rounded = np.rint(linear)
+    if float(np.max(np.abs(linear - rounded))) >= 0.25:
+        return None
+    # The rounded entries are integers below 2^53: folding them is exact.
+    for axis, (n, length) in enumerate(zip(shape, padded)):
+        if length > n:
+            lead = (slice(None),) * axis
+            rounded[lead + (slice(0, n - 1),)] += rounded[lead + (slice(n, 2 * n - 1),)]
+            rounded = rounded[lead + (slice(0, n),)]
+    counts = rounded.astype(np.int64).ravel()
+    return counts if int(counts.sum()) == pairs else None
 
 
 def additive_rep(a_set: ResidueSet, b_set: ResidueSet, sign: int) -> MultiplicityVector:
@@ -342,35 +398,37 @@ def additive_rep(a_set: ResidueSet, b_set: ResidueSet, sign: int) -> Multiplicit
     m, a_arr = mod.m, a_set.array
     _require_fits(m)
     b_arr = b_set.array if sign == 1 else (-b_set.array) % m
-    if _fft_pays(a_arr.size * b_arr.size, m):
-        return _mv_from_dense(mod, _cyclic_counts(a_arr, b_arr, m))
-    return _mv_from_dense(mod, _pair_counts(a_arr, b_arr, m))
+    pays = _fft_pays(a_arr.size * b_arr.size, m)
+    counts = _cyclic_counts((a_arr,), (b_arr,), m) if pays else None
+    return _mv_from_dense(mod, _pair_counts(a_arr, b_arr, m) if counts is None else counts)
 
 
 def unit_quotient_rep(x_set: ResidueSet, a_set: ResidueSet) -> MultiplicityVector:
     """counts[t] = number of pairs (x, a) with x * a^{-1} = t (mod m).
 
-    Every element of the denominator set must be a unit of Z_m. Over a
-    prime modulus x a^{-1} = g^(log x - log a), so the counts of the
-    units of X are a cyclic correlation of discrete logs over Z_{m-1}.
-    """
+    Every element of the denominator set must be a unit of Z_m. In the
+    coordinates of `_unit_group` x a^{-1} is x - a, a cyclic correlation for
+    unit x; non-units (a prime's 0) are enumerated against the inverses, and
+    so is every x when the FFT does not pay or its guard fails."""
     mod = _require_same_modulus(x_set, a_set)
     m = mod.m
     _require_fits(m)
     a_arr, x_arr = a_set.array, x_set.array
-    shared = np.gcd(a_arr, m)
-    if np.any(shared != 1):
-        first = int(np.argmax(shared != 1))
-        raise NonInvertibleError(int(a_arr[first]), m, int(shared[first]))
-    if mod.is_prime:
-        has_zero = x_arr.size > 0 and x_arr[0] == 0
-        x_units = x_arr[1:] if has_zero else x_arr
-        if _fft_pays(x_units.size * a_arr.size, m - 1):
-            _, exp_of, pow_of = _dlog_arrays(m)
-            counts = np.zeros(m, dtype=np.int64)
-            counts[pow_of] = _cyclic_counts(exp_of[x_units], -exp_of[a_arr] % (m - 1), m - 1)
-            counts[0] = a_arr.size if has_zero else 0
-            return _mv_from_dense(mod, counts)
-    inverses = np.array([pow(a, -1, m) for a in a_arr.tolist()], dtype=np.int64)
-    return _mv_from_dense(mod, _pair_counts(x_arr, inverses, m, np.multiply))
-
+    a_units = _units_mask(a_arr, mod)
+    if not a_units.all():
+        first = int(a_arr[np.argmin(a_units)])
+        raise NonInvertibleError(first, m, math.gcd(first, m))
+    x_units, shape = _units_mask(x_arr, mod), _unit_shape(m)
+    flat = None
+    if _fft_pays(int(np.count_nonzero(x_units)) * a_arr.size, *shape):
+        _, residues, logs = _unit_group(m)
+        # An inverse is the negated coordinates.
+        inv_coords = tuple(-c % n for c, n in zip(_coords(logs, a_arr, m), shape))
+        flat = _cyclic_counts(_coords(logs, x_arr[x_units], m), inv_coords, *shape)
+    if flat is None:
+        return _mv_from_dense(mod, _pair_counts(x_arr, _inverses(a_arr, mod), m, np.multiply))
+    counts = np.zeros(m, dtype=np.int64)
+    counts[residues] = flat
+    if not x_units.all():  # a non-unit over a unit is a non-unit: disjoint parts
+        counts += _pair_counts(x_arr[~x_units], _inverses(a_arr, mod), m, np.multiply)
+    return _mv_from_dense(mod, counts)

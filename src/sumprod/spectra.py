@@ -66,23 +66,24 @@ def spectrum_of_set(a_set: ResidueSet) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _gcd_classes(m: int) -> tuple[np.ndarray | slice, np.ndarray]:
+def _gcd_classes(m: int) -> tuple[np.ndarray | slice, np.ndarray, np.ndarray]:
     """The frequencies [1, m) grouped by gcd(k, m) over the proper divisors
-    d of m, ascending in d and inside each group, and where each group
-    starts. gcd(k, m) = d exactly when k = d n with n coprime to m/d, so a
-    group is d times a sieve over [0, m/d), never empty (n = 1). They fit
-    int32 (m <= 2^31); for a prime m the one group is the slice [1, m).
+    d of m, ascending in d and inside each group, where each group starts,
+    and its length. gcd(k, m) = d exactly when k = d n with n coprime to m/d,
+    so a group is d times a sieve over [0, m/d), never empty (n = 1). They
+    fit int32 (m <= 2^31); for a prime m the one group is the slice [1, m).
     """
     mod = make_modulus(m)
     if mod.is_prime:
-        return slice(1, m), _freeze(np.zeros(1, dtype=np.int64))
+        return slice(1, m), _freeze(np.zeros(1, dtype=np.int64)), _freeze(np.array([m - 1]))
     groups = []
     for d in mod.divisors[:-1]:
         coprime = np.ones(m // d, dtype=bool)
         for prime in (p for p, _ in mod.factorization if (m // d) % p == 0):
             coprime[::prime] = False
         groups.append((d * np.flatnonzero(coprime)).astype(np.int32))
-    return _freeze(np.concatenate(groups)), _freeze(np.cumsum([0] + [g.size for g in groups[:-1]]))
+    lengths = np.array([g.size for g in groups])
+    return _freeze(np.concatenate(groups)), _freeze(np.cumsum(lengths) - lengths), _freeze(lengths)
 
 
 def gcd_class_peaks(spectrum: np.ndarray) -> np.ndarray:
@@ -90,9 +91,9 @@ def gcd_class_peaks(spectrum: np.ndarray) -> np.ndarray:
     |S(k)| over the k in [1, m) with gcd(k, m) = d: the row at period m/d,
     since S_{m/d}(n) = S(d n). Within 1e-12 relative of the peak the
     smallest k wins, so rounding noise cannot reorder tied frequencies."""
-    freqs, starts = _gcd_classes(spectrum.size)
+    freqs, starts, lengths = _gcd_classes(spectrum.size)
     mags = np.abs(spectrum)[freqs]
     peaks = np.maximum.reduceat(mags, starts)
     # Each class holds its own peak, so its first hit lies inside it.
-    hits = np.flatnonzero(mags >= np.repeat(peaks * (1 - 1e-12), np.diff(starts, append=mags.size)))
+    hits = np.flatnonzero(mags >= np.repeat(peaks * (1 - 1e-12), lengths))
     return mags[hits[np.searchsorted(hits, starts)]]

@@ -217,30 +217,34 @@ def write_csv(rows: list[SweepRow], path: str) -> None:
             handle.write(format_row(row) + "\n")
 
 
+def _pool_pays(cfg: SweepConfig) -> bool:
+    """Whether worker threads speed the sweep up, from its sizes alone: a
+    cell holds the GIL between numpy kernels, so only long kernels pay.
+    run_sweep speed-up on 2 threads (2 shared vCPUs, numpy 2.4): prime 499,
+    sizes 8 to 498: 0.42-0.67x; rings 3600 and 6000, 8/64/512: 0.64-0.95x;
+    prime 4099: 0.80-1.04x; ring 8192: 1.02x; prime 8191: 1.31-1.63x; prime
+    10007, 8/32: 0.85-1.40x, 1000/3000: 1.35-1.51x; ring 3600, 1000/2000:
+    1.55-1.72x; ring 16384: 0.99-1.12x; ring 65536: 1.59-1.77x."""
+    return cfg.modulus >= 1 << 13 or max(cfg.sizes) ** 2 >= 1 << 19
+
+
 def run_sweep(cfg: SweepConfig, threads: int | None = None) -> list[SweepRow]:
     """Run every (size, trial) cell of the sweep; rows come back ordered by
     config position then trial index regardless of scheduling.
 
-    threads affects speed only, never output; None uses machine parallelism.
+    threads bounds the worker threads (None: the CPU count) and affects speed
+    only, never output; cells run on the calling thread unless _pool_pays.
     """
     mod = _validated_modulus(cfg)
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    tasks = [(pos, size, trial) for pos, size in enumerate(cfg.sizes) for trial in range(cfg.trials)]
+    cells = [(size, trial) for size in cfg.sizes for trial in range(cfg.trials)]
     workers = threads or os.cpu_count() or 1
-    results: dict[tuple[int, int], SweepRow] = {}
-    if workers == 1 or len(tasks) == 1:
-        for pos, size, trial in tasks:
-            results[(pos, trial)] = _trial_row(cfg, mod, size, trial)
+    if workers == 1 or len(cells) == 1 or not _pool_pays(cfg):
+        rows = [_trial_row(cfg, mod, size, trial) for size, trial in cells]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                (pos, trial): pool.submit(_trial_row, cfg, mod, size, trial)
-                for pos, size, trial in tasks
-            }
-            for key, fut in futures.items():
-                results[key] = fut.result()
-    rows = [results[(pos, trial)] for pos, size, trial in tasks]
+            rows = list(pool.map(lambda cell: _trial_row(cfg, mod, *cell), cells))
     if cfg.out_path is not None:
         write_csv(rows, cfg.out_path)
     return rows

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from sumprod.residues import NonInvertibleError
+
 # The most quadruples count_quadruples_bruteforce will enumerate.
 BRUTE_FORCE_CAP = 10**9
 
@@ -55,6 +57,16 @@ def naive_quotient_counts(xs, a, m):
             t = x * pow(y, -1, m) % m
             out[t] = out.get(t, 0) + 1
     return out
+
+
+def mod_inverse(a, mod):
+    """b with a*b = 1 (mod m), or NonInvertibleError carrying gcd(a, m)."""
+    m = mod.m
+    a %= m
+    g = math.gcd(a, m)
+    if g != 1:
+        raise NonInvertibleError(a, m, g)
+    return pow(a, -1, m)
 
 
 def naive_dft(counts, q):

@@ -8,13 +8,12 @@ from sumprod.residues import (
     find_generator,
     make_modulus,
     min_gcd,
-    mod_inverse,
     residue_set,
     unit_part,
 )
-from sumprod.setops import _dlog_arrays
+from sumprod.setops import _unit_group
 
-from oracles import multiplicative_order, naive_divisors, naive_dlog_table, smallest_primitive_root
+from oracles import mod_inverse, multiplicative_order, naive_divisors, naive_dlog_table, smallest_primitive_root
 
 
 def test_modulus_examples():
@@ -93,9 +92,11 @@ def test_mod_inverse_round_trip_up_to_2000():
 
 
 def _dlog_dict(p):
-    g, exp_of, pow_of = _dlog_arrays(p)
+    """(g, {g^k: k}) from the one axis of the unit group of a prime p > 2."""
+    shape, pow_of, ((q, exp_of),) = _unit_group(p)
+    assert q == p and shape == (p - 1,) and exp_of.dtype == np.int32
     assert exp_of[pow_of].tolist() == list(range(p - 1))
-    return g, dict(zip(pow_of.tolist(), range(p - 1)))
+    return int(pow_of[1]), dict(zip(pow_of.tolist(), range(p - 1)))
 
 
 def test_dlog_table_examples():

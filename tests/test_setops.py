@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -35,6 +36,7 @@ from oracles import (
     naive_quotient_counts,
     naive_sumset,
     random_subset,
+    smallest_primitive_root,
 )
 
 
@@ -255,7 +257,7 @@ def test_productset_dlog_path_matches_naive():
 def test_productset_dlog_results_are_sorted_with_and_without_zero(monkeypatch):
     # The residues of the exponent sum set come out of pow_of unsorted.
     p = 101
-    _, exp_of, pow_of = setops._dlog_arrays(p)
+    _, pow_of, ((_, exp_of),) = setops._unit_group(p)
     rng = np.random.default_rng(71)
     a = random_subset(rng, p, 30, exclude_zero=True)
     b = random_subset(rng, p, 25, exclude_zero=True)
@@ -402,6 +404,133 @@ def test_unit_quotient_rep_prime_property(case):
     assert mv.total_mass == len(xs) * len(a)
 
 
+# --- Quotient counts over every modulus: the unit-group engine ---
+
+_GROUP_MODULI = (
+    (2, 4, 8, 16, 32, 64, 1024)  # 2, 4, 8 and 2^k
+    + (9, 25, 27, 49, 121, 125, 243, 343)  # p^k
+    + (6, 18, 50, 54, 98, 250, 686)  # 2 p^k
+    + (12, 24, 36, 48, 60, 120, 180, 240, 360, 720, 840, 1260, 1680, 2520, 5040)  # highly composite
+    + (5, 101, 499)
+)
+
+
+def _units(m):
+    return [u for u in range(m) if math.gcd(u, m) == 1]
+
+
+@pytest.mark.parametrize(
+    "m, shape",
+    [
+        (2, (1,)),
+        (3, (2,)),
+        (4, (2,)),
+        (8, (2, 2)),
+        (16, (2, 4)),
+        (9, (6,)),
+        (18, (6,)),
+        (36, (2, 6)),
+        (1000, (2, 2, 100)),
+        (4096, (2, 1024)),
+        (510510, (2, 4, 6, 10, 12, 16)),  # 2^1 gives no axis
+        (720720, (2, 4, 4, 6, 6, 10, 12)),
+    ],
+    ids=str,
+)
+def test_unit_group_axes_and_tables(m, shape):
+    got_shape, residues, logs = setops._unit_group(m)
+    assert got_shape == shape == setops._unit_shape(m) and math.prod(shape) == len(_units(m))
+    lengths = [setops._transform_length(n) for n in shape]
+    assert lengths == sorted(lengths)  # the longest transform axis is last
+    units = np.array(_units(m), dtype=np.int64)
+    assert np.array_equal(np.sort(residues), units)
+    coords = setops._coords(logs, units, m)
+    assert len(coords) == len(shape)
+    assert np.array_equal(residues[np.ravel_multi_index(coords, shape)], units)
+    # One int32 log table per axis, indexed by the axis's prime power; none
+    # of length m unless m is a prime power.
+    powers = [p**k for p, k in make_modulus(m).factorization]
+    for (q, log), n, c in zip(logs, shape, coords):
+        assert q in powers and (q < m or len(powers) == 1)
+        assert log.dtype == np.int32 and log.shape == (q,) and not log.flags.writeable
+        assert 0 <= c.min() and c.max() < n
+    assert not residues.flags.writeable and residues.dtype == np.int64
+    assert np.all(units * setops._inverses(units, make_modulus(m)) % m == 1 % m)
+
+
+def test_unit_group_lifts_a_root_that_fails_mod_p_squared(monkeypatch):
+    # 19 is a primitive root mod 7 with 19^6 = 1 mod 49, so (Z/49)^x needs 19 + 7.
+    assert pow(19, 6, 49) == 1 and smallest_primitive_root(7) == 3
+    original = setops.find_generator
+    monkeypatch.setattr(setops, "find_generator", lambda mod: 19 if mod.m == 7 else original(mod))
+    setops._unit_group.cache_clear()
+    try:
+        shape, residues, _ = setops._unit_group(49)
+        assert shape == (42,) and int(residues[1]) == 26
+        assert np.array_equal(np.sort(residues), _units(49))
+    finally:
+        setops._unit_group.cache_clear()
+
+
+@st.composite
+def _group_quotient_case(draw):
+    m = draw(st.one_of(st.sampled_from(_GROUP_MODULI), st.integers(2, 5040)))
+    a = sorted(draw(st.sets(st.sampled_from(_units(m)), max_size=40)))
+    xs = sorted(draw(st.sets(st.integers(0, m - 1), max_size=60)))
+    return m, xs, a, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_group_quotient_case())
+@example((7, [0], [1, 2, 3], True))  # 0 over a prime
+@example((720, [0, 2, 5, 7, 360], [1, 7, 11, 719], True))  # non-unit numerators
+def test_unit_quotient_rep_property_over_every_modulus(case):
+    # Both sides of _fft_pays on any modulus, numerators of every kind.
+    m, xs, a, pays = case
+    with mock.patch.object(setops, "_fft_pays", return_value=pays):
+        mv = unit_quotient_rep(_set(m, xs), _set(m, a))
+    assert _counts_dict(mv) == naive_quotient_counts(xs, a, m)
+    assert mv.total_mass == len(xs) * len(a)
+
+
+# 2929 = 29 * 101 has the shape (28, 100): its first axis is padded to 60.
+@pytest.mark.parametrize("m, size_a", [(243, 40), (720, 192), (2929, 40), (4096, 40), (5040, 40)])
+def test_unit_quotient_rep_on_both_sides_of_the_gate(monkeypatch, m, size_a):
+    units = _units(m)
+    shape = setops._unit_shape(m)
+    size = math.prod(setops._transform_length(n) for n in shape)
+    # S log2 S plus 2^13 per axis after the first, exactly.
+    bound = math.floor(size * math.log2(size) + 8192 * (len(shape) - 1))
+    assert not setops._fft_pays(bound, *shape) and setops._fft_pays(bound + 1, *shape)
+    paths = []
+    original = setops._cyclic_counts
+
+    def spy(x, y, *rest):
+        counts = original(x, y, *rest)
+        paths.append((rest, counts is not None))
+        return counts
+
+    monkeypatch.setattr(setops, "_cyclic_counts", spy)
+    # Every residue as a numerator, then the first 20.
+    for xs, fft in ((list(range(m)), True), (list(range(20)), False)):
+        a = units[:size_a]
+        numerators = sum(1 for x in xs if math.gcd(x, m) == 1)
+        assert setops._fft_pays(numerators * len(a), *shape) == fft
+        paths.clear()
+        mv = unit_quotient_rep(_set(m, xs), _set(m, a))
+        assert paths == ([(shape, True)] if fft else [])  # the FFT certified its counts
+        assert _counts_dict(mv) == naive_quotient_counts(xs, a, m)
+
+
+def test_unit_quotient_rep_names_the_first_non_unit():
+    for m, a, message in ((9, [1, 3], "3 is not invertible mod 9 (gcd 3)"),
+                          (720, [1, 7, 10, 12], "10 is not invertible mod 720 (gcd 10)"),
+                          (101, [0, 5], "0 is not invertible mod 101 (gcd 101)")):
+        with pytest.raises(NonInvertibleError, match=re.escape(message)) as err:
+            unit_quotient_rep(_set(m, [1, 2]), _set(m, a))
+        assert err.value.gcd == int(message.split("gcd ")[1][:-1])
+
+
 def test_property_cases_reach_both_sides_of_the_dispatch(monkeypatch):
     # The full sets of the largest moduli above take the FFT; singletons
     # enumerate.
@@ -431,26 +560,28 @@ def test_property_cases_reach_both_sides_of_the_dispatch(monkeypatch):
 
 
 def _spy_enumeration(monkeypatch):
+    """Records (n, |x|) of every _pair_counts call that forms a pair."""
     calls = []
     original = setops._pair_counts
 
     def spy(x, y, n, *rest):
-        calls.append(n)
+        if x.size and y.size:
+            calls.append((n, x.size))
         return original(x, y, n, *rest)
 
     monkeypatch.setattr(setops, "_pair_counts", spy)
     return calls
 
 
-def _noisy_irfft(monkeypatch, index, noise):
-    original = np.fft.irfft
+def _noisy_irfftn(monkeypatch, index, noise):
+    original = np.fft.irfftn
 
-    def noisy(spectrum, n):
-        out = original(spectrum, n)
-        out[index] += noise
+    def noisy(spectrum, s, **kwargs):
+        out = original(spectrum, s, **kwargs)
+        out.reshape(-1)[index] += noise
         return out
 
-    monkeypatch.setattr(np.fft, "irfft", noisy)
+    monkeypatch.setattr(np.fft, "irfftn", noisy)
 
 
 @pytest.mark.parametrize(
@@ -466,16 +597,22 @@ def test_fft_guard_failure_falls_back_to_exact_enumeration(monkeypatch, guard):
     if guard == "a_priori_bound":
         monkeypatch.setattr(setops, "_FFT_ERROR_CONSTANT", 1e30)
     elif guard == "residual":
-        _noisy_irfft(monkeypatch, 7, 0.3)
+        _noisy_irfftn(monkeypatch, 7, 0.3)
     else:
-        _noisy_irfft(monkeypatch, 7, 1.0)  # rounds cleanly, one pair too many
+        _noisy_irfftn(monkeypatch, 7, 1.0)  # rounds cleanly, one pair too many
     assert sumset(_set(p, a), _set(p, b)).elements == naive_sumset(a, b, p)
     for sign in (1, -1):
         mv = additive_rep(_set(p, a), _set(p, b), sign)
         assert _counts_dict(mv) == naive_additive_counts(a, b, sign, p)
     mv = unit_quotient_rep(_set(p, a), _set(p, b))
     assert _counts_dict(mv) == naive_quotient_counts(a, b, p)
-    assert calls == [p, p, p, p - 1]
+    # Over a composite modulus too (four axes), on every numerator.
+    m, units = 720, _units(720)
+    assert setops._fft_pays(len(units) ** 2, *setops._unit_group(m)[0])
+    mv = unit_quotient_rep(_set(m, range(m)), _set(m, units))
+    assert _counts_dict(mv) == naive_quotient_counts(range(m), units, m)
+    # Quotients fall back to enumerating every numerator against the inverses.
+    assert calls == [(p, len(a))] * 4 + [(m, m)]
 
 
 def test_fft_path_is_taken_without_fallback(monkeypatch):
@@ -486,6 +623,10 @@ def test_fft_path_is_taken_without_fallback(monkeypatch):
     mv = unit_quotient_rep(_set(499, a), _set(499, b))
     assert _counts_dict(mv) == naive_quotient_counts(a, b, 499)
     assert calls == []
+    m, units = 720, _units(720)
+    mv = unit_quotient_rep(_set(m, range(m)), _set(m, units))
+    assert _counts_dict(mv) == naive_quotient_counts(range(m), units, m)
+    assert calls == [(m, m - len(units))]  # the non-unit numerators alone
 
 
 def _five_smooth_up_to(limit):
@@ -549,7 +690,9 @@ def test_counts_on_both_sides_of_two_to_the_twenty(monkeypatch):
             want[pow(g, e, p)] = c
         want[0] = len_y
         assert _counts_dict(unit_quotient_rep(_set(p, xs), _set(p, a))) == want
-    assert enumerated == []
+    # Only each prime's 0, a non-unit numerator, is enumerated.
+    assert enumerated == [((1 << 20) - 3, 1), ((1 << 20) + 7, 1)]
+    enumerated.clear()
     for m in ((1 << 20) - 3, 1 << 20, (1 << 20) + 1, (1 << 20) + 7):
         a = random_subset(rng, m, 200)
         b = random_subset(rng, m, 150, exclude_zero=True)
@@ -560,7 +703,8 @@ def test_counts_on_both_sides_of_two_to_the_twenty(monkeypatch):
             mv = unit_quotient_rep(_set(m, a), _set(m, b))
             assert _counts_dict(mv) == naive_quotient_counts(a, b, m)
     # Two additive counts per modulus, and a quotient count per prime.
-    assert enumerated == [(1 << 20) - 3] * 3 + [1 << 20] * 2 + [(1 << 20) + 1] * 2 + [(1 << 20) + 7] * 3
+    sizes = [((1 << 20) - 3, 3), (1 << 20, 2), ((1 << 20) + 1, 2), ((1 << 20) + 7, 3)]
+    assert enumerated == [(m, 200) for m, calls in sizes for _ in range(calls)]
 
 
 def test_dense_mod_matches_naive_aggregation_for_every_divisor():
@@ -589,9 +733,12 @@ def test_dense_mod_rejects_bad_period():
 
 
 def test_vectorized_dlog_tables_equal_the_loop():
+    # A prime's unit group is one axis: the discrete log to the smallest
+    # primitive root, and its powers.
     for p in (2, 3, 5, 7, 101, 499, 10007, 65537, 1000003):
-        g, exp_of, pow_of = setops._dlog_arrays(p)
-        assert g == find_generator(make_modulus(p))
+        shape, pow_of, ((q, exp_of),) = setops._unit_group(p)
+        assert q == p and shape == (p - 1,)
+        g = find_generator(make_modulus(p))
         loop_exp = np.zeros(p, dtype=np.int64)
         loop_pow = np.zeros(p - 1, dtype=np.int64)
         acc = 1
@@ -776,3 +923,56 @@ def test_pair_enumeration_property_on_both_sides_of_one_block(case):
             nz = np.flatnonzero(got)
             assert dict(zip(nz.tolist(), got[nz].tolist())) == counts, combine.__name__
             assert setops._pairwise_values(x, y, m, combine).tolist() == sorted(values), combine.__name__
+
+
+# --- A set with itself: each unordered pair is formed once ---
+
+
+@st.composite
+def _self_pair_case(draw):
+    m = draw(st.one_of(st.sampled_from(_SMALL_PRIMES + (36, 720)), st.integers(2, 4096)))
+    a = draw(st.sets(st.integers(1, m - 1), max_size=min(m - 1, 120))) if m > 1 else set()
+    if draw(st.booleans()):
+        a.add(0)
+    return m, sorted(a), draw(st.integers(1, 400)), draw(st.integers(1, 8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_self_pair_case())
+@example((720, [0] + list(range(1, 700, 7)), 100, 8))  # several blocks, with 0
+def test_self_pair_sets_property_across_blocks(case):
+    # Blocks of as few as one row and as few as one pair value; the FFT is
+    # off so that the sum set is enumerated too.
+    m, a, chunk, rows = case
+    sa = _set(m, a)
+    with mock.patch.object(setops, "_CHUNK_ELEMS", chunk), mock.patch.object(
+        setops, "_SELF_ROWS", rows
+    ), mock.patch.object(setops, "_fft_pays", return_value=False):
+        got_sum, got_prod = sumset(sa, sa), productset(sa, sa)
+    assert got_sum.elements == naive_sumset(a, a, m)
+    assert got_prod.elements == naive_productset(a, a, m)
+    _assert_stored_form(got_sum, m)
+    _assert_stored_form(got_prod, m)
+
+
+def test_self_pairs_form_nine_sixteenths_and_counts_all(monkeypatch):
+    m, n = 3600, 400
+    a = _set(m, range(1, 2 * n, 2))
+    formed = []
+    original = setops._pair_blocks
+
+    def spy(*args):
+        for vals in original(*args):
+            formed.append(vals.size)
+            yield vals
+
+    monkeypatch.setattr(setops, "_pair_blocks", spy)
+    assert productset(a, a).elements == naive_productset(a.elements, a.elements, m)
+    assert sum(formed) == 9 * n * n // 16  # 8 blocks of 50 rows
+    formed.clear()
+    b = _set(m, a.array)  # equal, but not the same set: all pairs
+    assert productset(a, b).elements == naive_productset(a.elements, a.elements, m)
+    assert sum(formed) == n * n
+    formed.clear()
+    counts = setops._pair_counts(a.array, a.array, m, np.multiply)
+    assert int(counts.sum()) == sum(formed) == n * n  # counts need ordered pairs

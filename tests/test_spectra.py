@@ -198,7 +198,7 @@ def test_max_nontrivial_skips_noncoprime_frequencies():
 
 def test_gcd_classes_equal_the_gcd_definition():
     for m in (2, 9, 36, 97, 720720):
-        freqs, starts = _gcd_classes(m)
+        freqs, starts, lengths = _gcd_classes(m)
         k = np.arange(1, m, dtype=np.int64)
         g = np.gcd(k, m)
         # k sorted by gcd class, ascending within each class
@@ -207,7 +207,8 @@ def test_gcd_classes_equal_the_gcd_definition():
         divisors = make_modulus(m).divisors[:-1]
         assert np.array_equal(g[order][starts], divisors), m
         assert np.array_equal(starts, np.searchsorted(g[order], divisors)), m
-        assert not starts.flags.writeable
+        assert np.array_equal(lengths, np.diff(starts, append=m - 1)), m
+        assert not starts.flags.writeable and not lengths.flags.writeable
         if not make_modulus(m).is_prime:
             assert freqs.dtype == np.int32 and not freqs.flags.writeable
 

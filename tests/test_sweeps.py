@@ -1,9 +1,11 @@
 import math
 import re
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from sumprod import sweeps
 from sumprod.estimates import field_bound_report, ring_bound_report
 from sumprod.residues import make_modulus, residue_set
 from sumprod.sweeps import (
@@ -109,6 +111,47 @@ def test_sweep_deterministic_across_threads(tmp_path):
     assert text.splitlines()[0] == CSV_HEADER
     assert "\r" not in text
     assert len(text.splitlines()) == 1 + 2 * 12
+
+
+def test_pool_gate_is_decided_from_sizes_alone():
+    gate = lambda m, sizes: sweeps._pool_pays(SweepConfig(m, "ring", sizes, 1, 0))  # noqa: E731
+    assert not gate(8191, (8,)) and gate(8192, (8,))
+    assert not gate(3600, (8, 724)) and gate(3600, (725, 8))  # 724^2 < 2^19 <= 725^2
+    # Every determinism test and golden sweep, and both sweeps of the
+    # benchmark, run below the gate on one thread.
+    for m, sizes in (
+        (101, (5, 17)), (101, (3, 9, 27)), (36, (4, 12)), (36, (5, 12)),
+        (499, (8, 32, 128, 400)), (499, (498,)), (3600, (8, 64, 512)),
+    ):
+        assert not gate(m, sizes), (m, sizes)
+
+
+@pytest.mark.parametrize(
+    "modulus, kind, sizes, pooled",
+    [
+        (101, "prime", (5, 17), False),
+        (36, "ring", (4, 12), False),
+        (8209, "prime", (5, 17), True),
+        (16384, "ring", (8, 64), True),
+    ],
+)
+def test_pool_runs_only_above_the_gate(monkeypatch, tmp_path, modulus, kind, sizes, pooled):
+    pools = []
+
+    class Spy(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(sweeps, "ThreadPoolExecutor", Spy)
+    blobs = []
+    for threads in (1, 2, 8):
+        out = tmp_path / f"t{threads}.csv"
+        run_sweep(SweepConfig(modulus, kind, sizes, 4, 99, str(out)), threads=threads)
+        blobs.append(out.read_bytes())
+    assert blobs[0] == blobs[1] == blobs[2]
+    assert len(blobs[0].splitlines()) == 1 + len(sizes) * 4
+    assert pools == ([2, 8] if pooled else [])
 
 
 def test_sweep_rows_revalidate_against_fresh_reports():
