@@ -27,7 +27,6 @@ from .residues import (
 from .setops import (
     MultiplicityVector,
     additive_rep,
-    dilate,
     indicator,
     productset,
     sumset,

@@ -160,16 +160,7 @@ def _cmd_zm_extremal(args: argparse.Namespace) -> int:
 
 def _cmd_exhaustive(args: argparse.Namespace) -> int:
     summary = run_exhaustive(args.p, args.k)
-    _emit(
-        {
-            "p": summary.p,
-            "k": summary.k,
-            "subsets": summary.subsets,
-            "min_ratio": summary.min_ratio,
-            "witness": list(summary.witness),
-            "violations": summary.violations,
-        }
-    )
+    _emit(asdict(summary))
     return _report_failures(
         [Check("quarter_constant", summary.violations, 0, summary.violations == 0)]
     )

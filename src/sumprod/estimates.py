@@ -44,12 +44,11 @@ from .residues import (
 from .setops import (
     MultiplicityVector,
     additive_rep,
-    indicator,
     productset,
     sumset,
     unit_quotient_rep,
 )
-from .spectra import dft_counts, gcd_class_peaks
+from .spectra import dft_counts, gcd_class_peaks, spectrum_of_set
 
 REL_SLACK = 1e-9
 
@@ -154,14 +153,9 @@ class Derivation:
         return min_gcd(self.a)
 
     @_once
-    def ind(self) -> MultiplicityVector:
-        """The 0/1 indicator of A."""
-        return indicator(self.a)
-
-    @_once
     def spectrum(self) -> np.ndarray:
-        """Spectrum of the indicator over Z_m."""
-        return dft_counts(self.ind)
+        """Spectrum of the indicator of A over Z_m."""
+        return spectrum_of_set(self.a)
 
     @_once
     def quotients(self) -> MultiplicityVector:
@@ -232,15 +226,20 @@ def ring_constant(lhs: int, bound: float) -> Check:
     return Check("sixtyfourth_constant", 64 * lhs, bound, 64 * lhs >= bound * (1 - REL_SLACK))
 
 
-def parseval_bound(v: MultiplicityVector, q: int) -> Check:
-    """sum_{n=1..q} |S^(n)|^2 <= m * mass over one period, in exact integers.
+def parseval_bound(x: ResidueSet, q: int) -> Check:
+    """sum_{n=1..q} |S_q(n)|^2 <= m |X| for the indicator of X over one
+    period q | m, in exact integers.
 
     The range covers one full period (n = q is the trivial character), so
-    the left side equals q * sum_t counts_q[t]^2. It always holds for set
-    indicators: each residue class mod q holds at most m/q elements.
+    the left side equals q * sum_r N_r^2, with N_r the number of elements
+    of X that are r mod q. It always holds: each N_r is at most m/q, so the
+    int64 dot stays below m^2 / q <= 2^62.
     """
-    dense = v.dense_mod(q)
-    lhs, rhs = q * int(np.dot(dense, dense)), v.modulus.m * v.total_mass
+    m = x.modulus.m
+    if q < 1 or m % q != 0:
+        raise ValueError(f"period {q} does not divide the modulus {m}")
+    sizes = np.bincount(x.array % q, minlength=q)
+    lhs, rhs = q * int(np.dot(sizes, sizes)), m * x.size
     return Check(f"parseval q={q}", lhs, rhs, lhs <= rhs)
 
 
@@ -424,7 +423,7 @@ def ring_checks(a: "ResidueSet | Derivation") -> list[Check]:
     square = _all_of("divisor_square_bound", [divisor_square_bound(units, e) for e in proper])
     parseval = _all_of(
         "parseval_bounds",
-        [parseval_bound(v, m // e) for e in proper for v in (units.ind, units.of_sums.ind)],
+        [parseval_bound(x, m // e) for e in proper for x in (units.a, units.sums)],
     )
     rep = ring_bound_report(d)
     divisor_cap = sum(m // e for e in d.modulus.divisors if e >= max(rep.d0, 2))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -88,8 +88,8 @@ class ResidueSet:
 
     The one stored form is `array`: the sorted, distinct residues as a
     read-only int64 array. `elements` is a frozenset view derived from it on
-    first use and cached, for callers that need hashing. Sets compare and
-    hash by value, as (modulus, elements).
+    first use and cached, for callers that need Python's set operations.
+    Sets compare and hash by value, as (m, array), so neither builds it.
     """
 
     modulus: Modulus
@@ -113,16 +113,13 @@ class ResidueSet:
         i = int(np.searchsorted(self.array, x))
         return i < self.array.size and bool(self.array[i] == x)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.array.tolist())
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ResidueSet):
             return NotImplemented
         return self.modulus == other.modulus and np.array_equal(self.array, other.array)
 
     def __hash__(self) -> int:
-        return hash((self.modulus, self.elements))
+        return hash((self.modulus.m, self.array.tobytes()))
 
     def __repr__(self) -> str:
         shown = self.array[:8].tolist()
@@ -176,7 +173,12 @@ def min_gcd(a_set: ResidueSet) -> int:
     return int(np.gcd(a_set.array, a_set.modulus.m).min())
 
 
+def _units_mask(arr: np.ndarray, mod: Modulus) -> np.ndarray:
+    """Which entries of arr are units mod m (a remainder per prime costs less than np.gcd)."""
+    return np.logical_and.reduce([arr % p != 0 for p, _ in mod.factorization])
+
+
 def unit_part(a_set: ResidueSet) -> ResidueSet:
     """The elements coprime to the modulus (the invertible ones)."""
     arr = a_set.array
-    return ResidueSet(a_set.modulus, arr[np.gcd(arr, a_set.modulus.m) == 1])
+    return ResidueSet(a_set.modulus, arr[_units_mask(arr, a_set.modulus)])

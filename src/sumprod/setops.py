@@ -1,5 +1,5 @@
-"""Sum sets, product sets, dilations and representation (multiplicity)
-functions over Z_m.
+"""Sum sets, product sets and representation (multiplicity) functions
+over Z_m.
 
 Each operation has one exact result; the dispatch inside it only picks how
 that result is computed, and every path agrees with the pair-enumeration
@@ -14,6 +14,9 @@ additive counts when their FFT pays; `productset` forms, over a prime with
 Otherwise pairs are enumerated in int64 blocks (`_pair_blocks`), each
 bincounted into counts or, for a set, scattered into a length-m boolean
 array (m <= `BITSET_LIMIT`, 2^24) or merged by np.unique above it.
+
+An `indicator` is built only for a spectrum of a set (`spectra`); the ring
+chain builds none, as its Parseval checks read the set itself.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .residues import Modulus, NonInvertibleError, ResidueSet, find_generator, make_modulus
+from .residues import Modulus, NonInvertibleError, ResidueSet, _units_mask, find_generator, make_modulus
 
 # Cap on m for the length-m boolean scatter of pair enumeration (at most
 # 16 MiB) and for the discrete-log tables of a product set.
@@ -64,37 +67,6 @@ class MultiplicityVector:
     modulus: Modulus
     counts: np.ndarray
     total_mass: int
-
-    def _support(self) -> tuple[np.ndarray, np.ndarray]:
-        """The residues with a nonzero count and those counts, gathered once
-        per vector (a ring report aggregates one vector over every divisor
-        period)."""
-        memo = self.__dict__
-        if "_nz" not in memo:
-            nz = np.flatnonzero(self.counts != 0)
-            memo["_nz"] = nz, self.counts[nz]
-        return memo["_nz"]
-
-    def dense_mod(self, q: int) -> np.ndarray:
-        """The counts aggregated by residue mod q, as int64; for q = m the
-        stored read-only counts themselves.
-
-        A support under a tenth of m is aggregated from its nonzero
-        entries; each costs about as much as ten entries of the full-length
-        reshape-sum used otherwise (measured at m = 720720 over every
-        divisor period).
-        """
-        m = self.modulus.m
-        if q < 1 or m % q != 0:
-            raise ValueError(f"period {q} does not divide the modulus {m}")
-        if q == m:
-            return self.counts
-        nz, values = self._support()
-        if 10 * nz.size >= m:
-            return self.counts.reshape(m // q, q).sum(axis=0)
-        out = np.zeros(q, dtype=np.int64)
-        np.add.at(out, nz % q, values)
-        return out
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -250,11 +222,6 @@ def _inverses(units: np.ndarray, mod: Modulus) -> np.ndarray:
     return out
 
 
-def _units_mask(arr: np.ndarray, mod: Modulus) -> np.ndarray:
-    """Which entries of arr are units mod m (a remainder per prime costs less than np.gcd)."""
-    return np.logical_and.reduce([arr % p != 0 for p, _ in mod.factorization])
-
-
 def _coords(logs: tuple[tuple[int, np.ndarray], ...], units: np.ndarray, m: int) -> tuple:
     """The coordinate rows of units mod m on the axes of _unit_group."""
     return tuple(log[units % q if q < m else units] for q, log in logs)
@@ -297,13 +264,6 @@ def productset(a_set: ResidueSet, b_set: ResidueSet) -> ResidueSet:
     return ResidueSet(mod, vals)
 
 
-def dilate(c: int, a_set: ResidueSet) -> ResidueSet:
-    """{c * a mod m}; its size is at least |A| / gcd(c, m)."""
-    m = a_set.modulus.m
-    c %= m
-    return ResidueSet(a_set.modulus, np.unique((c * a_set.array) % m))
-
-
 @lru_cache(maxsize=64)
 def _fft_length(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= 2n - 1: the linear convolution of two
@@ -320,18 +280,19 @@ def _transform_length(n: int) -> int:
     return n if 2**32 * 3**21 * 5**14 % n == 0 else _fft_length(n)
 
 
-# Enumeration steps per extra FFT axis (three more pocketfft passes): the
-# measured crossovers at m = 720, 3600 and 4096 put it at 9,500 to 14,500.
+# Enumeration steps per FFT axis (its pocketfft passes and call overhead):
+# the measured crossovers at m = 720, 3600 and 4096 put an extra axis at
+# 9,500 to 14,500, and one axis at p = 499 near 16,000-20,000 pairs.
 _AXIS_STEPS = 1 << 13
 
 
 def _fft_pays(pairs: int, *shape: int) -> bool:
     """The FFT gate of every count over Z_n1 x ... x Z_nr: a transform of
     size S, the product of the axes' transform lengths, must cost less,
-    about S log2 S plus _AXIS_STEPS per axis after the first, than
-    enumeration at one step per pair."""
+    about S log2 S plus _AXIS_STEPS per axis, than enumeration at one step
+    per pair."""
     size = math.prod(map(_transform_length, shape))
-    return pairs > size * math.log2(size) + _AXIS_STEPS * (len(shape) - 1)
+    return pairs > size * math.log2(size) + _AXIS_STEPS * len(shape)
 
 
 # c and u of the a-priori FFT error bound c u log2(S) |X| |Y| < 1/4 derived

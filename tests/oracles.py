@@ -59,6 +59,20 @@ def naive_quotient_counts(xs, a, m):
     return out
 
 
+def naive_parseval_sides(a, q, m):
+    """(q * sum_r N_r^2, m |A|) with N_r the number of elements of a that
+    are r mod q, counted one element at a time."""
+    sizes = [0] * q
+    for x in a:
+        sizes[x % q] += 1
+    return q * sum(n * n for n in sizes), m * len(a)
+
+
+def counts_mod(counts, q):
+    """Counts over Z_m summed by residue mod q, for q | m."""
+    return counts.reshape(-1, q).sum(axis=0)
+
+
 def mod_inverse(a, mod):
     """b with a*b = 1 (mod m), or NonInvertibleError carrying gcd(a, m)."""
     m = mod.m

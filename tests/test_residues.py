@@ -138,14 +138,17 @@ def test_min_gcd_agrees_with_unit_part():
         mod = make_modulus(m)
         a = residue_set(mod, rng.choice(m, size=size, replace=False).tolist())
         assert (min_gcd(a) == 1) == (unit_part(a).size > 0)
+        assert unit_part(a).elements == {x for x in a.array.tolist() if math.gcd(x, m) == 1}
 
 
 def test_residue_set_membership_and_views():
     mod = make_modulus(11)
     a = residue_set(mod, [3, 7, 1])
     assert len(a) == a.size == 3
-    assert list(a) == [1, 3, 7]
     assert 7 in a and 2 not in a
+    # Hashing and comparing read the array; the frozenset view is built only on request.
+    assert hash(a) == hash(residue_set(mod, [1, 3, 7])) and a == residue_set(mod, [7, 3, 1])
+    assert "elements" not in a.__dict__
     assert a.array.tolist() == [1, 3, 7]
     assert residue_set(mod, np.array([7, 1, 3])).elements == a.elements
     with pytest.raises(ValueError):

@@ -17,10 +17,8 @@ from sumprod.residues import (
 )
 from sumprod.setops import (
     BITSET_LIMIT,
-    MultiplicityVector,
     _fft_length,
     additive_rep,
-    dilate,
     indicator,
     productset,
     sumset,
@@ -91,10 +89,10 @@ def test_modulus_mismatch_rejected():
 
 
 def test_dilate_examples():
-    a = _set(9, [1, 2, 3])
-    assert dilate(3, a).elements == {3, 6, 0}
-    assert dilate(1, a).elements == a.elements
-    assert dilate(0, a).elements == {0}
+    # The oracle behind the dilation lemma below.
+    assert naive_dilate(3, [1, 2, 3], 9) == {3, 6, 0}
+    assert naive_dilate(1, [1, 2, 3], 9) == {1, 2, 3}
+    assert naive_dilate(0, [1, 2, 3], 9) == {0}
 
 
 def test_against_naive_oracles_random():
@@ -107,8 +105,6 @@ def test_against_naive_oracles_random():
         sa, sb = residue_set(mod, a), residue_set(mod, b)
         assert sumset(sa, sb).elements == naive_sumset(a, b, m)
         assert productset(sa, sb).elements == naive_productset(a, b, m)
-        c = int(rng.integers(0, m))
-        assert dilate(c, sa).elements == naive_dilate(c, a, m)
 
 
 def test_commutativity_random():
@@ -140,9 +136,10 @@ def test_unit_dilation_preserves_pair_sizes():
     for p in (11, 31, 101):
         mod = make_modulus(p)
         for _ in range(20):
-            a = residue_set(mod, random_subset(rng, p, int(rng.integers(1, p))))
+            elems = random_subset(rng, p, int(rng.integers(1, p)))
+            a = residue_set(mod, elems)
             c = int(rng.integers(1, p))
-            ca = dilate(c, a)
+            ca = residue_set(mod, naive_dilate(c, elems, p))
             assert sumset(ca, ca).size == sumset(a, a).size
             assert productset(ca, ca).size == productset(a, a).size
 
@@ -150,10 +147,9 @@ def test_unit_dilation_preserves_pair_sizes():
 def test_dilate_fiber_bound_all_small_m():
     rng = np.random.default_rng(23)
     for m in range(2, 501):
-        mod = make_modulus(m)
-        a = residue_set(mod, random_subset(rng, m, int(rng.integers(1, m + 1))))
+        a = random_subset(rng, m, int(rng.integers(1, m + 1)))
         for c in range(m):
-            assert dilate(c, a).size * math.gcd(c, m) >= a.size
+            assert len(naive_dilate(c, a, m)) * math.gcd(c, m) >= len(a)
 
 
 def test_additive_rep_examples():
@@ -331,7 +327,7 @@ def _pin_memory(monkeypatch, m, spare):
 def test_memory_budget_on_both_sides_for_every_count(monkeypatch, m):
     mod = make_modulus(m)
     units = [x for x in range(m) if math.gcd(x, m) == 1]
-    a, b = list(range(0, m, 2)), units[: len(units) // 2 + 1]
+    a, b = list(range(m)), units
     sa, sb = residue_set(mod, a), residue_set(mod, b)
     assert setops._fft_pays(len(a) * len(b), m)  # so sumset reaches its FFT branch
     builds = {
@@ -494,13 +490,13 @@ def test_unit_quotient_rep_property_over_every_modulus(case):
 
 
 # 2929 = 29 * 101 has the shape (28, 100): its first axis is padded to 60.
-@pytest.mark.parametrize("m, size_a", [(243, 40), (720, 192), (2929, 40), (4096, 40), (5040, 40)])
+@pytest.mark.parametrize("m, size_a", [(243, 60), (720, 192), (2929, 40), (4096, 40), (5040, 48)])
 def test_unit_quotient_rep_on_both_sides_of_the_gate(monkeypatch, m, size_a):
     units = _units(m)
     shape = setops._unit_shape(m)
     size = math.prod(setops._transform_length(n) for n in shape)
-    # S log2 S plus 2^13 per axis after the first, exactly.
-    bound = math.floor(size * math.log2(size) + 8192 * (len(shape) - 1))
+    # S log2 S plus 2^13 per axis, exactly.
+    bound = math.floor(size * math.log2(size) + 8192 * len(shape))
     assert not setops._fft_pays(bound, *shape) and setops._fft_pays(bound + 1, *shape)
     paths = []
     original = setops._cyclic_counts
@@ -537,9 +533,9 @@ def test_property_cases_reach_both_sides_of_the_dispatch(monkeypatch):
     assert setops._fft_pays(499 * 499, 499) and setops._fft_pays(498 * 498, 498)
     assert setops._fft_pays(360 * 360, 360)
     assert not setops._fft_pays(499, 499) and not setops._fft_pays(498, 498)
-    # The sum sets of test_sum_and_product_sets_property: the full Z_36 and
-    # 41-element sets mod 101 are the support of FFT counts, 41-element sets
-    # mod 4096 and singletons are scattered.
+    # The sum sets of test_sum_and_product_sets_property: the full Z_101 and
+    # 160-element intervals mod 499 are the support of FFT counts; the full
+    # Z_36, 41-element sets mod 4096 and singletons are scattered.
     paths = []
     for name in ("_cyclic_counts", "_pairwise_values"):
 
@@ -548,12 +544,13 @@ def test_property_cases_reach_both_sides_of_the_dispatch(monkeypatch):
             return original(x, y, m, *rest, **kwargs)
 
         monkeypatch.setattr(setops, name, spy)
-    cases = [(36, range(36)), (101, range(41)), (4096, range(41)), (36, [5])]
+    cases = [(101, range(101)), (499, range(160)), (36, range(36)), (4096, range(41)), (36, [5])]
     for m, a in cases:
         assert sumset(_set(m, a), _set(m, a)).elements == naive_sumset(a, a, m)
     assert paths == [
-        ("_cyclic_counts", 36),
         ("_cyclic_counts", 101),
+        ("_cyclic_counts", 499),
+        ("_pairwise_values", 36),
         ("_pairwise_values", 4096),
         ("_pairwise_values", 36),
     ]
@@ -707,31 +704,6 @@ def test_counts_on_both_sides_of_two_to_the_twenty(monkeypatch):
     assert enumerated == [(m, 200) for m, calls in sizes for _ in range(calls)]
 
 
-def test_dense_mod_matches_naive_aggregation_for_every_divisor():
-    rng = np.random.default_rng(59)
-    m = 720
-    mod = make_modulus(m)
-    for nnz in (0, 1, 30, 179, 180, 500, 720):
-        counts = np.zeros(m, dtype=np.int64)
-        counts[rng.choice(m, nnz, replace=False)] = rng.integers(1, 1 << 40, nnz)
-        mv = MultiplicityVector(mod, counts, int(counts.sum()))
-        for q in mod.divisors:
-            want = [0] * q
-            for t, c in enumerate(counts.tolist()):
-                want[t % q] += c
-            got = mv.dense_mod(q)
-            assert got.dtype == np.int64 and got.tolist() == want, (nnz, q)
-
-
-def test_dense_mod_rejects_bad_period():
-    mv = indicator(_set(12, [1, 5]))
-    for q in (0, 5, 24):
-        with pytest.raises(ValueError, match="does not divide"):
-            mv.dense_mod(q)
-    for q in (1, 2, 3, 4, 6, 12):
-        assert mv.dense_mod(q).shape == (q,)
-
-
 def test_vectorized_dlog_tables_equal_the_loop():
     # A prime's unit group is one axis: the discrete log to the smallest
     # primitive root, and its powers.
@@ -758,10 +730,14 @@ _SMALL_PRIMES = (2, 3, 5, 7, 101, 499, 4093)
 
 @st.composite
 def _operand(draw, m):
-    """A subset of Z_m: any residues, only units, or only non-units; 0 may
-    be added unless the set holds only units."""
-    kind = draw(st.sampled_from(("any", "units", "nonunits")))
+    """A subset of Z_m: any residues, only units, only non-units, or an
+    interval of up to 160 residues, long enough on both sides for sumset's
+    FFT when m is small; 0 may be added unless the set holds only units."""
+    kind = draw(st.sampled_from(("any", "units", "nonunits", "interval")))
     elems = draw(st.sets(st.integers(0, m - 1), max_size=40))
+    if kind == "interval":
+        start, length = draw(st.integers(0, m - 1)), draw(st.integers(0, min(m, 160)))
+        elems = {(start + i) % m for i in range(length)}
     if kind == "units":
         return sorted(x for x in elems if math.gcd(x, m) == 1)
     if kind == "nonunits":
@@ -779,6 +755,8 @@ def _pair_set_case(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_pair_set_case())
+@example((101, list(range(101)), list(range(101))))  # the FFT side of sumset
+@example((499, list(range(160)), list(range(1, 161))))
 def test_sum_and_product_sets_property(case):
     m, a, b = case
     sa, sb = _set(m, a), _set(m, b)
@@ -825,13 +803,13 @@ def _stored_form_case(draw):
     else:
         a = sorted(draw(st.sets(st.integers(0, m - 1), max_size=80)))
     b = sorted(draw(st.sets(st.integers(0, m - 1), max_size=80)))
-    return m, a, b, draw(st.integers(0, m - 1))
+    return m, a, b
 
 
 @settings(max_examples=150, deadline=None)
 @given(_stored_form_case())
 def test_residue_set_stored_form_property(case):
-    m, a, b, c = case
+    m, a, b = case
     mod = make_modulus(m)
     sa, sb = residue_set(mod, a[::-1] + a[:3]), residue_set(mod, b)
     a_nonzero = residue_set(mod, np.array([x for x in a if x], dtype=np.int64))
@@ -840,7 +818,6 @@ def test_residue_set_stored_form_property(case):
         "ndarray": residue_set(mod, np.array(a + a[-2:], dtype=np.int64)),
         "productset": productset(a_nonzero, sb),
         "productset with 0": productset(residue_set(mod, [0] + a), sb),
-        "dilate": dilate(c, sa),
         "unit_part": unit_part(sa),
     }
     for pays in (True, False):
@@ -854,34 +831,7 @@ def test_residue_set_stored_form_property(case):
             assert (x in s) == (x in s.elements), (name, x)
         same = residue_set(mod, s.array.tolist()[::-1])
         assert same == s and hash(same) == hash(s), name
-        assert len(s) == s.size == len(s.elements) and list(s) == sorted(s.elements)
-
-
-@st.composite
-def _dense_mod_case(draw):
-    m = draw(st.one_of(st.sampled_from((36, 720, 2520, 3600, 4096)), st.integers(2, 4096)))
-    # dense_mod aggregates from the support below m/10 and reshapes at or above it.
-    sparse = draw(st.booleans())
-    nnz = draw(st.integers(0, (m - 1) // 10) if sparse else st.integers(-(-m // 10), m))
-    seed = draw(st.integers(0, 2**32 - 1))
-    return m, nnz, draw(st.sampled_from(make_modulus(m).divisors)), seed
-
-
-@settings(max_examples=200, deadline=None)
-@given(_dense_mod_case())
-def test_dense_mod_property_on_both_sides_of_the_support_rule(case):
-    m, nnz, q, seed = case
-    rng = np.random.default_rng(seed)
-    counts = np.zeros(m, dtype=np.int64)
-    support = rng.choice(m, nnz, replace=False)
-    # A dense count is at most m^2 <= 2^40 (pairs over m <= 2^20).
-    counts[support] = rng.integers(1, 1 << 40, nnz, endpoint=True)
-    mv = MultiplicityVector(make_modulus(m), counts, int(counts.sum()))
-    want = [0] * q
-    for t in support.tolist():
-        want[t % q] += int(counts[t])
-    got = mv.dense_mod(q)
-    assert got.dtype == np.int64 and got.tolist() == want
+        assert len(s) == s.size == len(s.elements)
 
 
 @st.composite

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sumprod import spectra
+from sumprod import estimates, setops, spectra
 
 from sumprod.estimates import (
     REL_SLACK,
     Derivation,
     divisor_square_bound,
     parseval_bound,
+    ring_bound_report,
     ring_checks,
     spectral_checks,
 )
@@ -30,7 +31,15 @@ from sumprod.spectra import (
     spectrum_of_set,
 )
 
-from oracles import max_nontrivial, naive_dft, naive_quadruples, naive_quotient_counts, random_subset
+from oracles import (
+    counts_mod,
+    max_nontrivial,
+    naive_dft,
+    naive_parseval_sides,
+    naive_quadruples,
+    naive_quotient_counts,
+    random_subset,
+)
 
 
 def _set(m, elems):
@@ -39,10 +48,6 @@ def _set(m, elems):
 
 def spectral_quadruple_count(a_set):
     return Derivation(a_set).spectral_quad_count
-
-
-def parseval_bound_check(a_set, q):
-    return parseval_bound(indicator(a_set), q)
 
 
 def _named(checks):
@@ -76,7 +81,7 @@ def test_dft_matches_naive_complex_sum():
         mv = additive_rep(a, a, 1)
         counts = {int(t): int(c) for t, c in enumerate(mv.counts)}
         for q in mod.divisors[1:]:
-            got = dft_counts(_vector(mv.dense_mod(q)))
+            got = dft_counts(_vector(counts_mod(mv.counts, q)))
             want = naive_dft({t % q: 0 for t in range(q)} | _reduced(counts, q), q)
             assert np.allclose(got, np.array(want), rtol=1e-9, atol=1e-9)
 
@@ -161,7 +166,7 @@ def test_parseval_identity_for_counts():
         a = residue_set(mod, random_subset(rng, m, int(rng.integers(1, m + 1))))
         mv = additive_rep(a, a, 1)
         for q in mod.divisors[1:]:
-            dense = mv.dense_mod(q)
+            dense = counts_mod(mv.counts, q)
             spec = dft_counts(_vector(dense))
             lhs = float(np.sum(np.abs(spec) ** 2))
             rhs = q * float(np.dot(dense, dense))
@@ -228,14 +233,14 @@ def test_parseval_bound_examples():
     # distinct residues at full period: exact equality m|A|
     for m in (5, 12, 60, 100):
         a = _set(m, range(0, m, 2) if m > 2 else [1])
-        check = parseval_bound_check(a, m)
+        check = parseval_bound(a, m)
         assert check.lhs == m * a.size
         assert check.holds
 
-    check = parseval_bound_check(_set(9, [0, 3, 6]), 3)
+    check = parseval_bound(_set(9, [0, 3, 6]), 3)
     assert (check.lhs, check.rhs, check.holds) == (27, 27, True)
 
-    empty = parseval_bound_check(_set(9, []), 3)
+    empty = parseval_bound(_set(9, []), 3)
     assert (empty.lhs, empty.rhs, empty.holds) == (0, 0, True)
 
 
@@ -246,7 +251,7 @@ def test_parseval_bound_holds_for_every_set():
         mod = make_modulus(m)
         a = residue_set(mod, random_subset(rng, m, int(rng.integers(1, m + 1))))
         for d in mod.divisors[:-1]:
-            assert parseval_bound_check(a, m // d).holds
+            assert parseval_bound(a, m // d).holds
 
 
 def test_parseval_bound_spectral_crosscheck():
@@ -260,8 +265,67 @@ def test_parseval_bound_spectral_crosscheck():
         for q in mod.divisors:
             spec = full[:: m // q]  # S_q(n) = S_m(n m/q)
             power = float(np.sum(np.abs(spec) ** 2))
-            check = parseval_bound_check(a, q)
+            check = parseval_bound(a, q)
             assert power == pytest.approx(check.lhs, rel=1e-9)
+
+
+@st.composite
+def _parseval_case(draw):
+    """A subset of Z_m, m <= 5040: empty, sparse (at most 40 residues) or
+    dense (all but at most 40), each with 0 put in or taken out."""
+    m = draw(st.one_of(st.sampled_from((2, 12, 36, 720, 2520, 4096, 5039, 5040)), st.integers(2, 5040)))
+    kind = draw(st.sampled_from(("empty", "sparse", "dense")))
+    drawn = draw(st.sets(st.integers(0, m - 1), max_size=40))
+    elems = set() if kind == "empty" else drawn if kind == "sparse" else set(range(m)) - drawn
+    if kind != "empty":
+        elems = elems | {0} if draw(st.booleans()) else elems - {0}
+    return m, sorted(elems)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_parseval_case())
+@example((5040, list(range(5040))))  # equality on every period
+@example((5040, []))
+def test_parseval_bound_equals_the_class_size_oracle_on_every_period(case):
+    m, a = case
+    x = _set(m, a)
+    for q in make_modulus(m).divisors:
+        lhs, rhs = naive_parseval_sides(a, q, m)
+        check = parseval_bound(x, q)
+        assert (check.name, check.lhs, check.rhs, check.holds) == (f"parseval q={q}", lhs, rhs, True)
+        assert type(check.lhs) is int and type(check.rhs) is int
+
+
+def test_parseval_bound_rejects_a_period_that_does_not_divide_m():
+    x = _set(12, [1, 5])
+    for q in (0, -3, 5, 24):
+        with pytest.raises(ValueError, match=f"period {q} does not divide the modulus 12"):
+            parseval_bound(x, q)
+    assert [parseval_bound(x, q).lhs for q in (1, 2, 3, 4, 6, 12)] == [4, 8, 6, 16, 12, 24]
+
+
+def test_ring_chain_builds_no_indicator(monkeypatch):
+    # Parseval reads the set itself; only a set's spectrum builds an indicator.
+    built, original = [], setops.indicator
+
+    def spy(a_set):
+        built.append(a_set.modulus.m)
+        return original(a_set)
+
+    for module in (setops, spectra):
+        monkeypatch.setattr(module, "indicator", spy)
+    assert not hasattr(estimates, "indicator")
+    rng = np.random.default_rng(97)
+    for m, size in ((36, 20), (101, 50), (720, 300), (3600, 400)):
+        a = _set(m, random_subset(rng, m, size))
+        d = Derivation(a)
+        assert len(ring_checks(d)) == 6
+        ring_bound_report(d)
+        ring_bound_report(a)
+        ring_checks(a)
+    assert built == []
+    spectral_checks(_set(101, [1, 2, 5]))  # the spy sees A and A+A
+    assert built == [101, 101]
 
 
 def test_divisor_bound_checks_prime_is_complete_sum_bound():
@@ -300,7 +364,7 @@ def test_divisor_rows_sliced_from_the_full_spectrum_equal_fresh_transforms():
             rows = []
             for e in mod.divisors[:-1]:
                 row = divisor_square_bound(d, e)
-                fresh = max_nontrivial(dft_counts(_vector(d.quotients.dense_mod(m // e))))[1]
+                fresh = max_nontrivial(dft_counts(_vector(counts_mod(d.quotients.counts, m // e))))[1]
                 # a peak that is 0 in exact arithmetic reads as transform
                 # rounding noise, which scales with the mass of the counts
                 noise = 1e-12 * d.quotients.total_mass
