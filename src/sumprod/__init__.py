@@ -24,14 +24,7 @@ from .residues import (
     residue_set,
     unit_part,
 )
-from .setops import (
-    MultiplicityVector,
-    additive_rep,
-    indicator,
-    productset,
-    sumset,
-    unit_quotient_rep,
-)
+from .setops import additive_rep, indicator, productset, sumset, unit_quotient_rep
 from .spectra import dft_counts, spectrum_of_set
 from .sweeps import (
     CSV_HEADER,

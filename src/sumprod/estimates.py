@@ -41,13 +41,7 @@ from .residues import (
     residue_set,
     unit_part,
 )
-from .setops import (
-    MultiplicityVector,
-    additive_rep,
-    productset,
-    sumset,
-    unit_quotient_rep,
-)
+from .setops import additive_rep, productset, sumset, unit_quotient_rep
 from .spectra import dft_counts, gcd_class_peaks, spectrum_of_set
 
 REL_SLACK = 1e-9
@@ -96,11 +90,11 @@ def _require_prime_zero_free(a_set: ResidueSet) -> int:
     return mod.m
 
 
-def _mv_dot(a: MultiplicityVector, b: MultiplicityVector) -> int:
-    """sum_t a[t] b[t], exactly: a count is at most m <= 2^31, so each
-    product fits in int64, and each block's int64 dot is short enough that
-    no partial sum passes 2^63 - 1; the blocks are added as Python ints."""
-    x, y = a.counts, b.counts
+def _mv_dot(x: np.ndarray, y: np.ndarray) -> int:
+    """sum_t x[t] y[t] over two count arrays, exactly: a count is at most
+    m <= 2^31, so each product fits in int64, and each block's int64 dot is
+    short enough that no partial sum passes 2^63 - 1; the blocks are added
+    as Python ints."""
     step = max(1, (2**63 - 1) // max(1, int(x.max()) * int(y.max())))
     return sum(int(np.dot(x[lo : lo + step], y[lo : lo + step])) for lo in range(0, x.size, step))
 
@@ -158,7 +152,7 @@ class Derivation:
         return spectrum_of_set(self.a)
 
     @_once
-    def quotients(self) -> MultiplicityVector:
+    def quotients(self) -> np.ndarray:
         """Counts of x a^{-1} over (x, a) in AA x A; A must consist of units."""
         return unit_quotient_rep(self.prods, self.a)
 
@@ -324,12 +318,7 @@ def field_checks(a: "ResidueSet | Derivation") -> list[Check]:
     return [
         field_constant(rep.p, rep.size_a, rep.lhs),
         Check("quadruple_lower_bound", rep.quad_count, rep.quad_lower, rep.quad_count >= rep.quad_lower),
-        Check(
-            "fourier_cap",
-            rep.fourier_max,
-            rep.fourier_cap,
-            rep.fourier_max <= rep.fourier_cap * (1 + REL_SLACK),
-        ),
+        replace(divisor_square_bound(core, 1), name="fourier_cap"),
         master_inequality(rep.p, core.size, core.sums.size, core.prods.size),
     ]
 

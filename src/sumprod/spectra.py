@@ -1,4 +1,4 @@
-"""Complete exponential sums of sets and multiplicity vectors, and their
+"""Complete exponential sums of sets and representation counts, and their
 peaks by gcd class of the frequency.
 
 A spectrum is a read-only complex array over Z_m with the character
@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .residues import ResidueSet, make_modulus
-from .setops import MultiplicityVector, _freeze, indicator
+from .setops import _freeze, indicator
 
 # Direct summation is used when the period and the support are both small
 # enough that the twiddle work stays trivial; everything else goes to the
@@ -48,14 +48,14 @@ def _fft_dft(dense: np.ndarray) -> np.ndarray:
     return np.conjugate(amps, out=amps)
 
 
-def dft_counts(v: MultiplicityVector) -> np.ndarray:
-    """S(n) = sum_t counts[t] e_m(n t) for n in [0, m), read-only."""
-    dense = v.counts
-    m, nnz = dense.size, int(np.count_nonzero(dense))
+def dft_counts(counts: np.ndarray) -> np.ndarray:
+    """S(n) = sum_t counts[t] e_m(n t) for n in [0, m), m = counts.size,
+    read-only."""
+    m, nnz = counts.size, int(np.count_nonzero(counts))
     if m <= DIRECT_Q_LIMIT and m * nnz <= DIRECT_WORK_LIMIT:
-        amps = _direct_dft(dense)
+        amps = _direct_dft(counts)
     else:
-        amps = _fft_dft(dense)
+        amps = _fft_dft(counts)
     amps.setflags(write=False)
     return amps
 

@@ -15,7 +15,7 @@ import os
 import re
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 
 import numpy as np
@@ -100,6 +100,9 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One CSV row; the fields are CSV_HEADER's columns in order, with
+    quad_count the J column."""
+
     modulus: int
     kind: str
     size: int
@@ -188,25 +191,8 @@ def _format_value(x: "int | float | None") -> str:
 
 
 def format_row(row: SweepRow) -> str:
-    return ",".join(
-        _format_value(v)
-        for v in (
-            row.modulus,
-            row.kind,
-            row.size,
-            row.trial,
-            row.derived_seed,
-            row.sum_size,
-            row.prod_size,
-            row.lhs,
-            row.bound,
-            row.ratio,
-            row.quad_count,
-            row.fourier_max,
-            row.fourier_cap,
-            row.elapsed_micros,
-        )
-    )
+    """One CSV line: SweepRow's fields in declared order, CSV_HEADER's."""
+    return ",".join(_format_value(getattr(row, f.name)) for f in fields(row))
 
 
 def write_csv(rows: list[SweepRow], path: str) -> None:

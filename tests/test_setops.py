@@ -50,17 +50,17 @@ def _assert_stored_form(s, m):
     assert arr.size == 0 or (arr[0] >= 0 and arr[-1] < m)
 
 
-def _counts_dict(mv):
+def _counts_dict(counts, m):
     """The nonzero counts; the stored form is a read-only int64 array of
     length m."""
-    assert mv.counts.dtype == np.int64 and mv.counts.shape == (mv.modulus.m,)
-    assert not mv.counts.flags.writeable
-    nz = np.flatnonzero(mv.counts)
-    return dict(zip(nz.tolist(), mv.counts[nz].tolist()))
+    assert counts.dtype == np.int64 and counts.shape == (m,)
+    assert not counts.flags.writeable
+    nz = np.flatnonzero(counts)
+    return dict(zip(nz.tolist(), counts[nz].tolist()))
 
 
-def _support(mv):
-    return set(np.flatnonzero(mv.counts).tolist())
+def _support(counts):
+    return set(np.flatnonzero(counts).tolist())
 
 
 def test_sumset_examples():
@@ -155,11 +155,11 @@ def test_dilate_fiber_bound_all_small_m():
 def test_additive_rep_examples():
     mod5 = make_modulus(5)
     a = residue_set(mod5, [1, 2])
-    mv = additive_rep(a, a, 1)
-    assert _counts_dict(mv) == {2: 1, 3: 2, 4: 1}
-    assert mv.total_mass == 4
+    counts = additive_rep(a, a, 1)
+    assert _counts_dict(counts, 5) == {2: 1, 3: 2, 4: 1}
+    assert int(counts.sum()) == 4
     b = residue_set(mod5, [0, 2, 3])
-    assert _counts_dict(additive_rep(residue_set(mod5, [0]), b, 1)) == {0: 1, 2: 1, 3: 1}
+    assert _counts_dict(additive_rep(residue_set(mod5, [0]), b, 1), 5) == {0: 1, 2: 1, 3: 1}
     with pytest.raises(ValueError):
         additive_rep(a, a, 2)
 
@@ -173,10 +173,10 @@ def test_additive_rep_matches_oracle_and_support():
         b = random_subset(rng, m, int(rng.integers(1, m + 1)))
         sa, sb = residue_set(mod, a), residue_set(mod, b)
         for sign in (1, -1):
-            mv = additive_rep(sa, sb, sign)
-            assert _counts_dict(mv) == naive_additive_counts(a, b, sign, m)
-            assert mv.total_mass == len(a) * len(b)
-        assert mv.total_mass == sa.size * sb.size
+            counts = additive_rep(sa, sb, sign)
+            assert _counts_dict(counts, m) == naive_additive_counts(a, b, sign, m)
+            assert int(counts.sum()) == len(a) * len(b)
+        assert int(counts.sum()) == sa.size * sb.size
         assert _support(additive_rep(sa, sb, 1)) == sumset(sa, sb).elements
 
 
@@ -184,10 +184,10 @@ def test_quotient_rep_examples():
     mod5 = make_modulus(5)
     x = residue_set(mod5, [1, 2, 4])
     a = residue_set(mod5, [1, 2])
-    mv = unit_quotient_rep(x, a)
-    assert _counts_dict(mv) == {1: 2, 2: 2, 3: 1, 4: 1}
-    assert mv.total_mass == 6
-    assert _counts_dict(unit_quotient_rep(x, residue_set(mod5, [1]))) == {1: 1, 2: 1, 4: 1}
+    counts = unit_quotient_rep(x, a)
+    assert _counts_dict(counts, 5) == {1: 2, 2: 2, 3: 1, 4: 1}
+    assert int(counts.sum()) == 6
+    assert _counts_dict(unit_quotient_rep(x, residue_set(mod5, [1])), 5) == {1: 1, 2: 1, 4: 1}
     with pytest.raises(NonInvertibleError) as err:
         unit_quotient_rep(x, residue_set(mod5, [0, 1]))
     assert err.value.gcd == 5
@@ -200,17 +200,17 @@ def test_quotient_rep_matches_oracle():
         for _ in range(15):
             xs = random_subset(rng, p, int(rng.integers(1, p)))
             a = random_subset(rng, p, int(rng.integers(1, p)), exclude_zero=True)
-            mv = unit_quotient_rep(residue_set(mod, xs), residue_set(mod, a))
-            assert _counts_dict(mv) == naive_quotient_counts(xs, a, p)
+            counts = unit_quotient_rep(residue_set(mod, xs), residue_set(mod, a))
+            assert _counts_dict(counts, p) == naive_quotient_counts(xs, a, p)
 
 
 def test_unit_quotient_rep_ring():
     mod9 = make_modulus(9)
     x = residue_set(mod9, [0, 1, 2, 4])
     a = residue_set(mod9, [1, 2])  # both units mod 9; 2^{-1} = 5
-    mv = unit_quotient_rep(x, a)
-    assert mv.total_mass == 8
-    assert _counts_dict(mv) == naive_quotient_counts([0, 1, 2, 4], [1, 2], 9)
+    counts = unit_quotient_rep(x, a)
+    assert int(counts.sum()) == 8
+    assert _counts_dict(counts, 9) == naive_quotient_counts([0, 1, 2, 4], [1, 2], 9)
     with pytest.raises(NonInvertibleError) as err:
         unit_quotient_rep(x, residue_set(mod9, [3]))
     assert err.value.gcd == 3
@@ -294,13 +294,13 @@ def test_counts_above_two_to_the_twenty_are_dense():
     m = (1 << 20) + 2
     a, b = [1, 5, m - 1], [2, 7]
     for sign in (1, -1):
-        mv = additive_rep(_set(m, a), _set(m, b), sign)
-        assert _counts_dict(mv) == naive_additive_counts(a, b, sign, m)
+        counts = additive_rep(_set(m, a), _set(m, b), sign)
+        assert _counts_dict(counts, m) == naive_additive_counts(a, b, sign, m)
     assert _support(indicator(_set(m, a))) == set(a)
     assert sumset(_set(m, a), _set(m, b)).elements == naive_sumset(a, b, m)
     units = [1, 5, m - 1]  # m = 2 * 3 * 174763
-    mv = unit_quotient_rep(_set(m, [0] + a), _set(m, units))
-    assert _counts_dict(mv) == naive_quotient_counts([0] + a, units, m)
+    counts = unit_quotient_rep(_set(m, [0] + a), _set(m, units))
+    assert _counts_dict(counts, m) == naive_quotient_counts([0] + a, units, m)
 
 
 def test_products_near_modulus_cap_are_exact():
@@ -337,7 +337,7 @@ def test_memory_budget_on_both_sides_for_every_count(monkeypatch, m):
     }
     _pin_memory(monkeypatch, m, 0)
     for name, (build, want) in builds.items():
-        assert _counts_dict(build()) == want, name
+        assert _counts_dict(build(), m) == want, name
     assert sumset(sa, sb).elements == naive_sumset(a, b, m)
     _pin_memory(monkeypatch, m, -1)
     for name, (build, _) in builds.items():
@@ -352,9 +352,9 @@ def test_memory_budget_on_both_sides_for_every_count(monkeypatch, m):
 def test_indicator_mass_and_support():
     mod = make_modulus(17)
     a = residue_set(mod, [2, 3, 5])
-    mv = indicator(a)
-    assert mv.total_mass == 3
-    assert _support(mv) == a.elements
+    counts = indicator(a)
+    assert int(counts.sum()) == 3
+    assert _support(counts) == a.elements
 
 
 # --- Exact FFT counts: both sides of the dispatch against the oracles ---
@@ -386,18 +386,18 @@ def _quotient_case(draw):
 @given(_additive_case())
 def test_additive_rep_property(case):
     m, a, b, sign = case
-    mv = additive_rep(_set(m, a), _set(m, b), sign)
-    assert _counts_dict(mv) == naive_additive_counts(a, b, sign, m)
-    assert mv.total_mass == len(a) * len(b)
+    counts = additive_rep(_set(m, a), _set(m, b), sign)
+    assert _counts_dict(counts, m) == naive_additive_counts(a, b, sign, m)
+    assert int(counts.sum()) == len(a) * len(b)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_quotient_case())
 def test_unit_quotient_rep_prime_property(case):
     p, xs, a = case
-    mv = unit_quotient_rep(_set(p, xs), _set(p, a))
-    assert _counts_dict(mv) == naive_quotient_counts(xs, a, p)
-    assert mv.total_mass == len(xs) * len(a)
+    counts = unit_quotient_rep(_set(p, xs), _set(p, a))
+    assert _counts_dict(counts, p) == naive_quotient_counts(xs, a, p)
+    assert int(counts.sum()) == len(xs) * len(a)
 
 
 # --- Quotient counts over every modulus: the unit-group engine ---
@@ -484,9 +484,9 @@ def test_unit_quotient_rep_property_over_every_modulus(case):
     # Both sides of _fft_pays on any modulus, numerators of every kind.
     m, xs, a, pays = case
     with mock.patch.object(setops, "_fft_pays", return_value=pays):
-        mv = unit_quotient_rep(_set(m, xs), _set(m, a))
-    assert _counts_dict(mv) == naive_quotient_counts(xs, a, m)
-    assert mv.total_mass == len(xs) * len(a)
+        counts = unit_quotient_rep(_set(m, xs), _set(m, a))
+    assert _counts_dict(counts, m) == naive_quotient_counts(xs, a, m)
+    assert int(counts.sum()) == len(xs) * len(a)
 
 
 # 2929 = 29 * 101 has the shape (28, 100): its first axis is padded to 60.
@@ -513,9 +513,9 @@ def test_unit_quotient_rep_on_both_sides_of_the_gate(monkeypatch, m, size_a):
         numerators = sum(1 for x in xs if math.gcd(x, m) == 1)
         assert setops._fft_pays(numerators * len(a), *shape) == fft
         paths.clear()
-        mv = unit_quotient_rep(_set(m, xs), _set(m, a))
+        counts = unit_quotient_rep(_set(m, xs), _set(m, a))
         assert paths == ([(shape, True)] if fft else [])  # the FFT certified its counts
-        assert _counts_dict(mv) == naive_quotient_counts(xs, a, m)
+        assert _counts_dict(counts, m) == naive_quotient_counts(xs, a, m)
 
 
 def test_unit_quotient_rep_names_the_first_non_unit():
@@ -599,15 +599,15 @@ def test_fft_guard_failure_falls_back_to_exact_enumeration(monkeypatch, guard):
         _noisy_irfftn(monkeypatch, 7, 1.0)  # rounds cleanly, one pair too many
     assert sumset(_set(p, a), _set(p, b)).elements == naive_sumset(a, b, p)
     for sign in (1, -1):
-        mv = additive_rep(_set(p, a), _set(p, b), sign)
-        assert _counts_dict(mv) == naive_additive_counts(a, b, sign, p)
-    mv = unit_quotient_rep(_set(p, a), _set(p, b))
-    assert _counts_dict(mv) == naive_quotient_counts(a, b, p)
+        counts = additive_rep(_set(p, a), _set(p, b), sign)
+        assert _counts_dict(counts, p) == naive_additive_counts(a, b, sign, p)
+    counts = unit_quotient_rep(_set(p, a), _set(p, b))
+    assert _counts_dict(counts, p) == naive_quotient_counts(a, b, p)
     # Over a composite modulus too (four axes), on every numerator.
     m, units = 720, _units(720)
     assert setops._fft_pays(len(units) ** 2, *setops._unit_group(m)[0])
-    mv = unit_quotient_rep(_set(m, range(m)), _set(m, units))
-    assert _counts_dict(mv) == naive_quotient_counts(range(m), units, m)
+    counts = unit_quotient_rep(_set(m, range(m)), _set(m, units))
+    assert _counts_dict(counts, m) == naive_quotient_counts(range(m), units, m)
     # Quotients fall back to enumerating every numerator against the inverses.
     assert calls == [(p, len(a))] * 4 + [(m, m)]
 
@@ -617,12 +617,12 @@ def test_fft_path_is_taken_without_fallback(monkeypatch):
     rng = np.random.default_rng(47)
     a = random_subset(rng, 499, 300)
     b = random_subset(rng, 499, 250, exclude_zero=True)
-    mv = unit_quotient_rep(_set(499, a), _set(499, b))
-    assert _counts_dict(mv) == naive_quotient_counts(a, b, 499)
+    counts = unit_quotient_rep(_set(499, a), _set(499, b))
+    assert _counts_dict(counts, 499) == naive_quotient_counts(a, b, 499)
     assert calls == []
     m, units = 720, _units(720)
-    mv = unit_quotient_rep(_set(m, range(m)), _set(m, units))
-    assert _counts_dict(mv) == naive_quotient_counts(range(m), units, m)
+    counts = unit_quotient_rep(_set(m, range(m)), _set(m, units))
+    assert _counts_dict(counts, m) == naive_quotient_counts(range(m), units, m)
     assert calls == [(m, m - len(units))]  # the non-unit numerators alone
 
 
@@ -674,8 +674,8 @@ def test_counts_on_both_sides_of_two_to_the_twenty(monkeypatch):
         x = _set(m, [(start_x + i) % m for i in range(len_x)])
         y = _set(m, range(start_y, start_y + len_y))
         for sign in (1, -1):
-            mv = additive_rep(x, y, sign)
-            assert _counts_dict(mv) == _interval_counts(start_x, len_x, start_y, len_y, sign, m)
+            counts = additive_rep(x, y, sign)
+            assert _counts_dict(counts, m) == _interval_counts(start_x, len_x, start_y, len_y, sign, m)
     for p in ((1 << 20) - 3, (1 << 20) + 7):
         assert setops._fft_pays(len_x * len_y, p - 1)
         g = find_generator(make_modulus(p))
@@ -686,7 +686,7 @@ def test_counts_on_both_sides_of_two_to_the_twenty(monkeypatch):
         for e, c in _interval_counts(start_x, len_x, start_a, len_y, -1, p - 1).items():
             want[pow(g, e, p)] = c
         want[0] = len_y
-        assert _counts_dict(unit_quotient_rep(_set(p, xs), _set(p, a))) == want
+        assert _counts_dict(unit_quotient_rep(_set(p, xs), _set(p, a)), p) == want
     # Only each prime's 0, a non-unit numerator, is enumerated.
     assert enumerated == [((1 << 20) - 3, 1), ((1 << 20) + 7, 1)]
     enumerated.clear()
@@ -694,11 +694,11 @@ def test_counts_on_both_sides_of_two_to_the_twenty(monkeypatch):
         a = random_subset(rng, m, 200)
         b = random_subset(rng, m, 150, exclude_zero=True)
         for sign in (1, -1):
-            mv = additive_rep(_set(m, a), _set(m, b), sign)
-            assert _counts_dict(mv) == naive_additive_counts(a, b, sign, m)
+            counts = additive_rep(_set(m, a), _set(m, b), sign)
+            assert _counts_dict(counts, m) == naive_additive_counts(a, b, sign, m)
         if make_modulus(m).is_prime:
-            mv = unit_quotient_rep(_set(m, a), _set(m, b))
-            assert _counts_dict(mv) == naive_quotient_counts(a, b, m)
+            counts = unit_quotient_rep(_set(m, a), _set(m, b))
+            assert _counts_dict(counts, m) == naive_quotient_counts(a, b, m)
     # Two additive counts per modulus, and a quotient count per prime.
     sizes = [((1 << 20) - 3, 3), (1 << 20, 2), ((1 << 20) + 1, 2), ((1 << 20) + 7, 3)]
     assert enumerated == [(m, 200) for m, calls in sizes for _ in range(calls)]

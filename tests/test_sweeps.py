@@ -2,6 +2,7 @@ import math
 import re
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 
 import pytest
 
@@ -12,6 +13,7 @@ from sumprod.sweeps import (
     CSV_HEADER,
     DuplicateResidueWarning,
     SweepConfig,
+    SweepRow,
     derive_seed,
     format_row,
     parse_set_file,
@@ -243,3 +245,6 @@ def test_write_csv_header_exact(tmp_path):
         "modulus,kind,size,trial,derived_seed,sum_size,prod_size,"
         "lhs,bound,ratio,J,fourier_max,fourier_cap,elapsed_micros\n"
     )
+    # format_row writes SweepRow's fields in declared order: the header's.
+    names = ["J" if f.name == "quad_count" else f.name for f in fields(SweepRow)]
+    assert ",".join(names) == CSV_HEADER
