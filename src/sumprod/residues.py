@@ -1,5 +1,5 @@
-"""Exact modular arithmetic: modulus metadata, residue sets, inverses and
-primitive roots.
+"""Exact modular arithmetic: modulus metadata, residue sets, the error for a
+non-invertible element and primitive roots.
 
 A residue set is stored in one form, a sorted, distinct, read-only int64
 array; its frozenset view is derived only when a caller asks for it. Every

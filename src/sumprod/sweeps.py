@@ -16,7 +16,7 @@ import re
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -204,28 +204,32 @@ def write_csv(rows: list[SweepRow], path: str) -> None:
 
 
 def _pool_pays(cfg: SweepConfig) -> bool:
-    """Whether worker threads speed the sweep up, from its sizes alone: a
-    cell holds the GIL between numpy kernels, so only long kernels pay.
-    run_sweep speed-up on 2 threads (2 shared vCPUs, numpy 2.4): prime 499,
-    sizes 8 to 498: 0.42-0.67x; rings 3600 and 6000, 8/64/512: 0.64-0.95x;
-    prime 4099: 0.80-1.04x; ring 8192: 1.02x; prime 8191: 1.31-1.63x; prime
-    10007, 8/32: 0.85-1.40x, 1000/3000: 1.35-1.51x; ring 3600, 1000/2000:
-    1.55-1.72x; ring 16384: 0.99-1.12x; ring 65536: 1.59-1.77x."""
-    return cfg.modulus >= 1 << 13 or max(cfg.sizes) ** 2 >= 1 << 19
+    """Whether worker threads speed the sweep up, from its kind and sizes
+    alone: a cell holds the GIL between numpy kernels, so only long kernels
+    pay. run_sweep speed-up on 2 threads (2 shared vCPUs, numpy 2.4): prime
+    499, sizes 8 to 498: 0.42-0.67x; rings 3600 and 6000, 8/64/512:
+    0.58-0.95x; ring 8192: 1.02x; ring 16384: 0.99-1.12x; ring 65536:
+    1.59-1.77x; ring 3600, 1000/2000: 1.55-1.72x. Primes, 8/32/128: 4099:
+    0.57-1.16x; 4999: 0.97-1.15x; 5501: 0.97-1.30x; 5987: 1.08-1.26x; 6007:
+    1.01-1.18x; 7001: 0.99-1.64x; 8191: 1.31-1.63x; 10007, 8/32: 0.85-1.40x,
+    1000/3000: 1.35-1.51x."""
+    floor = 6000 if cfg.kind == KIND_PRIME else 1 << 13
+    return cfg.modulus >= floor or max(cfg.sizes) ** 2 >= 1 << 19
 
 
 def run_sweep(cfg: SweepConfig, threads: int | None = None) -> list[SweepRow]:
     """Run every (size, trial) cell of the sweep; rows come back ordered by
     config position then trial index regardless of scheduling.
 
-    threads bounds the worker threads (None: the CPU count) and affects speed
-    only, never output; cells run on the calling thread unless _pool_pays.
+    Worker threads: min(threads or CPUs, CPUs), a choice of speed only, never
+    of output. Cells run on the calling thread unless _pool_pays.
     """
     mod = _validated_modulus(cfg)
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     cells = [(size, trial) for size in cfg.sizes for trial in range(cfg.trials)]
-    workers = threads or os.cpu_count() or 1
+    cpu = os.cpu_count() or 1
+    workers = min(threads or cpu, cpu)
     if workers == 1 or len(cells) == 1 or not _pool_pays(cfg):
         rows = [_trial_row(cfg, mod, size, trial) for size, trial in cells]
     else:
@@ -250,49 +254,30 @@ def run_exhaustive(p: int, k: int) -> ExhaustiveSummary:
     """Scan every k-subset of the nonzero residues mod p for a violation of
     the exact 1/4 bound; record the minimum ratio and its witness.
 
-    Limits: p prime <= 19, C(p-1, k) <= 10^7.
+    Limits: p prime <= 19, so at most C(18, 9) = 48,620 subsets, one int16
+    row each (pair values are at most 18 * 18). Each row's set size counts
+    its k^2 pair values mod p scattered into one (subsets x p) boolean array.
     """
-    mod = make_modulus(p)
-    if not mod.is_prime or p > 19:
+    if not make_modulus(p).is_prime or p > 19:
         raise ValueError(f"p must be a prime at most 19, got {p}")
     if not 1 <= k <= p - 1:
         raise ValueError(f"k must be in [1, {p - 1}], got {k}")
-    if math.comb(p - 1, k) > 10**7:
-        raise ValueError(f"C({p - 1}, {k}) exceeds the enumeration cap 10^7")
-
-    full = (1 << p) - 1
-    prod_table = [[a * b % p for b in range(p)] for a in range(p)]
-    min_ratio = math.inf
-    witness: tuple[int, ...] = ()
-    violations = 0
-    subsets = 0
-    for combo in combinations(range(1, p), k):
-        subsets += 1
-        mask = 0
-        for a in combo:
-            mask |= 1 << a
-        acc = 0
-        for a in combo:
-            shifted = (mask << a) | (mask >> (p - a))
-            acc |= shifted & full
-        sum_size = acc.bit_count()
-        prods = set()
-        for i, a in enumerate(combo):
-            row = prod_table[a]
-            for b in combo[i:]:
-                prods.add(row[b])
-        lhs = sum_size * len(prods)
-        if not field_constant(p, k, lhs).holds:
-            violations += 1
-        ratio = lhs / min(p * k, k**4 / p)
-        if ratio < min_ratio:
-            min_ratio = ratio
-            witness = combo
+    combos = np.fromiter(chain.from_iterable(combinations(range(1, p), k)), np.int16)
+    combos = combos.reshape(-1, k)
+    rows = np.arange(len(combos))[:, None]
+    lhs = np.ones(len(combos), np.int64)
+    for op in (np.add, np.multiply):
+        marks = np.zeros((len(combos), p), bool)
+        marks[rows, op(combos[:, :, None], combos[:, None, :]).reshape(len(combos), -1) % p] = True
+        lhs *= np.count_nonzero(marks, axis=1)
+    best = int(np.argmin(lhs))
+    values, counts = np.unique(lhs, return_counts=True)
+    fails = [not field_constant(p, k, int(v)).holds for v in values]
     return ExhaustiveSummary(
         p=p,
         k=k,
-        subsets=subsets,
-        min_ratio=min_ratio,
-        witness=witness,
-        violations=violations,
+        subsets=len(combos),
+        min_ratio=int(lhs[best]) / min(p * k, k**4 / p),
+        witness=tuple(int(a) for a in combos[best]),
+        violations=int(counts[fails].sum()),
     )

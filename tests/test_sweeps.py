@@ -3,11 +3,12 @@ import re
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
+from itertools import combinations
 
 import pytest
 
 from sumprod import sweeps
-from sumprod.estimates import field_bound_report, ring_bound_report
+from sumprod.estimates import Check, field_bound_report, ring_bound_report
 from sumprod.residues import make_modulus, residue_set
 from sumprod.sweeps import (
     CSV_HEADER,
@@ -116,16 +117,33 @@ def test_sweep_deterministic_across_threads(tmp_path):
 
 
 def test_pool_gate_is_decided_from_sizes_alone():
-    gate = lambda m, sizes: sweeps._pool_pays(SweepConfig(m, "ring", sizes, 1, 0))  # noqa: E731
+    gate = lambda m, sizes, kind="ring": sweeps._pool_pays(SweepConfig(m, kind, sizes, 1, 0))  # noqa: E731
     assert not gate(8191, (8,)) and gate(8192, (8,))
+    assert not gate(6007, (8,)) and gate(6007, (8,), "prime")
+    assert not gate(5987, (8, 32, 128), "prime") and gate(6007, (8, 32, 128), "prime")
     assert not gate(3600, (8, 724)) and gate(3600, (725, 8))  # 724^2 < 2^19 <= 725^2
+    assert not gate(499, (8, 724), "prime") and gate(499, (725,), "prime")
     # Every determinism test and golden sweep, and both sweeps of the
     # benchmark, run below the gate on one thread.
     for m, sizes in (
         (101, (5, 17)), (101, (3, 9, 27)), (36, (4, 12)), (36, (5, 12)),
         (499, (8, 32, 128, 400)), (499, (498,)), (3600, (8, 64, 512)),
     ):
-        assert not gate(m, sizes), (m, sizes)
+        assert not gate(m, sizes) and not gate(m, sizes, "prime"), (m, sizes)
+
+
+def _spy_on_pools(monkeypatch, cpus):
+    """Pin the CPU count and record each pool's max_workers."""
+    pools = []
+
+    class Spy(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(sweeps, "ThreadPoolExecutor", Spy)
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: cpus)
+    return pools
 
 
 @pytest.mark.parametrize(
@@ -135,17 +153,12 @@ def test_pool_gate_is_decided_from_sizes_alone():
         (36, "ring", (4, 12), False),
         (8209, "prime", (5, 17), True),
         (16384, "ring", (8, 64), True),
+        (5987, "prime", (5, 17), False),
+        (6007, "prime", (5, 17), True),
     ],
 )
 def test_pool_runs_only_above_the_gate(monkeypatch, tmp_path, modulus, kind, sizes, pooled):
-    pools = []
-
-    class Spy(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(sweeps, "ThreadPoolExecutor", Spy)
+    pools = _spy_on_pools(monkeypatch, 8)
     blobs = []
     for threads in (1, 2, 8):
         out = tmp_path / f"t{threads}.csv"
@@ -154,6 +167,15 @@ def test_pool_runs_only_above_the_gate(monkeypatch, tmp_path, modulus, kind, siz
     assert blobs[0] == blobs[1] == blobs[2]
     assert len(blobs[0].splitlines()) == 1 + len(sizes) * 4
     assert pools == ([2, 8] if pooled else [])
+
+
+def test_pool_never_outnumbers_the_cpus(monkeypatch):
+    pools = _spy_on_pools(monkeypatch, 2)
+    cfg = SweepConfig(8209, "prime", (5, 17), 4, 99)
+    rows = run_sweep(cfg, threads=10**6)
+    assert pools == [2]
+    assert rows == run_sweep(cfg, threads=1)
+    assert run_sweep(cfg) == rows and pools == [2, 2]
 
 
 def test_sweep_rows_revalidate_against_fresh_reports():
@@ -212,19 +234,45 @@ def test_run_exhaustive_small():
     assert single.violations == 0
 
 
-def test_run_exhaustive_matches_naive_sizes():
-    from itertools import combinations
+def _naive_lhs(p, k):
+    """(subset, |A+A||AA|) for every k-subset of the nonzero residues mod p."""
+    return [
+        (combo, len(naive_sumset(combo, combo, p)) * len(naive_productset(combo, combo, p)))
+        for combo in combinations(range(1, p), k)
+    ]
 
-    summary = run_exhaustive(7, 3)
-    worst = math.inf
-    witness = None
-    for combo in combinations(range(1, 7), 3):
-        lhs = len(naive_sumset(combo, combo, 7)) * len(naive_productset(combo, combo, 7))
-        ratio = lhs / min(7 * 3, 3**4 / 7)
-        if ratio < worst:
-            worst, witness = ratio, combo
-    assert summary.min_ratio == pytest.approx(worst)
-    assert summary.witness == witness
+
+def test_run_exhaustive_matches_naive_sizes():
+    cases = [(p, k) for p in (7, 11) for k in range(1, p)]
+    for p, k in cases:
+        scanned = _naive_lhs(p, k)
+        ratios = [lhs / min(p * k, k**4 / p) for _, lhs in scanned]
+        first = ratios.index(min(ratios))  # the first subset at the minimum
+        summary = run_exhaustive(p, k)
+        assert summary.subsets == len(scanned) == math.comb(p - 1, k)
+        assert summary.min_ratio == ratios[first], (p, k)
+        assert summary.witness == scanned[first][0], (p, k)
+        assert summary.violations == 0
+
+
+def test_run_exhaustive_largest_case():
+    summary = run_exhaustive(19, 9)
+    assert summary.subsets == 48620
+    assert summary.min_ratio == 0.9473684210526315
+    assert summary.witness == (1, 4, 5, 6, 7, 9, 11, 16, 17)
+    assert summary.violations == 0
+
+
+def test_run_exhaustive_counts_violations_of_the_rule(monkeypatch):
+    # A rule stricter than the paper's, so that some subsets violate it.
+    p, k = 11, 4
+    lhs = sorted(value for _, value in _naive_lhs(p, k))
+    median = lhs[len(lhs) // 2]
+    strict = lambda p_, size, value: Check("median", value, median, value >= median)  # noqa: E731
+    monkeypatch.setattr(sweeps, "field_constant", strict)
+    expected = sum(value < median for value in lhs)
+    assert 0 < expected < len(lhs)
+    assert run_exhaustive(p, k).violations == expected
 
 
 def test_run_exhaustive_input_errors():
