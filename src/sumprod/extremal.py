@@ -41,14 +41,10 @@ def best_window(points: ResidueSet, length: int) -> tuple[int, int]:
     p = points.modulus.m
     if not 1 <= length <= p - 1:
         raise ValueError(f"window length {length} out of range [1, {p - 1}]")
-    ind = np.zeros(2 * p, dtype=np.int64)
-    if points.size:
-        arr = points.array
-        ind[arr] = 1
-        ind[arr + p] = 1
-    prefix = np.concatenate(([0], np.cumsum(ind)))
-    offsets = np.arange(p)
-    counts = prefix[offsets + 1 + length] - prefix[offsets + 1]
+    ind = np.zeros(2 * p, dtype=np.uint32)  # two copies: the prefix sums stay below 2p < 2^32
+    ind[points.array] = ind[points.array + p] = 1
+    prefix = np.cumsum(ind, dtype=np.uint32)
+    counts = prefix[length : length + p] - prefix[:p]
     best = int(np.argmax(counts))
     return best, int(counts[best])
 

@@ -6,14 +6,14 @@ that result is computed, and every path agrees with the pair-enumeration
 oracles in the test suite. Counts (`indicator`, `additive_rep`,
 `unit_quotient_rep`) are read-only int64 arrays of length m, built only
 once the memory budget `BYTES_PER_RESIDUE * m` fits in physical memory.
-A count is a cyclic correlation, over Z_m or over the axes of the unit
-group (`_unit_group`): one exact rfftn (`_cyclic_counts`) when `_fft_pays`,
-pair enumeration otherwise. `sumset` reads A+B off the support of the
-additive counts when their FFT pays; `productset` forms, over a prime with
-|A||B| > 4m, an exponent sum set on bit masks in discrete-log coordinates.
-Otherwise pairs are enumerated in int64 blocks (`_pair_blocks`), each
-bincounted into counts or, for a set, scattered into a length-m boolean
-array (m <= `BITSET_LIMIT`, 2^24) or merged by np.unique above it.
+A count is a cyclic correlation over Z_m or the axes of the unit group
+(`_unit_group`): one exact rfftn (`_cyclic_counts`) on each axis only as
+long as the arcs the operands occupy need (`_fft_plan`) when `_fft_pays`,
+pair enumeration otherwise; `sumset` reads A+B off such counts. Over a
+prime with |A||B| > 4m `productset` forms an exponent sum set on bit masks.
+Otherwise pairs are enumerated in int64 blocks (`_pair_blocks`), bincounted
+or, for a set, scattered into a length-m boolean array (m <= `BITSET_LIMIT`,
+2^24) or merged by np.unique above it.
 
 An `indicator` is built only for a spectrum of a set (`spectra`); the ring
 chain builds none, as its Parseval checks read the set itself.
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_left
 from functools import lru_cache
 
 import numpy as np
@@ -122,11 +123,10 @@ def sumset(a_set: ResidueSet, b_set: ResidueSet) -> ResidueSet:
     their FFT pays, the distinct pair values otherwise."""
     mod = _require_same_modulus(a_set, b_set)
     a, b, m = a_set.array, b_set.array, mod.m
-    if _fft_pays(a.size * b.size, m):
-        vals = np.flatnonzero(additive_rep(a_set, b_set, 1))
-    else:
-        vals = _pairwise_values(a, b, m, np.add, a_set is b_set)
-    return ResidueSet(mod, vals)
+    planned = _fft_plan((m,), a.size, b.size, lambda: ((a,), (b,)))
+    if planned:
+        return ResidueSet(mod, np.flatnonzero(_sum_counts(a, b, m, planned)))
+    return ResidueSet(mod, _pairwise_values(a, b, m, np.add, a_set is b_set))
 
 
 def _rotate_mask(mask: int, shift: int, m: int, full: int) -> int:
@@ -169,30 +169,41 @@ def _unit_shape(m: int) -> tuple[int, ...]:
     """The axis lengths of _unit_group(m), without its tables."""
     factors = make_modulus(m).factorization
     lengths = (n for p, k in factors for n, _ in _prime_power_axes(p, k, m))
-    return tuple(sorted(lengths, key=lambda n: (_transform_length(n), n)))
+    return tuple(sorted(lengths, key=lambda n: (_whole((n,))[1], n)))
 
 
 @lru_cache(maxsize=16)
-def _unit_group(m: int) -> tuple[tuple[int, ...], np.ndarray, tuple[tuple[int, np.ndarray], ...]]:
-    """(Z/m)^x as the product of the axes of its prime powers q, each
-    generator lifted to itself mod q and 1 mod m/q. Returns _unit_shape(m),
-    ascending in transform length (rfftn halves the last axis: at m = 720720
-    the reverse order costs 61 ms per transform against 7 ms), the int64
-    residue of every element in C order, and per axis (q, an int32 table
-    from units mod q to coordinates); a prime's one axis is its discrete log."""
+def _unit_group(m: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, np.ndarray], ...]]:
+    """(Z/m)^x as the product of the axes of its prime powers q, each generator
+    lifted to itself mod q and 1 mod m/q. Returns _unit_shape(m), ascending in
+    transform length (rfftn halves the last axis: at m = 720720 the reverse
+    order costs 61 ms per transform against 7 ms), the generator of each axis
+    and per axis (q, an int32 log table from units mod q to coordinates)."""
     axes = []
     for p, k in make_modulus(m).factorization:
         q, gens = p**k, _prime_power_axes(p, k, m)
         lift = m // q * pow(m // q, -1, q)  # 1 mod q, 0 mod m/q
-        powers = [_power_table((1 + (g - 1) * lift) % m, n, m) for n, g in gens]
-        own, coords = _outer_products(powers, m) % q, np.indices([n for n, _ in gens])
-        for (n, _), table, coord in zip(gens, powers, coords.reshape(len(gens), own.size)):
-            log = np.zeros(q, dtype=np.int32)
+        logs = [np.zeros(q, dtype=np.int32) for _ in gens]  # kept: below the temporaries (RSS)
+        powers = [_power_table(g, n, q) for n, g in gens]
+        own = powers[0] if len(gens) == 1 else _outer_products(powers, q)  # one axis: no copy
+        coords = np.indices([n for n, _ in gens], dtype=np.int32).reshape(len(gens), own.size)
+        for (n, g), coord, log in zip(gens, coords, logs):
             log[own] = coord
-            axes.append((n, table, q, _freeze(log)))
-    axes.sort(key=lambda axis: (_transform_length(axis[0]), axis[0]))
-    residues = _outer_products([table for _, table, _, _ in axes], m)
-    return tuple(n for n, *_ in axes), _freeze(residues), tuple((q, log) for *_, q, log in axes)
+            axes.append((n, (1 + (g - 1) * lift) % m, q, _freeze(log)))
+    axes.sort(key=lambda axis: (_whole((axis[0],))[1], axis[0]))
+    return tuple(n for n, *_ in axes), tuple(g for _, g, *_ in axes), tuple((q, log) for *_, q, log in axes)
+
+
+def _box_residues(m: int, plan: tuple) -> np.ndarray:
+    """Residues of the cells of a box (_fft_plan) of _unit_group(m), C order: g^(sx + sy) g^j per axis."""
+    axes = zip(_unit_group(m)[1], plan)
+    return _outer_products([_power_table(g, w, m) * pow(g, s + t, m) % m for g, (_, s, t, w, _) in axes], m)
+
+
+@lru_cache(maxsize=16)
+def _unit_residues(m: int) -> np.ndarray:
+    """All residues of _unit_group(m), cached apart: windowed counts skip them."""
+    return _freeze(_box_residues(m, _whole(_unit_shape(m))[0]))
 
 
 def _inverses(units: np.ndarray, mod: Modulus) -> np.ndarray:
@@ -207,19 +218,10 @@ def _inverses(units: np.ndarray, mod: Modulus) -> np.ndarray:
     return out
 
 
-def _coords(logs: tuple[tuple[int, np.ndarray], ...], units: np.ndarray, m: int) -> tuple:
-    """The coordinate rows of units mod m on the axes of _unit_group."""
-    return tuple(log[units % q if q < m else units] for q, log in logs)
-
-
 def productset(a_set: ResidueSet, b_set: ResidueSet) -> ResidueSet:
-    """Exact {a * b mod m}; products are formed in 64-bit-safe intermediates.
-
-    For a prime modulus and large zero-free dense inputs the pair
-    enumeration is replaced by a discrete-log reduction (products become
-    an exponent sum set mod m-1); 0 is stripped first and put back as the
-    absorbing element. Both routes produce identical sets.
-    """
+    """Exact {a * b mod m}, formed in 64-bit-safe intermediates. Over a prime
+    with large zero-free inputs, an exponent sum set mod m-1 in discrete-log
+    coordinates; 0 is stripped first and put back as the absorbing element."""
     mod = _require_same_modulus(a_set, b_set)
     m = mod.m
     a_zero, b_zero = 0 in a_set, 0 in b_set
@@ -227,9 +229,8 @@ def productset(a_set: ResidueSet, b_set: ResidueSet) -> ResidueSet:
     # A 0 is the first entry of a sorted array.
     a_arr, b_arr = a_set.array[int(a_zero) :], b_set.array[int(b_zero) :]
     if mod.is_prime and 2 < m <= BITSET_LIMIT and a_arr.size * b_arr.size > 4 * m:
-        _, pow_of, ((_, exp_of),) = _unit_group(m)
-        group = m - 1
-        full = (1 << group) - 1
+        pow_of, ((_, exp_of),) = _unit_residues(m), _unit_group(m)[2]
+        group, full = m - 1, (1 << (m - 1)) - 1
         bits = np.zeros(group, dtype=np.uint8)
         bits[exp_of[b_arr]] = 1
         base = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
@@ -237,9 +238,7 @@ def productset(a_set: ResidueSet, b_set: ResidueSet) -> ResidueSet:
         for e in exp_of[a_arr]:
             acc |= _rotate_mask(base, int(e), group, full)
         raw = acc.to_bytes((group + 7) // 8, "little")
-        exps = np.flatnonzero(
-            np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=group, bitorder="little")
-        )
+        exps = np.flatnonzero(np.unpackbits(np.frombuffer(raw, np.uint8), count=group, bitorder="little"))
         vals = np.sort(pow_of[exps])
     else:
         vals = _pairwise_values(a_arr, b_arr, m, np.multiply, a_set is b_set)
@@ -249,20 +248,42 @@ def productset(a_set: ResidueSet, b_set: ResidueSet) -> ResidueSet:
     return ResidueSet(mod, vals)
 
 
-@lru_cache(maxsize=64)
-def _fft_length(n: int) -> int:
-    """Smallest 2^a 3^b 5^c >= 2n - 1: the linear convolution of two
-    length-n inputs fits without wrapping, and pocketfft is fast on such
-    lengths (n = p and n = p - 1 are not smooth); n <= 2^31."""
-    need = 2 * n - 1
-    odd = (3**b * 5**c for b in range(21) for c in range(15) if 3**b * 5**c < 2 * need)
-    return min(s << ((need - 1) // s).bit_length() for s in odd)
+# Every 5-smooth length up to 2^32, ascending: pocketfft is fast on them.
+_SMOOTH = sorted(s << a for s in (3**b * 5**c for b in range(21) for c in range(14)) if s <= 1 << 32
+                 for a in range(((1 << 32) // s).bit_length()))
 
 
-def _transform_length(n: int) -> int:
-    """n if it is 5-smooth (as n < 2^32: it divides 2^32 3^21 5^14), as it is;
-    otherwise _fft_length(n), zero-padded and then folded mod n."""
-    return n if 2**32 * 3**21 * 5**14 % n == 0 else _fft_length(n)
+def _smooth(n: int) -> int:
+    """The smallest 5-smooth length >= n, for 1 <= n <= 2^32."""
+    return _SMOOTH[bisect_left(_SMOOTH, n)]
+
+
+def _arc(c: np.ndarray, n: int) -> tuple[int, int]:
+    """(start, length) of the shortest arc of Z_n holding every c: past the widest gap."""
+    v = np.sort(c)
+    gaps = v[1:] - v[:-1]
+    k = int(gaps.argmax()) if v.size > 1 else 0
+    if v.size == 1 or gaps[k] <= int(v[0]) + n - int(v[-1]):
+        return int(v[0]), int(v[-1] - v[0]) + 1
+    return int(v[k + 1]), n + 1 - int(gaps[k])
+
+
+@lru_cache(maxsize=256)
+def _whole(shape: tuple[int, ...]) -> tuple[tuple, tuple[int, ...]]:
+    """Z_n1 x ... x Z_nr planned whole, and its lengths: per axis (n, x start 0, y start 0,
+    box length n, L), L = n if n is 5-smooth, else padded to >= 2n - 1 and folded mod n."""
+    lengths = tuple(n if _smooth(n) == n else _smooth(2 * n - 1) for n in shape)
+    return tuple((n, 0, 0, n, length) for n, length in zip(shape, lengths)), lengths
+
+
+def _window(axis: tuple, x: np.ndarray, y: np.ndarray) -> tuple[int, int, int, int, int]:
+    """A whole axis (_whole) cut to the arcs of x, y (start s, length l) if w = lx + ly - 1 < n and the
+    smallest 5-smooth L >= w is shorter; the rows shift to 0 and box entry j counts t = sx + sy + j."""
+    n, *_, whole = axis
+    sx, lx = _arc(x, n)
+    sy, ly = _arc(y, n) if lx + y.size - 1 < n else (0, n)  # else no room beside x's arc (exact in 1-D)
+    w = lx + ly - 1
+    return (n, sx, sy, w, _smooth(w)) if w < n and _smooth(w) < whole else axis
 
 
 # Enumeration steps per FFT axis (its pocketfft passes and call overhead):
@@ -271,13 +292,31 @@ def _transform_length(n: int) -> int:
 _AXIS_STEPS = 1 << 13
 
 
-def _fft_pays(pairs: int, *shape: int) -> bool:
-    """The FFT gate of every count over Z_n1 x ... x Z_nr: a transform of
-    size S, the product of the axes' transform lengths, must cost less,
-    about S log2 S plus _AXIS_STEPS per axis, than enumeration at one step
-    per pair."""
-    size = math.prod(map(_transform_length, shape))
-    return pairs > size * math.log2(size) + _AXIS_STEPS * len(shape)
+def _fft_pays(pairs: int, *lengths: int) -> bool:
+    """The FFT gate of every count and sum set: a transform at the planned
+    lengths, of size S, must cost less, about S log2 S plus _AXIS_STEPS per
+    axis, than enumeration at one step per pair."""
+    size = math.prod(lengths)
+    return pairs > size * math.log2(size) + _AXIS_STEPS * len(lengths)
+
+
+def _fft_plan(shape: tuple[int, ...], nx: int, ny: int, rows):
+    """(plan, x, y) of the counts of nx x ny pairs over Z_n1 x ... x Z_nr if _fft_pays at the planned
+    lengths, else None, with the rows shifted to its starts. Windows are tried where nx + ny - 1 < n,
+    and rows() (the quotients' tables) read only if the least box pays."""
+    (plan, lengths), pairs, box = _whole(shape), nx * ny, nx + ny - 1
+    if room := box < max(shape):  # the least box: X + Y in 1-D, 1 on each such axis else
+        lengths = [_smooth(box)] if len(shape) == 1 else [1 if box < n else L for n, L in zip(shape, lengths)]
+    if not (pairs and _fft_pays(pairs, *lengths)):
+        return None
+    x, y = rows()
+    if room:
+        plan = tuple(_window(axis, xi, yi) if box < axis[0] else axis for axis, xi, yi in zip(plan, x, y))
+        if not _fft_pays(pairs, *[axis[4] for axis in plan]):
+            return None
+        x = tuple(c if s == 0 else (c - s) % n for c, (n, s, *_) in zip(x, plan))
+        y = tuple(c if s == 0 else (c - s) % n for c, (n, _, s, *_) in zip(y, plan))
+    return plan, x, y
 
 
 # c and u of the a-priori FFT error bound c u log2(S) |X| |Y| < 1/4 derived
@@ -291,11 +330,10 @@ def _histogram(coords: tuple, padded: tuple[int, ...]) -> np.ndarray:
     return counts.reshape(padded).astype(np.float64)
 
 
-def _cyclic_counts(x: tuple, y: tuple, *shape: int) -> np.ndarray | None:
-    """counts[t] = #{(i, j) : x[i] + y[j] = t} over Z_n1 x ... x Z_nr, in C
-    order, exactly (None if the guard fails); x, y hold a coordinate row per
-    axis, padded to L >= 2n - 1 and folded mod n unless n is 5-smooth. rfftn
-    composes 1-D transforms, so t = log2 S = sum log2 L_i below.
+def _cyclic_counts(plan: tuple, x: tuple, y: tuple) -> np.ndarray | None:
+    """counts[t] = #{(i, j) : x[i] + y[j] = t}, exactly, on the box of an
+    _fft_plan (x, y: its shifted rows) in C order, or None if the guard fails.
+    rfftn composes 1-D transforms at the planned L_i: t = sum log2 L_i below.
 
     Error bound. Higham (Accuracy and Stability of Numerical Algorithms,
     2nd ed., Thm 24.2) bounds a computed length-L FFT by
@@ -316,7 +354,7 @@ def _cyclic_counts(x: tuple, y: tuple, *shape: int) -> np.ndarray | None:
     rounding residual is below 1/4 and the rounded counts sum to N.
     """
     pairs = x[0].size * y[0].size
-    padded = tuple(map(_transform_length, shape))
+    padded = tuple(axis[4] for axis in plan)
     bound = _FFT_ERROR_CONSTANT * _UNIT_ROUNDOFF * max(1.0, sum(map(math.log2, padded))) * pairs
     if not (pairs and bound < 0.25):
         return None
@@ -327,11 +365,11 @@ def _cyclic_counts(x: tuple, y: tuple, *shape: int) -> np.ndarray | None:
     if float(np.max(np.abs(linear - rounded))) >= 0.25:
         return None
     # The rounded entries are integers below 2^53: folding them is exact.
-    for axis, (n, length) in enumerate(zip(shape, padded)):
-        if length > n:
-            lead = (slice(None),) * axis
+    for axis, (n, _, _, w, length) in enumerate(plan):
+        lead = (slice(None),) * axis
+        if w == n < length:
             rounded[lead + (slice(0, n - 1),)] += rounded[lead + (slice(n, 2 * n - 1),)]
-            rounded = rounded[lead + (slice(0, n),)]
+        rounded = rounded[lead + (slice(0, w),)]
     counts = rounded.astype(np.int64).ravel()
     return counts if int(counts.sum()) == pairs else None
 
@@ -342,11 +380,22 @@ def additive_rep(a_set: ResidueSet, b_set: ResidueSet, sign: int) -> np.ndarray:
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     m, a_arr = mod.m, a_set.array
-    _require_fits(m)
     b_arr = b_set.array if sign == 1 else (-b_set.array) % m
-    pays = _fft_pays(a_arr.size * b_arr.size, m)
-    counts = _cyclic_counts((a_arr,), (b_arr,), m) if pays else None
-    return _freeze(_pair_counts(a_arr, b_arr, m) if counts is None else counts)
+    planned = _fft_plan((m,), a_arr.size, b_arr.size, lambda: ((a_arr,), (b_arr,)))
+    return _freeze(_sum_counts(a_arr, b_arr, m, planned))
+
+
+def _sum_counts(a: np.ndarray, b: np.ndarray, m: int, planned) -> np.ndarray:
+    """counts[t] = #{a[i] + b[j] = t (mod m)}: FFT on planned (_fft_plan), or enumerated."""
+    _require_fits(m)
+    box = _cyclic_counts(*planned) if planned else None
+    if box is None:
+        return _pair_counts(a, b, m)
+    ((_, sx, sy, w, _),) = planned[0]
+    if w < m:  # an arc's box, written back at sx + sy; np.zeros leaves the rest unfaulted
+        box, counts = np.zeros(m, dtype=np.int64), box
+        box[(sx + sy + np.arange(w)) % m] = counts
+    return box
 
 
 def unit_quotient_rep(x_set: ResidueSet, a_set: ResidueSet) -> np.ndarray:
@@ -366,20 +415,20 @@ def unit_quotient_rep(x_set: ResidueSet, a_set: ResidueSet) -> np.ndarray:
         first = int(a_arr[np.argmin(a_units)])
         raise NonInvertibleError(first, m, math.gcd(first, m))
     x_units, shape = _units_mask(x_arr, mod), _unit_shape(m)
-    flat = None
-    if _fft_pays(int(np.count_nonzero(x_units)) * a_arr.size, *shape):
-        _, residues, logs = _unit_group(m)
-        # An inverse is the negated coordinates.
-        inv_coords = tuple(-c % n for c, n in zip(_coords(logs, a_arr, m), shape))
-        flat = _cyclic_counts(_coords(logs, x_arr[x_units], m), inv_coords, *shape)
+    units = x_arr[x_units]
+
+    def rows():  # the coordinates of units mod q on each axis; an inverse's are negated
+        x, a = (tuple(log[v % q if q < m else v] for q, log in _unit_group(m)[2]) for v in (units, a_arr))
+        return x, tuple(-c % n for c, n in zip(a, shape))
+
+    planned = _fft_plan(shape, units.size, a_arr.size, rows)
+    # Residues before the transform: a cache built after its temporaries pins them (RSS).
+    whole = planned and planned[0] == _whole(shape)[0]
+    cells = planned and (_unit_residues(m) if whole else _box_residues(m, planned[0]))
+    flat = _cyclic_counts(*planned) if planned else None
     rest = x_arr if flat is None else x_arr[~x_units]
-    # No numerator left, no inverses: computed for every count, they took 4%
-    # of a sweep of prime 499 and ring 3600 (sizes 8 to 512), half of that
-    # on counts with no pair to form.
-    if rest.size:
-        counts = _pair_counts(rest, _inverses(a_arr, mod), m, np.multiply)
-    else:
-        counts = np.zeros(m, dtype=np.int64)
+    # No numerator left, no inverses: always computed, they took 4% of a sweep of 499 and 3600.
+    counts = _pair_counts(rest, _inverses(a_arr, mod) if rest.size else a_arr, m, np.multiply)
     if flat is not None:  # a non-unit over a unit is a non-unit: every unit is still 0
-        counts[residues] = flat
+        counts[cells] = flat
     return _freeze(counts)

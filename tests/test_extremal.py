@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sumprod.estimates import field_constant
+from sumprod.estimates import field_checks, field_constant
 from sumprod.extremal import best_window, build_extremal, power_prefix
 from sumprod.residues import find_generator, make_modulus, residue_set
 
@@ -63,6 +63,25 @@ def test_best_window_matches_naive_scan():
         assert int(prefix[offset + 1 + length] - prefix[offset + 1]) == naive_count
 
 
+def test_best_window_matches_every_offset_with_wraps_and_ties():
+    # Every length at small primes, against the scan of all p offsets: point
+    # sets whose best window wraps across 0, evenly spaced sets where many
+    # offsets tie (the smallest wins), the empty set and random sets.
+    rng = np.random.default_rng(113)
+    for p in (2, 3, 5, 7, 11, 13, 31, 37):
+        mod = make_modulus(p)
+        shapes = [
+            [],
+            [p - 2, p - 1, 0, 1][: p],  # across 0
+            list(range(0, p, 2)),  # evenly spaced: ties
+            list(range(1, p, 3)),
+        ] + [rng.choice(p, size=int(rng.integers(1, p + 1)), replace=False).tolist() for _ in range(6)]
+        for pick in shapes:
+            points = residue_set(mod, sorted({x % p for x in pick}))
+            for length in range(1, p):
+                assert best_window(points, length) == naive_best_window(points.elements, length, p), (p, pick, length)
+
+
 def test_window_average_identity_exact():
     # each point lies in exactly `length` windows, so the counts over all
     # p offsets sum to length * |points| exactly
@@ -110,8 +129,26 @@ def test_build_extremal_errors():
         build_extremal(10, 2)
 
 
+def _cube_root_squared_ceil(p):
+    """The least N with N^3 >= p^2, that is ceil(p^(2/3)), exactly."""
+    n = round(p ** (2 / 3))
+    while n**3 < p * p:
+        n += 1
+    while (n - 1) ** 3 >= p * p:
+        n -= 1
+    return n
+
+
 def test_structural_bounds_and_field_sandwich():
-    for p, n in ((101, 5), (101, 50), (1009, 30), (1009, 200)):
+    small = [(101, 5), (101, 50), (1009, 30), (1009, 200)]
+    # From the paper's threshold N = ceil(p^(2/3)) to (p - 1)/2, where the
+    # field bound reads |A+A||AA| >= pN/4 and the construction gives at most
+    # (2M - 1)^2 with M = ceil(sqrt(pN)): the ratio is pinned within 16x.
+    threshold = []
+    for p in (499, 10007, 100003):
+        low, high = _cube_root_squared_ceil(p), (p - 1) // 2
+        threshold += [(p, low), (p, (low + high) // 2), (p, high)]
+    for p, n in small + threshold:
         built = build_extremal(p, n)
         cap = 2 * built.window_len - 1
         assert built.sum_size <= cap and built.prod_size <= cap
@@ -121,3 +158,7 @@ def test_structural_bounds_and_field_sandwich():
         lhs = built.sum_size * built.prod_size
         assert field_constant(p, n, lhs).holds
         assert lhs <= cap * cap
+        if (p, n) in threshold:
+            assert n**3 >= p * p and 4 * lhs >= p * n
+            failed = [c.name for c in field_checks(built.chosen) if not c.holds]
+            assert failed == [], (p, n, failed)

@@ -16,11 +16,15 @@ from pathlib import Path
 import pytest
 
 from sumprod import cli
+from sumprod.extremal import build_extremal
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 WORKDIR = "$WORKDIR"
 
 _PRIMES_BELOW_50 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+# The elements `construct --p 10007 --n 500` prints: a geometric progression
+# cut by an additive window, so A+A and AA each fill an arc of under 2M.
+_CONSTRUCTED = build_extremal(10007, 500).chosen.array.tolist()
 
 # name -> (argv with {set} and {dir} placeholders, set-file text or None, written files)
 CASES = {
@@ -32,6 +36,11 @@ CASES = {
     "verify-t1-with-zero": (
         ["verify-t1", "--p", "101", "--set", "{set}"],
         "0 " + " ".join(map(str, _PRIMES_BELOW_50)) + "\n47 # repeated\n",
+        [],
+    ),
+    "verify-t1-constructed": (
+        ["verify-t1", "--p", "10007", "--set", "{set}"],
+        " ".join(map(str, _CONSTRUCTED)) + "\n",
         [],
     ),
     "verify-t2-unit-reduced": (

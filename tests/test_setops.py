@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sumprod import setops
+from sumprod.extremal import build_extremal
 from sumprod.residues import (
     NonInvertibleError,
     find_generator,
@@ -17,7 +18,6 @@ from sumprod.residues import (
 )
 from sumprod.setops import (
     BITSET_LIMIT,
-    _fft_length,
     additive_rep,
     indicator,
     productset,
@@ -48,6 +48,11 @@ def _assert_stored_form(s, m):
     assert arr.dtype == np.int64 and not arr.flags.writeable
     assert np.all(np.diff(arr) > 0)
     assert arr.size == 0 or (arr[0] >= 0 and arr[-1] < m)
+
+
+def _whole(*shape):
+    """The transform lengths of whole axes (no window) of Z_n1 x ... x Z_nr."""
+    return list(setops._whole(shape)[1])
 
 
 def _counts_dict(counts, m):
@@ -253,7 +258,7 @@ def test_productset_dlog_path_matches_naive():
 def test_productset_dlog_results_are_sorted_with_and_without_zero(monkeypatch):
     # The residues of the exponent sum set come out of pow_of unsorted.
     p = 101
-    _, pow_of, ((_, exp_of),) = setops._unit_group(p)
+    pow_of, ((_, exp_of),) = setops._unit_residues(p), setops._unit_group(p)[2]
     rng = np.random.default_rng(71)
     a = random_subset(rng, p, 30, exclude_zero=True)
     b = random_subset(rng, p, 25, exclude_zero=True)
@@ -329,7 +334,7 @@ def test_memory_budget_on_both_sides_for_every_count(monkeypatch, m):
     units = [x for x in range(m) if math.gcd(x, m) == 1]
     a, b = list(range(m)), units
     sa, sb = residue_set(mod, a), residue_set(mod, b)
-    assert setops._fft_pays(len(a) * len(b), m)  # so sumset reaches its FFT branch
+    assert setops._fft_pays(len(a) * len(b), *_whole(m))  # so sumset reaches its FFT branch
     builds = {
         "indicator": (lambda: indicator(sa), {x: 1 for x in a}),
         "additive_rep": (lambda: additive_rep(sa, sb, -1), naive_additive_counts(a, b, -1, m)),
@@ -434,13 +439,15 @@ def _units(m):
     ids=str,
 )
 def test_unit_group_axes_and_tables(m, shape):
-    got_shape, residues, logs = setops._unit_group(m)
+    got_shape, gens, logs = setops._unit_group(m)
+    residues = setops._unit_residues(m)  # cached apart, from the generators
     assert got_shape == shape == setops._unit_shape(m) and math.prod(shape) == len(_units(m))
-    lengths = [setops._transform_length(n) for n in shape]
+    lengths = _whole(*shape)
     assert lengths == sorted(lengths)  # the longest transform axis is last
+    assert all(pow(g, n, m) == 1 % m for g, n in zip(gens, shape))
     units = np.array(_units(m), dtype=np.int64)
     assert np.array_equal(np.sort(residues), units)
-    coords = setops._coords(logs, units, m)
+    coords = tuple(log[units % q] for q, log in logs)  # each unit's coordinates
     assert len(coords) == len(shape)
     assert np.array_equal(residues[np.ravel_multi_index(coords, shape)], units)
     # One int32 log table per axis, indexed by the axis's prime power; none
@@ -460,12 +467,15 @@ def test_unit_group_lifts_a_root_that_fails_mod_p_squared(monkeypatch):
     original = setops.find_generator
     monkeypatch.setattr(setops, "find_generator", lambda mod: 19 if mod.m == 7 else original(mod))
     setops._unit_group.cache_clear()
+    setops._unit_residues.cache_clear()
     try:
-        shape, residues, _ = setops._unit_group(49)
-        assert shape == (42,) and int(residues[1]) == 26
+        shape, gens, _ = setops._unit_group(49)
+        residues = setops._unit_residues(49)
+        assert shape == (42,) and gens == (26,) and int(residues[1]) == 26
         assert np.array_equal(np.sort(residues), _units(49))
     finally:
         setops._unit_group.cache_clear()
+        setops._unit_residues.cache_clear()
 
 
 @st.composite
@@ -494,16 +504,17 @@ def test_unit_quotient_rep_property_over_every_modulus(case):
 def test_unit_quotient_rep_on_both_sides_of_the_gate(monkeypatch, m, size_a):
     units = _units(m)
     shape = setops._unit_shape(m)
-    size = math.prod(setops._transform_length(n) for n in shape)
+    lengths = _whole(*shape)
+    size = math.prod(lengths)
     # S log2 S plus 2^13 per axis, exactly.
     bound = math.floor(size * math.log2(size) + 8192 * len(shape))
-    assert not setops._fft_pays(bound, *shape) and setops._fft_pays(bound + 1, *shape)
+    assert not setops._fft_pays(bound, *lengths) and setops._fft_pays(bound + 1, *lengths)
     paths = []
     original = setops._cyclic_counts
 
-    def spy(x, y, *rest):
-        counts = original(x, y, *rest)
-        paths.append((rest, counts is not None))
+    def spy(plan, x, y):
+        counts = original(plan, x, y)
+        paths.append((tuple(n for n, *_ in plan), counts is not None))
         return counts
 
     monkeypatch.setattr(setops, "_cyclic_counts", spy)
@@ -511,7 +522,7 @@ def test_unit_quotient_rep_on_both_sides_of_the_gate(monkeypatch, m, size_a):
     for xs, fft in ((list(range(m)), True), (list(range(20)), False)):
         a = units[:size_a]
         numerators = sum(1 for x in xs if math.gcd(x, m) == 1)
-        assert setops._fft_pays(numerators * len(a), *shape) == fft
+        assert setops._fft_pays(numerators * len(a), *lengths) == fft
         paths.clear()
         counts = unit_quotient_rep(_set(m, xs), _set(m, a))
         assert paths == ([(shape, True)] if fft else [])  # the FFT certified its counts
@@ -530,9 +541,9 @@ def test_unit_quotient_rep_names_the_first_non_unit():
 def test_property_cases_reach_both_sides_of_the_dispatch(monkeypatch):
     # The full sets of the largest moduli above take the FFT; singletons
     # enumerate.
-    assert setops._fft_pays(499 * 499, 499) and setops._fft_pays(498 * 498, 498)
-    assert setops._fft_pays(360 * 360, 360)
-    assert not setops._fft_pays(499, 499) and not setops._fft_pays(498, 498)
+    assert setops._fft_pays(499 * 499, *_whole(499)) and setops._fft_pays(498 * 498, *_whole(498))
+    assert setops._fft_pays(360 * 360, *_whole(360))
+    assert not setops._fft_pays(499, 1) and not setops._fft_pays(498, 1)  # the least plan
     # The sum sets of test_sum_and_product_sets_property: the full Z_101 and
     # 160-element intervals mod 499 are the support of FFT counts; the full
     # Z_36, 41-element sets mod 4096 and singletons are scattered.
@@ -540,7 +551,7 @@ def test_property_cases_reach_both_sides_of_the_dispatch(monkeypatch):
     for name in ("_cyclic_counts", "_pairwise_values"):
 
         def spy(x, y, m, *rest, original=getattr(setops, name), name=name, **kwargs):
-            paths.append((name, m))
+            paths.append((name, x[0][0] if name == "_cyclic_counts" else m))  # plan's first n
             return original(x, y, m, *rest, **kwargs)
 
         monkeypatch.setattr(setops, name, spy)
@@ -589,7 +600,7 @@ def test_fft_guard_failure_falls_back_to_exact_enumeration(monkeypatch, guard):
     p = 499
     a = random_subset(rng, p, 300)
     b = random_subset(rng, p, 250, exclude_zero=True)
-    assert setops._fft_pays(len(a) * len(b), p) and setops._fft_pays((len(a) - 1) * len(b), p - 1)
+    assert setops._fft_pays(len(a) * len(b), *_whole(p)) and setops._fft_pays((len(a) - 1) * len(b), *_whole(p - 1))
     calls = _spy_enumeration(monkeypatch)
     if guard == "a_priori_bound":
         monkeypatch.setattr(setops, "_FFT_ERROR_CONSTANT", 1e30)
@@ -605,7 +616,7 @@ def test_fft_guard_failure_falls_back_to_exact_enumeration(monkeypatch, guard):
     assert _counts_dict(counts, p) == naive_quotient_counts(a, b, p)
     # Over a composite modulus too (four axes), on every numerator.
     m, units = 720, _units(720)
-    assert setops._fft_pays(len(units) ** 2, *setops._unit_group(m)[0])
+    assert setops._fft_pays(len(units) ** 2, *_whole(*setops._unit_shape(m)))
     counts = unit_quotient_rep(_set(m, range(m)), _set(m, units))
     assert _counts_dict(counts, m) == naive_quotient_counts(range(m), units, m)
     # Quotients fall back to enumerating every numerator against the inverses.
@@ -645,8 +656,11 @@ def test_fft_length_is_the_smallest_five_smooth_length():
     smooth = _five_smooth_up_to(1 << 23)
     ns = list(range(1, 3000)) + [10006, 10007, 65536, 100002, 100003, 720720, 1000002, 1 << 20]
     for n in ns:
-        length = _fft_length(n)
-        assert length == next(s for s in smooth if s >= 2 * n - 1), n
+        assert setops._smooth(2 * n - 1) == next(s for s in smooth if s >= 2 * n - 1), n
+        assert setops._smooth(n) == next(s for s in smooth if s >= n), n
+        # A whole axis: n itself if 5-smooth, else padded to 2n - 1 or more.
+        assert _whole(n) == [n if n in smooth else setops._smooth(2 * n - 1)], n
+    assert setops._SMOOTH[-1] == 1 << 32 and setops._smooth((1 << 32) - 1) == 1 << 32
 
 
 def _interval_counts(start_x, len_x, start_y, len_y, sign, m):
@@ -669,7 +683,7 @@ def test_counts_on_both_sides_of_two_to_the_twenty(monkeypatch):
     enumerated = _spy_enumeration(monkeypatch)
     len_x, len_y = 7000, 6600
     for m in (1 << 20, (1 << 20) + 1):
-        assert setops._fft_pays(len_x * len_y, m)
+        assert setops._fft_pays(len_x * len_y, *_whole(m))
         start_x, start_y = m - 3000, 1234
         x = _set(m, [(start_x + i) % m for i in range(len_x)])
         y = _set(m, range(start_y, start_y + len_y))
@@ -677,7 +691,7 @@ def test_counts_on_both_sides_of_two_to_the_twenty(monkeypatch):
             counts = additive_rep(x, y, sign)
             assert _counts_dict(counts, m) == _interval_counts(start_x, len_x, start_y, len_y, sign, m)
     for p in ((1 << 20) - 3, (1 << 20) + 7):
-        assert setops._fft_pays(len_x * len_y, p - 1)
+        assert setops._fft_pays(len_x * len_y, *_whole(p - 1))
         g = find_generator(make_modulus(p))
         start_x, start_a = p - 2000, 777
         xs = [0] + [pow(g, start_x + i, p) for i in range(len_x)]
@@ -708,8 +722,10 @@ def test_vectorized_dlog_tables_equal_the_loop():
     # A prime's unit group is one axis: the discrete log to the smallest
     # primitive root, and its powers.
     for p in (2, 3, 5, 7, 101, 499, 10007, 65537, 1000003):
-        shape, pow_of, ((q, exp_of),) = setops._unit_group(p)
-        assert q == p and shape == (p - 1,)
+        shape, (g_axis,), ((q, exp_of),) = setops._unit_group(p)
+        pow_of = setops._unit_residues(p)
+        assert q == p and shape == (p - 1,) and g_axis == int(pow_of[1 % (p - 1)])
+        assert exp_of.dtype == np.int32 and exp_of.shape == (p,) and not exp_of.flags.writeable
         g = find_generator(make_modulus(p))
         loop_exp = np.zeros(p, dtype=np.int64)
         loop_pow = np.zeros(p - 1, dtype=np.int64)
@@ -926,3 +942,186 @@ def test_self_pairs_form_nine_sixteenths_and_counts_all(monkeypatch):
     formed.clear()
     counts = setops._pair_counts(a.array, a.array, m, np.multiply)
     assert int(counts.sum()) == sum(formed) == n * n  # counts need ordered pairs
+
+
+# --- Windowed counts: each axis only as long as the operands' arcs need ---
+
+_BOX_MODULI = (720, 3600, 5040, 486, 1024)
+
+
+def _spy_plans(monkeypatch):
+    """Records (plan, certified) of every _cyclic_counts call."""
+    plans = []
+    original = setops._cyclic_counts
+
+    def spy(plan, x, y):
+        counts = original(plan, x, y)
+        plans.append((plan, counts is not None))
+        return counts
+
+    monkeypatch.setattr(setops, "_cyclic_counts", spy)
+    return plans
+
+
+def _arc_points(start, width, n, cap=120):
+    """start, ..., start + width - 1 mod n, thinned to about cap points with
+    both ends kept, so that the arc stays start and width."""
+    step = -(-width // cap)
+    return sorted({(start + i) % n for i in range(0, width, step)} | {(start + width - 1) % n})
+
+
+@st.composite
+def _widths(draw, n, cap):
+    """Two arc widths, at times on either side of wx + wy - 1 = n."""
+    wx = draw(st.integers(1, min(n, cap)))
+    edge = n + 1 - wx  # wy at which the arcs just fill Z_n
+    wy = draw(st.one_of(st.integers(1, min(n, cap)), st.integers(max(1, edge - 2), min(n, edge + 2))))
+    return wx, wy
+
+
+@st.composite
+def _additive_window_case(draw):
+    """Two additive windows of Z_m, either of which may wrap across 0, and a
+    side of the gate: the real one (None) or forced."""
+    m = draw(st.sampled_from((101, 257, 499, 720, 1024, 4093, 4096)))
+    wa, wb = draw(_widths(m, 400))
+    a = _arc_points(draw(st.integers(0, m - 1)), wa, m)
+    b = _arc_points(draw(st.integers(0, m - 1)), wb, m)
+    return m, a, b, draw(st.sampled_from((1, -1))), draw(st.sampled_from((None, True, False)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_additive_window_case())
+@example((4093, list(range(4000, 4093)) + list(range(60)), list(range(17, 167)), -1, None))  # wraps; FFT
+@example((101, list(range(60)), list(range(42)), 1, True))  # 60 + 42 - 1 = 101: no room, whole
+@example((101, list(range(60)), list(range(41)), 1, True))  # 100 < 101: a window of 100, L = 100
+def test_windowed_additive_counts_and_sumset_property(case):
+    m, a, b, sign, force = case
+    with mock.patch.object(setops, "_fft_pays", return_value=force) if force is not None else mock.MagicMock():
+        counts = additive_rep(_set(m, a), _set(m, b), sign)
+        got_sum = sumset(_set(m, a), _set(m, b))
+    assert _counts_dict(counts, m) == naive_additive_counts(a, b, sign, m)
+    assert int(counts.sum()) == len(a) * len(b)
+    assert got_sum.elements == naive_sumset(a, b, m)
+    _assert_stored_form(got_sum, m)
+
+
+@st.composite
+def _geometric_window_case(draw):
+    """Numerators g^s ... g^(s+w) mod a prime, 0 at times, and denominators
+    the same shape: an arc in discrete-log coordinates."""
+    p = draw(st.sampled_from((101, 499, 1009, 4093)))
+    g, n = find_generator(make_modulus(p)), p - 1
+    wx, wa = draw(_widths(n, 300))
+    xs = [pow(g, e, p) for e in _arc_points(draw(st.integers(0, n - 1)), wx, n)]
+    a = [pow(g, e, p) for e in _arc_points(draw(st.integers(0, n - 1)), wa, n)]
+    return p, sorted(set(xs) | ({0} if draw(st.booleans()) else set())), sorted(a), draw(
+        st.sampled_from((None, True, False))
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_geometric_window_case())
+@example((4093, [pow(2, e, 4093) for e in range(100, 300)], [pow(2, e, 4093) for e in range(7, 150)], None))
+def test_windowed_quotient_counts_over_geometric_windows(case):
+    p, xs, a, force = case
+    with mock.patch.object(setops, "_fft_pays", return_value=force) if force is not None else mock.MagicMock():
+        counts = unit_quotient_rep(_set(p, xs), _set(p, a))
+    assert _counts_dict(counts, p) == naive_quotient_counts(xs, a, p)
+    assert int(counts.sum()) == len(xs) * len(a)
+
+
+@st.composite
+def _box_case(draw):
+    """Units in a box of per-axis arcs of _unit_group(m), each arc possibly
+    wrapping, with non-unit numerators at times; the FFT side forced, since
+    the pairs of such small sets never pay."""
+    m = draw(st.sampled_from(_BOX_MODULI))
+    shape = setops._unit_shape(m)
+    grid = setops._unit_residues(m).reshape(shape)
+
+    def box():
+        # Thin boxes (one arc of up to 3, the others of 1) leave room even on
+        # axes of length 6: |X| + |Y| - 1 < n.
+        thin = draw(st.sampled_from((None,) + tuple(range(len(shape)))))
+        widths = [min(n, 40) if thin is None else 3 if i == thin else 1 for i, n in enumerate(shape)]
+        arcs = [(np.arange(draw(st.integers(1, w))) + draw(st.integers(0, n - 1))) % n for w, n in zip(widths, shape)]
+        cells = grid[np.ix_(*arcs)].ravel()
+        return sorted(set(cells[:: -(-cells.size // 60)].tolist()))
+
+    xs, a = box(), box()
+    if draw(st.booleans()):
+        xs = sorted(set(xs) | {x for x in range(0, m, 7) if math.gcd(x, m) > 1})
+    return m, xs, a, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_box_case())
+@example((1024, [1, 3, 5, 7, 9, 1021, 1023], [3, 9, 27, 81], True))  # ±3^k: short arcs on the long axis
+def test_windowed_quotient_counts_over_unit_group_boxes(case):
+    m, xs, a, pays = case
+    with mock.patch.object(setops, "_fft_pays", return_value=pays):
+        counts = unit_quotient_rep(_set(m, xs), _set(m, a))
+    assert _counts_dict(counts, m) == naive_quotient_counts(xs, a, m)
+
+
+def test_box_residues_are_the_group_residues_on_the_box():
+    # A windowed box reads g^(s + j) per axis; the whole group's cached
+    # residues, gathered at the same coordinates, must agree.
+    rng = np.random.default_rng(5)
+    for m in _BOX_MODULI + (101, 4093):
+        shape = setops._unit_shape(m)
+        grid = setops._unit_residues(m).reshape(shape)
+        assert np.array_equal(setops._box_residues(m, setops._whole(shape)[0]), grid.ravel())
+        for _ in range(20):
+            plan = []
+            for n in shape:
+                w, s, t = int(rng.integers(1, n + 1)), int(rng.integers(0, n)), int(rng.integers(0, n))
+                plan.append((n, s, t, w, setops._smooth(w)))
+            want = grid[np.ix_(*[(s + t + np.arange(w)) % n for n, s, t, w, _ in plan])].ravel()
+            assert np.array_equal(setops._box_residues(m, tuple(plan)), want), (m, plan)
+
+
+def test_extremal_counts_transform_below_the_modulus(monkeypatch):
+    # J of a constructed set: AA fills an arc of the discrete logs and A+A
+    # one of Z_p, so both counts transform at far less than p - 1.
+    p = 100003
+    built = build_extremal(p, 2000)
+    a = built.chosen
+    sums, prods = sumset(a, a), productset(a, a)
+    plans = _spy_plans(monkeypatch)
+    quotients, differences = unit_quotient_rep(prods, a), additive_rep(sums, a, -1)
+    assert [(len(plan), ok) for plan, ok in plans] == [(1, True), (1, True)]
+    (((n_q, _, _, box_q, length_q),), _), (((n_d, _, _, box_d, length_d),), _) = plans
+    assert (n_q, n_d) == (p - 1, p)
+    assert box_q < p - 1 and box_d < p and max(length_q, length_d) < p - 1
+    assert length_q <= 4 * built.window_len and length_d <= 4 * built.window_len
+    # The same counts enumerated.
+    with mock.patch.object(setops, "_fft_pays", return_value=False):
+        assert np.array_equal(quotients, unit_quotient_rep(prods, a))
+        assert np.array_equal(differences, additive_rep(sums, a, -1))
+
+
+@pytest.mark.parametrize("guard", ["a_priori_bound", "residual", "mass"])
+def test_windowed_guard_failure_falls_back_to_exact_enumeration(monkeypatch, guard):
+    p = 4093
+    g = find_generator(make_modulus(p))
+    a = [(4000 + i) % p for i in range(300)]  # wraps across 0
+    b = list(range(17, 267))
+    xs = [pow(g, e, p) for e in range(4000, 4300)]  # wraps across the order p - 1
+    den = [pow(g, e, p) for e in range(5, 255)]
+    plans, calls = _spy_plans(monkeypatch), _spy_enumeration(monkeypatch)
+    if guard == "a_priori_bound":
+        monkeypatch.setattr(setops, "_FFT_ERROR_CONSTANT", 1e30)
+    elif guard == "residual":
+        _noisy_irfftn(monkeypatch, 7, 0.3)
+    else:
+        _noisy_irfftn(monkeypatch, 7, 1.0)  # rounds cleanly, one pair too many
+    assert sumset(_set(p, a), _set(p, b)).elements == naive_sumset(a, b, p)
+    for sign in (1, -1):
+        assert _counts_dict(additive_rep(_set(p, a), _set(p, b), sign), p) == naive_additive_counts(a, b, sign, p)
+    assert _counts_dict(unit_quotient_rep(_set(p, xs), _set(p, den)), p) == naive_quotient_counts(xs, den, p)
+    # Every count planned a window (box and length below n), and none certified.
+    assert len(plans) == 4 and all(not ok for _, ok in plans)
+    assert all(box < n and length < n for ((n, _, _, box, length),), _ in plans)
+    assert calls == [(p, len(a))] * 3 + [(p, len(xs))]
