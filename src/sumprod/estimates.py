@@ -104,14 +104,16 @@ class Derivation:
 
     Each piece is built on first use and kept until the instance is
     dropped; one instance serves one report and is used by one thread.
-    Nothing is cached across instances.
+    Nothing is cached across instances. A caller that already holds pieces
+    (a sweep's set family) passes them by name in known.
     """
 
-    def __init__(self, a_set: ResidueSet):
+    def __init__(self, a_set: ResidueSet, **known):
         self.a = a_set
         self.modulus = a_set.modulus
         self.m = a_set.modulus.m
         self.size = a_set.size
+        self.__dict__.update(known)
 
     @_once
     def sums(self) -> ResidueSet:

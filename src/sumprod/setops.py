@@ -17,6 +17,10 @@ or, for a set, scattered into a length-m boolean array (m <= `BITSET_LIMIT`,
 
 An `indicator` is built only for a spectrum of a set (`spectra`); the ring
 chain builds none, as its Parseval checks read the set itself.
+
+A sweep's set family (m <= FAMILY_CAP) counts all its rows at once (`_row_counts`):
+the transform has a leading row axis (`_cyclic_rows`; one set is one row), a row that
+fails its guard is enumerated alone, and below the gate rows are enumerated in blocks.
 """
 
 from __future__ import annotations
@@ -36,6 +40,10 @@ BITSET_LIMIT = 1 << 24
 # Cap on elements materialized per vectorized chunk.
 _CHUNK_ELEMS = 1 << 22
 _SELF_ROWS = 32  # fewest rows in a block of a set's pairs with itself
+# Sweeps over Z_m, m <= FAMILY_CAP, batch each size as set families (_row_counts)
+# whose float64 temporaries and enumeration blocks hold about _ROW_BUDGET elements.
+FAMILY_CAP = 4096
+_ROW_BUDGET = 1 << 18
 # Peak memory of a report per residue: a field report with its spectral
 # checks (p = 1000003 and 2097143, |A| = 300 and 1000) raises the peak RSS
 # by 240-265 bytes per residue, of which tracemalloc sees about 129 (it
@@ -81,19 +89,21 @@ def _require_same_modulus(a: ResidueSet, b: ResidueSet) -> Modulus:
 
 def _pair_blocks(a: np.ndarray, b: np.ndarray, m: int, combine: np.ufunc, same=False):
     """combine(a[i], b[j]) mod m over all pairs, in flat blocks of about
-    _CHUNK_ELEMS values, chunked over a and reduced in place. Entries are in
-    [0, m) with m <= 2^31, so every sum and product is below 2^62: exact in
-    int64.
+    _CHUNK_ELEMS values, chunked over a and reduced in place; for rows a, b (a
+    leading axis) each row's pairs, one flat row each, in blocks of _ROW_BUDGET.
+    Entries are in [0, m) with m <= 2^31, so every sum and product is below
+    2^62: exact in int64 (and in int32 for m <= 2^15).
 
-    With same (b is a) rows [lo, hi) meet b[lo:] alone: k blocks of at least
-    _SELF_ROWS rows form (k + 1) / (2k) of the n^2 pairs, 9/16 for k = 8."""
-    if a.size and b.size:
-        step = max(1, _CHUNK_ELEMS // b.size)
+    With same (b is a) entries [lo, hi) of a meet b[lo:] alone: k blocks of at
+    least _SELF_ROWS entries form (k + 1) / (2k) of the n^2 pairs, 9/16 for k = 8."""
+    n, rows = a.shape[-1], a.size // max(1, a.shape[-1])
+    if n and b.size:
+        step = max(1, (_CHUNK_ELEMS if a.ndim == 1 else _ROW_BUDGET) // (rows * b.shape[-1]))
         if same:
-            step = min(step, max(_SELF_ROWS, -(-a.size // 8)))
-        for lo in range(0, a.size, step):
-            vals = combine(a[lo : lo + step, None], b[lo if same else 0 :][None, :])
-            yield np.remainder(vals, m, out=vals).ravel()
+            step = min(step, max(_SELF_ROWS, -(-n // 8)))
+        for lo in range(0, n, step):
+            vals = combine(a[..., lo : lo + step, None], b[..., None, lo if same else 0 :])
+            yield np.remainder(vals, m, out=vals).reshape(*a.shape[:-1], -1)
 
 
 def _pairwise_values(a: np.ndarray, b: np.ndarray, m: int, combine: np.ufunc, same=False) -> np.ndarray:
@@ -292,12 +302,12 @@ def _window(axis: tuple, x: np.ndarray, y: np.ndarray) -> tuple[int, int, int, i
 _AXIS_STEPS = 1 << 13
 
 
-def _fft_pays(pairs: int, *lengths: int) -> bool:
-    """The FFT gate of every count and sum set: a transform at the planned
-    lengths, of size S, must cost less, about S log2 S plus _AXIS_STEPS per
-    axis, than enumeration at one step per pair."""
+def _fft_pays(pairs: int, *lengths: int, rows: int = 1) -> bool:
+    """The FFT gate of every count and sum set: the transforms of rows at the
+    planned lengths, of size S each, must cost less, about S log2 S per row
+    plus _AXIS_STEPS per axis, than enumeration of all rows' pairs at one step per pair."""
     size = math.prod(lengths)
-    return pairs > size * math.log2(size) + _AXIS_STEPS * len(lengths)
+    return pairs > rows * size * math.log2(size) + _AXIS_STEPS * len(lengths)
 
 
 def _fft_plan(shape: tuple[int, ...], nx: int, ny: int, rows):
@@ -331,9 +341,15 @@ def _histogram(coords: tuple, padded: tuple[int, ...]) -> np.ndarray:
 
 
 def _cyclic_counts(plan: tuple, x: tuple, y: tuple) -> np.ndarray | None:
-    """counts[t] = #{(i, j) : x[i] + y[j] = t}, exactly, on the box of an
-    _fft_plan (x, y: its shifted rows) in C order, or None if the guard fails.
-    rfftn composes 1-D transforms at the planned L_i: t = sum log2 L_i below.
+    """One set's counts on the box of an _fft_plan (x, y: its shifted rows): the one-row _cyclic_rows, or None."""
+    out = _cyclic_rows(plan, (np.zeros(x[0].size, np.intp), *x), (np.zeros(y[0].size, np.intp), *y), 1)
+    return out[0][0] if out is not None and out[1][0] else None
+
+
+def _cyclic_rows(plan: tuple, x: tuple, y: tuple, rows: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """(counts, ok): counts[r, t] = #{(i, j) in row r : x[i] + y[j] = t}, exactly, on the box of an _fft_plan in
+    C order, for x, y the (row ids, coordinates per axis) of their points, and ok[r] whether row r passed its guard;
+    None if the a-priori bound fails. rfftn over axes 1 .. r composes 1-D transforms at L_i: t = sum log2 L_i below.
 
     Error bound. Higham (Accuracy and Stability of Numerical Algorithms,
     2nd ed., Thm 24.2) bounds a computed length-L FFT by
@@ -350,28 +366,27 @@ def _cyclic_counts(plan: tuple, x: tuple, y: tuple) -> np.ndarray | None:
     leaves a factor 2.5 for pocketfft's radix-3, -4 and -5 passes and its
     real-input transforms, which the radix-2 theorem does not cover.
 
-    The result is rounded to int64 only when c u t N < 1/4, the largest
-    rounding residual is below 1/4 and the rounded counts sum to N.
+    Rows are rounded to int64 only when c u t N < 1/4 for the largest N; a row passes
+    when its largest rounding residual is below 1/4 and its rounded counts sum to its N.
     """
-    pairs = x[0].size * y[0].size
-    padded = tuple(axis[4] for axis in plan)
-    bound = _FFT_ERROR_CONSTANT * _UNIT_ROUNDOFF * max(1.0, sum(map(math.log2, padded))) * pairs
-    if not (pairs and bound < 0.25):
+    pairs = np.bincount(x[0], minlength=rows) * np.bincount(y[0], minlength=rows)
+    padded, axes = tuple(axis[4] for axis in plan), range(1, len(plan) + 1)
+    bound = _FFT_ERROR_CONSTANT * _UNIT_ROUNDOFF * max(1.0, sum(map(math.log2, padded))) * int(pairs.max())
+    if not bound < 0.25:
         return None
-    spectrum = np.fft.rfftn(_histogram(x, padded))
-    spectrum *= np.fft.rfftn(_histogram(y, padded))
-    linear = np.fft.irfftn(spectrum, padded, axes=range(len(padded)))
+    spectrum = np.fft.rfftn(_histogram(x, (rows, *padded)), axes=axes)
+    spectrum *= spectrum if y is x else np.fft.rfftn(_histogram(y, (rows, *padded)), axes=axes)
+    linear = np.fft.irfftn(spectrum, padded, axes=axes)
     rounded = np.rint(linear)
-    if float(np.max(np.abs(linear - rounded))) >= 0.25:
-        return None
+    ok = np.abs(linear - rounded).reshape(rows, -1).max(axis=1) < 0.25
     # The rounded entries are integers below 2^53: folding them is exact.
     for axis, (n, _, _, w, length) in enumerate(plan):
-        lead = (slice(None),) * axis
+        lead = (slice(None),) * (axis + 1)
         if w == n < length:
             rounded[lead + (slice(0, n - 1),)] += rounded[lead + (slice(n, 2 * n - 1),)]
         rounded = rounded[lead + (slice(0, w),)]
-    counts = rounded.astype(np.int64).ravel()
-    return counts if int(counts.sum()) == pairs else None
+    counts = rounded.astype(np.int64).reshape(rows, -1)
+    return counts, ok & (counts.sum(axis=1) == pairs)
 
 
 def additive_rep(a_set: ResidueSet, b_set: ResidueSet, sign: int) -> np.ndarray:
@@ -432,3 +447,66 @@ def unit_quotient_rep(x_set: ResidueSet, a_set: ResidueSet) -> np.ndarray:
     if flat is not None:  # a non-unit over a unit is a non-unit: every unit is still 0
         counts[cells] = flat
     return _freeze(counts)
+
+
+def _row_support(mask: np.ndarray) -> np.ndarray:
+    """The positions of each row of a (rows, m) mask, ascending, padded with -1 to the longest row."""
+    sizes = mask.sum(axis=1)
+    out = np.full((len(mask), int(sizes.max(initial=0))), -1, dtype=np.int64)
+    out[np.arange(out.shape[1]) < sizes[:, None]] = np.flatnonzero(mask) % mask.shape[1]
+    return out
+
+
+def _family_step(m: int, size: int) -> int:
+    """Rows per set family of |A| = size over Z_m: its longest transform fills
+    _ROW_BUDGET and its |A|^2 pairs per row _CHUNK_ELEMS, with one row at least."""
+    longest = max(math.prod(_whole(shape)[1]) for shape in ((m,), _unit_shape(m)))
+    return max(1, min(_ROW_BUDGET // longest, _CHUNK_ELEMS // size**2))
+
+
+def _row_counts(x: np.ndarray, y: np.ndarray, m: int, combine: np.ufunc = np.add, units=False, sets=False):
+    """counts[r, t] = #{(i, j) : combine(x[r, i], y[r, j]) = t (mod m)}, (rows, m) int64, for a set family's rows
+    of residues padded with -1, all at once; with sets (y is x) only counts > 0. A correlation (np.add over Z_m,
+    with units a product of units over _unit_group(m)) is one rfftn of all rows (_cyclic_rows) if _fft_pays, a
+    row that fails its guard enumerated alone (_pair_counts). Else, in blocks of about _ROW_BUDGET pairs, sets
+    scatter _pair_blocks of each row with itself, and counts bincount x's entries against their rows of y."""
+
+    def entries(v):  # (row ids, values) of the entries that are not -1
+        return np.flatnonzero(v >= 0) // max(1, v.shape[1]), v[v >= 0]
+
+    def coords(v):  # a correlation's coordinates: residues, or the log coordinates of units on each axis
+        return (v,) if combine is np.add else tuple(log[v % q if q < m else v] for q, log in _unit_group(m)[2])
+
+    plan, lengths = _whole((m,) if combine is np.add else _unit_shape(m))
+    correlation = combine is np.add or units
+    if correlation and _fft_pays(int((x >= 0).sum(axis=1) @ (y >= 0).sum(axis=1)), *lengths, rows=len(x)):
+        (x_row, x_val), (y_row, y_val) = entries(x), entries(y)
+        xs = (x_row, *coords(x_val))
+        out = _cyclic_rows(plan, xs, xs if y is x else (y_row, *coords(y_val)), len(x))
+        if out is not None:
+            counts = np.zeros((len(x), m), dtype=np.int64)
+            counts[:, slice(None) if combine is np.add else _unit_residues(m)] = out[0]
+            for r in np.flatnonzero(~out[1]):
+                counts[r] = _pair_counts(x[r][x[r] >= 0], y[r][y[r] >= 0], m, combine)
+            return counts > 0 if sets else counts
+    if sets:
+        # A repeat leaves a row's set as it is; m <= FAMILY_CAP: products and row offsets fit int32.
+        full = np.where(x >= 0, x, x.max(axis=1, keepdims=True, initial=-1)).astype(np.int32)
+        seen = np.zeros((len(x), m), dtype=bool)
+        step = max(1, _ROW_BUDGET // max(1, x.shape[1] * min(x.shape[1], _SELF_ROWS)))  # rows per block
+        for lo in range(0, len(x), step):
+            for vals in _pair_blocks(full[lo : lo + step], full[lo : lo + step], m, combine, same=True):
+                vals += m * np.arange(len(vals), dtype=np.int32)[:, None]  # each row's values into its own row
+                seen[lo : lo + step].ravel()[vals] = True
+        seen[x.max(axis=1, initial=-1) < 0] = False  # rows with no entry
+        return seen
+    x_row, x_val = entries(x)
+    counts, step = np.zeros(len(x) * (m + 1), dtype=np.int64), max(1, _ROW_BUDGET // max(1, y.shape[1]))
+    for lo in range(0, x_row.size, step):
+        ys = y[x_row[lo : lo + step]]
+        vals = combine(x_val[lo : lo + step, None], ys)
+        vals %= m
+        np.putmask(vals, ys < 0, m)
+        vals += (m + 1) * x_row[lo : lo + step, None]
+        counts += np.bincount(vals.ravel(), minlength=counts.size)
+    return counts.reshape(len(x), m + 1)[:, :m]

@@ -27,7 +27,8 @@ from .estimates import (
     ring_bound_report,
     ring_constant,
 )
-from .residues import Modulus, ResidueSet, make_modulus, residue_set
+from .residues import Modulus, ResidueSet, _units_mask, make_modulus, residue_set
+from .setops import FAMILY_CAP, _family_step, _inverses, _row_counts, _row_support
 
 CSV_HEADER = (
     "modulus,kind,size,trial,derived_seed,sum_size,prod_size,"
@@ -139,28 +140,61 @@ def _validated_modulus(cfg: SweepConfig) -> Modulus:
     return mod
 
 
-def _draw_subset(mod: Modulus, size: int, derived: int, zero_free: bool) -> ResidueSet:
+def _draw(m: int, size: int, derived: int, zero_free: bool) -> np.ndarray:
+    """A trial's size distinct residues, in draw order, from the PCG64 stream seeded by derived."""
     rng = np.random.Generator(np.random.PCG64(derived))
     low = 1 if zero_free else 0
-    picks = rng.choice(mod.m - low, size=size, replace=False) + low
-    return residue_set(mod, picks)
+    return rng.choice(m - low, size=size, replace=False) + low
+
+
+def _draw_subset(mod: Modulus, size: int, derived: int, zero_free: bool) -> ResidueSet:
+    return residue_set(mod, _draw(mod.m, size, derived, zero_free))
 
 
 def _trial_row(cfg: SweepConfig, mod: Modulus, size: int, trial: int) -> SweepRow:
     derived = derive_seed(cfg.seed, size, trial)
-    subset = _draw_subset(mod, size, derived, cfg.kind == KIND_PRIME)
+    return _report_row(cfg, trial, derived, Derivation(_draw_subset(mod, size, derived, cfg.kind == KIND_PRIME)))
+
+
+def _family_rows(cfg: SweepConfig, mod: Modulus, size: int, trials: range) -> list[SweepRow]:
+    """Some trials of one size as one set family: A+A, AA, A', A'A', its quotient counts and (primes) J of every
+    trial at once (_row_counts), then each trial's report from a Derivation that holds them."""
+    m, prime = mod.m, cfg.kind == KIND_PRIME
+    seeds = [derive_seed(cfg.seed, size, trial) for trial in trials]
+    a = np.sort([_draw(m, size, derived, prime) for derived in seeds], axis=1)  # each row a set's stored form
+    sums, prods = _row_counts(a, a, m, sets=True), _row_counts(a, a, m, np.multiply, prime, sets=True)
+    units = np.sort(np.where(_units_mask(a, mod), a, -1), axis=1)  # A': its -1s, then ascending
+    units = units[:, size - int((units >= 0).sum(axis=1).max()) :]
+    unit_prods = prods if prime else _row_counts(units, units, m, np.multiply, True, sets=True)
+    inverses = np.where(units >= 0, _inverses(units, mod), -1)
+    quotients = _row_counts(_row_support(unit_prods), inverses, m, np.multiply, True)
+    quotients.setflags(write=False)  # its rows, read-only views, are the Derivations' counts
+    quads = (quotients * _row_counts(_row_support(sums), -a % m, m)).sum(axis=1) if prime else None
+    rows, d0, as_set = [], np.gcd(a, m).min(axis=1), lambda mask: ResidueSet(mod, np.flatnonzero(mask))
+    for r, (trial, derived) in enumerate(zip(trials, seeds)):
+        part = units[r][units[r] >= 0]
+        known = {"prods": as_set(unit_prods[r]), "quotients": quotients[r]}
+        known.update({"quad_count": int(quads[r])} if prime else {})
+        core = None if part.size == size else Derivation(ResidueSet(mod, part), **known)
+        known = {"prods": as_set(prods[r])} if core else known
+        d = Derivation(ResidueSet(mod, a[r]), sums=as_set(sums[r]), d0=int(d0[r]), _nonunits_removed=core,
+                       **known)
+        rows.append(_report_row(cfg, trial, derived, d))
+    return rows
+
+
+def _report_row(cfg: SweepConfig, trial: int, derived: int, d: Derivation) -> SweepRow:
     if cfg.kind == KIND_PRIME:
-        rep = field_bound_report(subset)
+        rep = field_bound_report(d)
         quad, fmax, fcap = rep.quad_count, rep.fourier_max, rep.fourier_cap
     else:
         # Ring rows carry the unsquared divisor-1 row of the unit part.
-        d = Derivation(subset)
         rep = ring_bound_report(d)
         quad, fmax, fcap = None, d.units.peak, math.sqrt(d.units.cap_sq)
     return SweepRow(
         modulus=cfg.modulus,
         kind=cfg.kind,
-        size=size,
+        size=d.size,
         trial=trial,
         derived_seed=derived,
         sum_size=rep.size_sum,
@@ -205,14 +239,15 @@ def write_csv(rows: list[SweepRow], path: str) -> None:
 
 def _pool_pays(cfg: SweepConfig) -> bool:
     """Whether worker threads speed the sweep up, from its kind and sizes
-    alone: a cell holds the GIL between numpy kernels, so only long kernels
-    pay. run_sweep speed-up on 2 threads (2 shared vCPUs, numpy 2.4): prime
-    499, sizes 8 to 498: 0.42-0.67x; rings 3600 and 6000, 8/64/512:
-    0.58-0.95x; ring 8192: 1.02x; ring 16384: 0.99-1.12x; ring 65536:
-    1.59-1.77x; ring 3600, 1000/2000: 1.55-1.72x. Primes, 8/32/128: 4099:
-    0.57-1.16x; 4999: 0.97-1.15x; 5501: 0.97-1.30x; 5987: 1.08-1.26x; 6007:
-    1.01-1.18x; 7001: 0.99-1.64x; 8191: 1.31-1.63x; 10007, 8/32: 0.85-1.40x,
-    1000/3000: 1.35-1.51x."""
+    alone: a cell or family holds the GIL between numpy kernels, so only long
+    kernels pay. run_sweep speed-up on 2 threads (2 shared vCPUs, numpy 2.4),
+    cell by cell: ring 6000, 8/64/512: 0.58-0.95x; 8192: 1.02x; 16384:
+    0.99-1.12x; 65536: 1.59-1.77x; primes, 8/32/128: 4099: 0.57-1.16x; 4999:
+    0.97-1.15x; 5501: 0.97-1.30x; 5987: 1.08-1.26x; 6007: 1.01-1.18x; 7001:
+    0.99-1.64x; 8191: 1.31-1.63x; 10007, 8/32: 0.85-1.40x, 1000/3000:
+    1.35-1.51x. As families: prime 499, 8/32/128/400 and ring 3600, 8/64/512:
+    0.85-1.0x; ring 3600, 725: 1.25-1.75x, 1000/2000: 1.6-1.85x; ring 4096,
+    800: 1.55-1.8x; prime 4093, 1000/3000: 1.4-1.6x; prime 2003, 725/1500: 1.0x."""
     floor = 6000 if cfg.kind == KIND_PRIME else 1 << 13
     return cfg.modulus >= floor or max(cfg.sizes) ** 2 >= 1 << 19
 
@@ -221,20 +256,26 @@ def run_sweep(cfg: SweepConfig, threads: int | None = None) -> list[SweepRow]:
     """Run every (size, trial) cell of the sweep; rows come back ordered by
     config position then trial index regardless of scheduling.
 
+    Up to FAMILY_CAP each size runs as set families (_family_rows), above it cell by cell.
     Worker threads: min(threads or CPUs, CPUs), a choice of speed only, never
-    of output. Cells run on the calling thread unless _pool_pays.
+    of output. Families and cells run on the calling thread unless _pool_pays.
     """
     mod = _validated_modulus(cfg)
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    cells = [(size, trial) for size in cfg.sizes for trial in range(cfg.trials)]
+    family, tasks = mod.m <= FAMILY_CAP, []
+    for size in cfg.sizes:
+        step = _family_step(mod.m, size) if family else 1
+        tasks += [(size, range(lo, min(lo + step, cfg.trials))) for lo in range(0, cfg.trials, step)]
+    run = _family_rows if family else lambda cfg, mod, size, trials: [_trial_row(cfg, mod, size, trials[0])]
     cpu = os.cpu_count() or 1
     workers = min(threads or cpu, cpu)
-    if workers == 1 or len(cells) == 1 or not _pool_pays(cfg):
-        rows = [_trial_row(cfg, mod, size, trial) for size, trial in cells]
+    if workers == 1 or len(tasks) == 1 or not _pool_pays(cfg):
+        parts = [run(cfg, mod, *task) for task in tasks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda cell: _trial_row(cfg, mod, *cell), cells))
+            parts = list(pool.map(lambda task: run(cfg, mod, *task), tasks))
+    rows = list(chain.from_iterable(parts))
     if cfg.out_path is not None:
         write_csv(rows, cfg.out_path)
     return rows
@@ -254,22 +295,18 @@ def run_exhaustive(p: int, k: int) -> ExhaustiveSummary:
     """Scan every k-subset of the nonzero residues mod p for a violation of
     the exact 1/4 bound; record the minimum ratio and its witness.
 
-    Limits: p prime <= 19, so at most C(18, 9) = 48,620 subsets, one int16
-    row each (pair values are at most 18 * 18). Each row's set size counts
-    its k^2 pair values mod p scattered into one (subsets x p) boolean array.
+    Limits: p prime <= 19, so at most C(18, 9) = 48,620 subsets, one row
+    each; the sizes of its sum and product sets are the supports of one set
+    family (_row_counts), enumerated in blocks of rows.
     """
     if not make_modulus(p).is_prime or p > 19:
         raise ValueError(f"p must be a prime at most 19, got {p}")
     if not 1 <= k <= p - 1:
         raise ValueError(f"k must be in [1, {p - 1}], got {k}")
-    combos = np.fromiter(chain.from_iterable(combinations(range(1, p), k)), np.int16)
-    combos = combos.reshape(-1, k)
-    rows = np.arange(len(combos))[:, None]
+    combos = np.fromiter(chain.from_iterable(combinations(range(1, p), k)), np.int16).reshape(-1, k)
     lhs = np.ones(len(combos), np.int64)
     for op in (np.add, np.multiply):
-        marks = np.zeros((len(combos), p), bool)
-        marks[rows, op(combos[:, :, None], combos[:, None, :]).reshape(len(combos), -1) % p] = True
-        lhs *= np.count_nonzero(marks, axis=1)
+        lhs *= _row_counts(combos, combos, p, op, sets=True).sum(axis=1)
     best = int(np.argmin(lhs))
     values, counts = np.unique(lhs, return_counts=True)
     fails = [not field_constant(p, k, int(v)).holds for v in values]

@@ -24,6 +24,19 @@ def naive_sumset(a, b, m):
     return {(x + y) % m for x in a for y in b}
 
 
+def convolved_sumset(a, b, m):
+    """{a + b mod m} from a direct linear convolution of the two int64
+    indicators (np.convolve, length 2m - 1), folded mod m: exact, with
+    neither an FFT nor a scatter of pair values, so independent of both
+    sumset paths, and far faster than naive_sumset on large dense sets."""
+    x, y = np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
+    x[list(a)], y[list(b)] = 1, 1
+    linear = np.convolve(x, y)
+    folded = linear[:m].copy()
+    folded[: m - 1] += linear[m:]
+    return set(np.flatnonzero(folded).tolist())
+
+
 def naive_productset(a, b, m):
     return {(x * y) % m for x in a for y in b}
 

@@ -26,6 +26,7 @@ from sumprod.setops import (
 )
 
 from oracles import (
+    convolved_sumset,
     naive_additive_counts,
     naive_dilate,
     naive_dlog_table,
@@ -222,18 +223,20 @@ def test_unit_quotient_rep_ring():
 
 
 def test_sumset_matches_naive_sumset_grid():
-    # density grid per modulus; counts scaled to keep the oracle cheap
+    # density grid per modulus; counts scaled to keep the oracle cheap. The
+    # largest modulus is checked against the direct convolution oracle.
     cases = {16: 40, 97: 40, 360: 30, 1024: 20, 9973: (12, 8, 3)}
     rng = np.random.default_rng(37)
     for m, reps in cases.items():
         mod = make_modulus(m)
+        oracle = convolved_sumset if m > 1024 else naive_sumset
         for di, density in enumerate((0.01, 0.1, 0.5)):
             n_cases = reps if isinstance(reps, int) else reps[di]
             size = max(1, int(round(density * m)))
             for _ in range(n_cases):
                 a = residue_set(mod, random_subset(rng, m, size))
                 b = residue_set(mod, random_subset(rng, m, size))
-                assert sumset(a, b).elements == naive_sumset(a.elements, b.elements, m)
+                assert sumset(a, b).elements == oracle(a.elements, b.elements, m)
     empty = residue_set(make_modulus(16), [])
     assert sumset(empty, empty).elements == set()
     full = residue_set(make_modulus(16), range(16))

@@ -4,10 +4,14 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from itertools import combinations
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sumprod import sweeps
+from sumprod import setops, sweeps
 from sumprod.estimates import Check, field_bound_report, ring_bound_report
 from sumprod.residues import make_modulus, residue_set
 from sumprod.sweeps import (
@@ -15,6 +19,8 @@ from sumprod.sweeps import (
     DuplicateResidueWarning,
     SweepConfig,
     SweepRow,
+    _family_rows,
+    _trial_row,
     derive_seed,
     format_row,
     parse_set_file,
@@ -24,7 +30,7 @@ from sumprod.sweeps import (
     write_csv,
 )
 
-from oracles import naive_productset, naive_sumset
+from oracles import naive_additive_counts, naive_product_counts, naive_productset, naive_sumset
 
 
 def test_parse_set_file_examples(tmp_path):
@@ -123,6 +129,9 @@ def test_pool_gate_is_decided_from_sizes_alone():
     assert not gate(5987, (8, 32, 128), "prime") and gate(6007, (8, 32, 128), "prime")
     assert not gate(3600, (8, 724)) and gate(3600, (725, 8))  # 724^2 < 2^19 <= 725^2
     assert not gate(499, (8, 724), "prime") and gate(499, (725,), "prime")
+    # Families (m <= setops.FAMILY_CAP) keep the same gate: from 725 their
+    # rows run a few to a task on the pool.
+    assert not gate(4096, (724,)) and gate(4096, (725,)) and gate(4093, (1000, 3000), "prime")
     # Every determinism test and golden sweep, and both sweeps of the
     # benchmark, run below the gate on one thread.
     for m, sizes in (
@@ -155,6 +164,8 @@ def _spy_on_pools(monkeypatch, cpus):
         (16384, "ring", (8, 64), True),
         (5987, "prime", (5, 17), False),
         (6007, "prime", (5, 17), True),
+        (3600, "ring", (725, 8), True),
+        (4093, "prime", (8, 725), True),
     ],
 )
 def test_pool_runs_only_above_the_gate(monkeypatch, tmp_path, modulus, kind, sizes, pooled):
@@ -296,3 +307,152 @@ def test_write_csv_header_exact(tmp_path):
     # format_row writes SweepRow's fields in declared order: the header's.
     names = ["J" if f.name == "quad_count" else f.name for f in fields(SweepRow)]
     assert ",".join(names) == CSV_HEADER
+
+
+# --- Set families: every trial of one size in one batched pass ---
+
+_FAMILY_MODULI = {"prime": (2, 3, 5, 101, 499, 4093), "ring": (2, 4, 8, 64, 1024, 243, 3125, 720, 3600, 4096)}
+
+
+@st.composite
+def _family_case(draw):
+    """A kind, a modulus up to the cap, a size from 1 to m - 1 (few, some or
+    nearly all residues), a trial count and the batch gate: real or forced."""
+    kind = draw(st.sampled_from(sorted(_FAMILY_MODULI)))
+    m = draw(st.sampled_from(_FAMILY_MODULI[kind]))
+    top = max(1, m - 1) if kind == "prime" or m <= 1024 else 1500  # a ring cell enumerates its |A|^2 products
+    size = draw(st.one_of(st.integers(1, min(top, 40)), st.integers(1, top), st.integers(max(1, top - 3), top)))
+    trials, seed = draw(st.integers(1, 4)), draw(st.integers(0, 2**64 - 1))
+    return kind, m, size, trials, seed, draw(st.sampled_from((None, True, False)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_family_case())
+@example(("prime", 2, 1, 3, 0, None))
+@example(("ring", 2, 1, 3, 0, None))
+@example(("ring", 4, 3, 4, 5, True))
+@example(("ring", 8, 7, 4, 5, False))
+@example(("prime", 499, 400, 3, 9, None))  # every count transforms
+@example(("ring", 3600, 512, 2, 9, None))  # sums and quotients transform, products enumerate
+@example(("ring", 4096, 40, 3, 1, True))
+@example(("prime", 4093, 4092, 1, 1, None))
+@example(("ring", 4096, 4095, 1, 2, None))
+def test_family_rows_match_the_per_cell_rows(case):
+    # Family rows equal the per-cell reference rows, floats bit for bit.
+    kind, m, size, trials, seed, force = case
+    cfg, mod = SweepConfig(m, kind, (size,), trials, seed), make_modulus(m)
+    with mock.patch.object(setops, "_fft_pays", return_value=force) if force is not None else mock.MagicMock():
+        family = _family_rows(cfg, mod, size, range(trials))
+    cells = [_trial_row(cfg, mod, size, trial) for trial in range(trials)]
+    assert family == cells
+    assert [format_row(row) for row in family] == [format_row(row) for row in cells]
+
+
+def _spy(monkeypatch, module, name):
+    calls, original = [], getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "modulus, kind, size, transforms",
+    [(499, "prime", 8, 0), (499, "prime", 32, 2), (499, "prime", 400, 4),
+     (3600, "ring", 8, 0), (3600, "ring", 512, 3)],
+)
+def test_family_counts_on_both_sides_of_the_batch_gate(monkeypatch, modulus, kind, size, transforms):
+    # The benchmark's cells: tiny families enumerate every count; at 32 the
+    # quotients and differences of 25 rows transform; at 400 all four; at
+    # 512 a ring's A+A, A'A' and quotients, never its products (non-units).
+    calls = _spy(monkeypatch, setops, "_cyclic_rows")
+    mod = make_modulus(modulus)
+    cfg = SweepConfig(modulus, kind, (size,), 25, 99)
+    rows = _family_rows(cfg, mod, size, range(25))
+    assert len(calls) == transforms and all(rows_ == 25 for *_, rows_ in calls)
+    assert rows == [_trial_row(cfg, mod, size, trial) for trial in range(25)]
+
+
+def _noisy_irfftn(monkeypatch, index, noise):
+    original = np.fft.irfftn
+
+    def noisy(spectrum, s, **kwargs):
+        out = original(spectrum, s, **kwargs)
+        out.reshape(-1)[index] += noise
+        return out
+
+    monkeypatch.setattr(np.fft, "irfftn", noisy)
+
+
+@pytest.mark.parametrize("guard", ["residual", "mass", "a_priori_bound"])
+def test_family_guard_failure_falls_back_for_that_row_only(monkeypatch, guard):
+    cfg, mod, size = SweepConfig(499, "prime", (400,), 4, 3), make_modulus(499), 400
+    cells = [_trial_row(cfg, mod, size, trial) for trial in range(4)]
+    fallbacks = _spy(monkeypatch, setops, "_pair_counts")
+    if guard == "a_priori_bound":
+        monkeypatch.setattr(setops, "_FFT_ERROR_CONSTANT", 1e30)
+    else:  # a flat index below one row's length lands in row 0
+        _noisy_irfftn(monkeypatch, 7, 0.3 if guard == "residual" else 1.0)
+    assert _family_rows(cfg, mod, size, range(4)) == cells
+    row0 = sweeps._draw_subset(mod, size, derive_seed(3, size, 0), True).array
+    if guard == "a_priori_bound":  # no transform at all: the whole batch enumerates in rows
+        assert fallbacks == []
+    else:  # A+A, AA, Q and D each count row 0 alone; A+A and AA from row 0's A
+        assert [n for _, _, n, *_ in fallbacks] == [499] * 4
+        assert np.array_equal(fallbacks[0][0], row0) and np.array_equal(fallbacks[1][0], row0)
+
+
+def test_family_blocks_of_one_row_match(monkeypatch):
+    # The row budget forced down to one element: every family is one row and
+    # every enumeration block one entry, with the same rows and CSV bytes.
+    for modulus, kind, sizes in ((101, "prime", (1, 5, 60, 100)), (720, "ring", (1, 7, 90, 719))):
+        cfg = SweepConfig(modulus, kind, sizes, 3, 17)
+        expected = run_sweep(cfg, threads=1)
+        monkeypatch.setattr(setops, "_ROW_BUDGET", 1)
+        calls = _spy(monkeypatch, sweeps, "_family_rows")
+        assert run_sweep(cfg, threads=1) == expected
+        assert [len(trials) for *_, trials in calls] == [1] * (3 * len(sizes))
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("modulus, family", [(setops.FAMILY_CAP, True), (setops.FAMILY_CAP + 1, False)])
+def test_family_path_runs_up_to_the_cap(monkeypatch, modulus, family):
+    families, cells = _spy(monkeypatch, sweeps, "_family_rows"), _spy(monkeypatch, sweeps, "_trial_row")
+    cfg = SweepConfig(modulus, "ring", (8, 64), 3, 5)
+    rows = run_sweep(cfg, threads=1)
+    assert len(rows) == 6
+    assert (len(families), len(cells)) == ((2, 0) if family else (0, 6))
+
+
+def test_row_counts_match_the_oracles_with_padding_anywhere():
+    # Rows padded with -1 at any position; sums over Z_m and products of
+    # units, transformed (gate forced) or enumerated, sets or counts.
+    rng = np.random.default_rng(59)
+    for m in (2, 9, 101, 720, 1024):
+        units = [u for u in range(m) if math.gcd(u, m) == 1]
+        rows = [sorted(rng.choice(units, size=rng.integers(0, min(len(units), 30) + 1), replace=False).tolist())
+                for _ in range(5)]
+        pad = max(map(len, rows)) + 2
+        x = np.full((5, pad), -1, dtype=np.int64)
+        for r, row in enumerate(rows):
+            x[r, rng.choice(pad, size=len(row), replace=False)] = row
+        y = np.roll(x, 1, axis=0)
+        for force in (True, False):
+            with mock.patch.object(setops, "_fft_pays", return_value=force):
+                sums, prods = setops._row_counts(x, y, m), setops._row_counts(x, y, m, np.multiply, True)
+                sum_sets = setops._row_counts(x, x, m, sets=True)
+                prod_sets = setops._row_counts(x, x, m, np.multiply, True, sets=True)
+            for r in range(5):
+                xs, ys = rows[r], rows[r - 1]
+                assert _nonzero(sums[r]) == naive_additive_counts(xs, ys, 1, m)
+                assert _nonzero(prods[r]) == naive_product_counts(xs, ys, m)
+                assert set(np.flatnonzero(sum_sets[r]).tolist()) == set(naive_additive_counts(xs, xs, 1, m))
+                assert set(np.flatnonzero(prod_sets[r]).tolist()) == set(naive_product_counts(xs, xs, m))
+
+
+def _nonzero(counts):
+    nz = np.flatnonzero(counts)
+    return dict(zip(nz.tolist(), counts[nz].tolist()))
