@@ -104,7 +104,7 @@ def _cmd_verify_t1(args: argparse.Namespace) -> int:
 
 def _cmd_verify_t2(args: argparse.Namespace) -> int:
     d = Derivation(_load_set(args.set, make_modulus(args.m)))
-    checks = ring_checks(d)  # first: see ring_checks on peak memory
+    checks = ring_checks(d)  # before the report: ring_checks orders the work for peak memory and overlap
     _emit(asdict(ring_bound_report(d)))
     return _report_failures(checks)
 

@@ -42,7 +42,7 @@ from .residues import (
     unit_part,
 )
 from .setops import additive_rep, productset, sumset, unit_quotient_rep
-from .spectra import dft_counts, gcd_class_peaks, spectrum_of_set
+from .spectra import dft_counts, dft_counts_beside, gcd_class_peaks, spectrum_of_set
 
 REL_SLACK = 1e-9
 
@@ -103,7 +103,8 @@ class Derivation:
     """Everything the reports and checks derive from one set A.
 
     Each piece is built on first use and kept until the instance is
-    dropped; one instance serves one report and is used by one thread.
+    dropped; one instance serves one report and is used by one thread: a
+    worker thread beside it (dft_counts_beside) receives only arrays.
     Nothing is cached across instances. A caller that already holds pieces
     (a sweep's set family) passes them by name in known.
     """
@@ -408,15 +409,17 @@ def ring_checks(a: "ResidueSet | Derivation") -> list[Check]:
         raise ValueError("empty set")
     m, units = d.m, d.units
     proper = d.modulus.divisors[:-1]
-    # The unit part's spectral checks run before the report builds the full
-    # set's A+A and AA, so enumerating the quotient counts, the step with the
-    # largest temporaries, never runs while those large sets are held.
+
+    def rest():  # all but the divisor rows, which read the unit part's spectrum
+        rows = [parseval_bound(x, m // e) for e in proper for x in (units.a, units.sums)]
+        return _all_of("parseval_bounds", rows), ring_bound_report(d)
+
+    # The quotient counts, the step with the largest temporaries, come before the full set's A+A and AA
+    # are held; their spectrum's transform runs beside rest, and only this thread touches derivations.
+    known = units.__dict__.get("quotient_spectrum")
+    spectrum, (parseval, rep) = (known, rest()) if known is not None else dft_counts_beside(units.quotients, rest)
+    units.__dict__["quotient_spectrum"] = spectrum
     square = _all_of("divisor_square_bound", [divisor_square_bound(units, e) for e in proper])
-    parseval = _all_of(
-        "parseval_bounds",
-        [parseval_bound(x, m // e) for e in proper for x in (units.a, units.sums)],
-    )
-    rep = ring_bound_report(d)
     divisor_cap = sum(m // e for e in d.modulus.divisors if e >= max(rep.d0, 2))
     majority = 2 * units.size
     return [

@@ -47,13 +47,20 @@ _ROW_BUDGET = 1 << 18
 # Peak memory of a report per residue: a field report with its spectral
 # checks (p = 1000003 and 2097143, |A| = 300 and 1000) raises the peak RSS
 # by 240-265 bytes per residue, of which tracemalloc sees about 129 (it
-# misses pocketfft's buffers); a ring report's traced peak, by at most 53.
+# misses pocketfft's buffers). A ring report's traced peak, by at most 58 (67 with its transform on a second
+# CPU) and its RSS by at most 20, at m = 720720 and 1441440 with |A| = 1000 and 3000; at m = 65536, |A| = 3000
+# the fixed-size enumeration blocks (_CHUNK_ELEMS), not length-m arrays, lead (301 traced).
 BYTES_PER_RESIDUE = 265
 
 
 def _physical_memory() -> int:
     """Bytes of physical memory of this machine."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask (1 under taskset -c 0), else os.cpu_count()."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _require_fits(m: int) -> None:
@@ -303,11 +310,15 @@ _AXIS_STEPS = 1 << 13
 
 
 def _fft_pays(pairs: int, *lengths: int, rows: int = 1) -> bool:
-    """The FFT gate of every count and sum set: the transforms of rows at the
-    planned lengths, of size S each, must cost less, about S log2 S per row
-    plus _AXIS_STEPS per axis, than enumeration of all rows' pairs at one step per pair."""
+    """The FFT gate of every count and sum set: the transforms of rows at the planned lengths, of size S each,
+    must cost less than enumeration of all rows' pairs at one step per pair: one row about S log2 S plus
+    _AXIS_STEPS per axis, a batch (a set family) S log2 S / 4 per row plus twice that per axis. At 25 rows, the
+    most pairs seen enumerated faster / the fewest seen transformed faster (gate): p = 101 11,460 / 46,140
+    (20,500-26,900); p = 499 48,944 / 88,220 (78,700); m = 720 sums 40,000 / 160,000 (59,100), units (4 axes)
+    18,589 / 71,541 (74,600); m = 3600 sums 230,400 / 409,600 (282,200), units 70,090 / 185,523 (125,000)."""
     size = math.prod(lengths)
-    return pairs > rows * size * math.log2(size) + _AXIS_STEPS * len(lengths)
+    share, per_axis = (1, _AXIS_STEPS) if rows == 1 else (1 / 4, 2 * _AXIS_STEPS)
+    return pairs > rows * share * size * math.log2(size) + per_axis * len(lengths)
 
 
 def _fft_plan(shape: tuple[int, ...], nx: int, ny: int, rows):

@@ -11,7 +11,6 @@ to keep the file reproducible; it is retained for schema compatibility.
 from __future__ import annotations
 
 import math
-import os
 import re
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -28,7 +27,7 @@ from .estimates import (
     ring_constant,
 )
 from .residues import Modulus, ResidueSet, _units_mask, make_modulus, residue_set
-from .setops import FAMILY_CAP, _family_step, _inverses, _row_counts, _row_support
+from .setops import FAMILY_CAP, _family_step, _inverses, _row_counts, _row_support, _usable_cpus
 
 CSV_HEADER = (
     "modulus,kind,size,trial,derived_seed,sum_size,prod_size,"
@@ -268,7 +267,7 @@ def run_sweep(cfg: SweepConfig, threads: int | None = None) -> list[SweepRow]:
         step = _family_step(mod.m, size) if family else 1
         tasks += [(size, range(lo, min(lo + step, cfg.trials))) for lo in range(0, cfg.trials, step)]
     run = _family_rows if family else lambda cfg, mod, size, trials: [_trial_row(cfg, mod, size, trials[0])]
-    cpu = os.cpu_count() or 1
+    cpu = _usable_cpus()
     workers = min(threads or cpu, cpu)
     if workers == 1 or len(tasks) == 1 or not _pool_pays(cfg):
         parts = [run(cfg, mod, *task) for task in tasks]

@@ -203,3 +203,17 @@ def random_subset(rng, m, size, exclude_zero=False):
     low = 1 if exclude_zero else 0
     picks = rng.choice(m - low, size=size, replace=False) + low
     return [int(x) for x in picks]
+
+
+def overlap_sets(m, seed):
+    """Sets over Z_m for the overlapped ring report: all units (a derivation
+    that is its own unit part), two units (at m = 4096 their quotient
+    spectrum takes the direct path), mixed, and no units."""
+    rng, r = np.random.default_rng(seed), np.arange(m)
+    units, nonunits = r[np.gcd(r, m) == 1], r[np.gcd(r, m) > 1]
+    return [
+        rng.choice(units, 300, replace=False),
+        rng.choice(units, 2, replace=False),
+        np.concatenate([rng.choice(units, 40, replace=False), rng.choice(nonunits, 160, replace=False)]),
+        rng.choice(nonunits, 200, replace=False),
+    ]

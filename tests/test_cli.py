@@ -4,14 +4,17 @@ import json
 import pkgutil
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 
 import pytest
 
 import sumprod
-from sumprod import cli, estimates
+from sumprod import cli, estimates, spectra
 from sumprod.residues import ResidueSet
+
+from oracles import overlap_sets
 
 
 def _run(capsys, argv):
@@ -211,6 +214,49 @@ def test_out_of_memory_exits_2(capsys, tmp_path, monkeypatch, argv):
     code, out, err = _run(capsys, argv + ["--set", str(setfile)])
     assert (code, out) == (2, "")
     assert err == "error: out of memory: Unable to allocate 16.0 GiB for an array\n"
+
+
+@pytest.mark.parametrize("m", [65536, 720720])
+def test_verify_t2_prints_the_same_on_one_and_two_cpus(capsys, tmp_path, monkeypatch, m):
+    for i, elems in enumerate(overlap_sets(m, 11)):
+        setfile = tmp_path / f"s{i}.txt"
+        setfile.write_text(" ".join(map(str, elems.tolist())) + "\n")
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(spectra, "_usable_cpus", lambda: cpus)
+            runs.append(_run(capsys, ["verify-t2", "--m", str(m), "--set", str(setfile)]))
+        assert runs[0] == runs[1] and runs[0][0] in (0, 1)
+
+
+@pytest.mark.parametrize("side", ["transform", "report"])
+def test_out_of_memory_beside_the_transform_exits_2(capsys, tmp_path, monkeypatch, side):
+    # A mixed set: the unit part's AA is built before the worker starts, the
+    # full set's AA (the second product set) beside it.
+    setfile = tmp_path / "s.txt"
+    setfile.write_text("1 2 3 5 6 7 9 11 12 13\n")
+    monkeypatch.setattr(spectra, "_usable_cpus", lambda: 2)
+    failed_on = []
+
+    def exhausted(*args):
+        failed_on.append(threading.current_thread() is threading.main_thread())
+        raise MemoryError("Unable to allocate 1.00 MiB for an array")
+
+    if side == "transform":
+        monkeypatch.setattr(spectra, "_fft_dft", exhausted)
+    else:
+        real, products = estimates.productset, []
+
+        def second_fails(*args):
+            products.append(args)
+            return real(*args) if len(products) == 1 else exhausted()
+
+        monkeypatch.setattr(estimates, "productset", second_fails)
+    before = threading.active_count()
+    code, out, err = _run(capsys, ["verify-t2", "--m", "65536", "--set", str(setfile)])
+    assert (code, out) == (2, "")
+    assert err == "error: out of memory: Unable to allocate 1.00 MiB for an array\n"
+    assert threading.active_count() == before
+    assert failed_on == [side == "report"]  # the transform failed on the worker
 
 
 @pytest.mark.parametrize("argv", [["verify-t1", "--p", "2147483647"], ["verify-t2", "--m", "2147483647"]])

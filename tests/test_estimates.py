@@ -6,6 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from sumprod import spectra
 from sumprod.estimates import (
     Derivation,
     _mv_dot,
@@ -272,12 +273,13 @@ def test_zm_extremal_matches_direct_computation():
         assert 1 / 64 <= ex.ratio <= 16
 
 
-def test_derivation_is_freed_when_dropped():
+def test_derivation_is_freed_when_dropped(monkeypatch):
     # no reference cycle may keep a derivation's arrays alive until a
-    # garbage collection runs
+    # garbage collection runs; at m = 65536 the transform runs beside the report
+    monkeypatch.setattr(spectra, "_usable_cpus", lambda: 2)
     gc.disable()
     try:
-        for a in (_set(101, range(1, 30)), _set(101, range(0, 30)), _set(36, range(0, 20))):
+        for a in (_set(101, range(1, 30)), _set(101, range(0, 30)), _set(36, range(0, 20)), _set(65536, range(0, 40))):
             d = Derivation(a)
             if d.modulus.is_prime:
                 field_checks(d)

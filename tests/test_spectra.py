@@ -1,5 +1,6 @@
 import cmath
 import math
+import threading
 from unittest import mock
 
 import numpy as np
@@ -13,6 +14,7 @@ from sumprod.estimates import (
     REL_SLACK,
     Derivation,
     divisor_square_bound,
+    field_checks,
     parseval_bound,
     ring_bound_report,
     ring_checks,
@@ -20,6 +22,7 @@ from sumprod.estimates import (
 )
 from sumprod.residues import make_modulus, residue_set, unit_part
 from sumprod.setops import additive_rep, indicator, sumset, unit_quotient_rep
+from sumprod.sweeps import SweepConfig, run_sweep
 from sumprod.spectra import (
     DIRECT_Q_LIMIT,
     DIRECT_WORK_LIMIT,
@@ -27,6 +30,7 @@ from sumprod.spectra import (
     _fft_dft,
     _gcd_classes,
     dft_counts,
+    dft_counts_beside,
     gcd_class_peaks,
     spectrum_of_set,
 )
@@ -38,6 +42,7 @@ from oracles import (
     naive_parseval_sides,
     naive_quadruples,
     naive_quotient_counts,
+    overlap_sets,
     random_subset,
 )
 
@@ -373,6 +378,76 @@ def test_divisor_rows_sliced_from_the_full_spectrum_equal_fresh_transforms():
                 assert row.holds == (fresh * fresh <= row.rhs * (1 + REL_SLACK))
                 rows.append(row.holds)
             assert _named(ring_checks(d))["divisor_square_bound"].holds == all(rows)
+
+
+def _spy_on_transforms(monkeypatch):
+    """Record each transform as (path, whether it ran on the main thread)."""
+    calls = []
+    for path, name in (("direct", "_direct_dft"), ("fft", "_fft_dft")):
+        def spy(*args, _real=getattr(spectra, name), _path=path):
+            calls.append((_path, threading.current_thread() is threading.main_thread()))
+            return _real(*args)
+
+        monkeypatch.setattr(spectra, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("m", [4096, 4097, 5040, 65536, 720720])
+def test_ring_checks_are_the_same_on_one_and_two_cpus(monkeypatch, m):
+    calls, paths = _spy_on_transforms(monkeypatch), set()
+    for elems in overlap_sets(m, m):
+        seen = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(spectra, "_usable_cpus", lambda: cpus)
+            calls.clear()
+            d = Derivation(_set(m, elems.tolist()))
+            checks = [(c.name, c.lhs, c.rhs, c.holds) for c in ring_checks(d)]
+            seen[cpus] = checks, ring_bound_report(d)
+            # one transform per report, off the main thread exactly when gated in
+            ((path, on_main),) = calls
+            assert on_main == (path == "direct" or cpus == 1), (m, path, cpus)
+            paths.add(path)
+        assert seen[1] == seen[2]
+    assert paths == ({"direct", "fft"} if m == DIRECT_Q_LIMIT else {"fft"})
+
+
+def test_ring_checks_reuse_a_quotient_spectrum_already_built(monkeypatch):
+    calls = _spy_on_transforms(monkeypatch)
+    d = Derivation(_set(5040, overlap_sets(5040, 3)[0].tolist()))
+    spectrum = d.quotient_spectrum
+    ring_checks(d)
+    assert d.quotient_spectrum is spectrum and len(calls) == 1
+
+
+def test_dft_counts_beside_joins_its_worker_on_either_failure(monkeypatch):
+    monkeypatch.setattr(spectra, "_usable_cpus", lambda: 2)
+    counts, before = _vector(np.arange(DIRECT_Q_LIMIT + 1) % 7), threading.active_count()
+    spectrum, done = dft_counts_beside(counts, lambda: "done")
+    assert done == "done" and not spectrum.flags.writeable
+    assert spectrum.tobytes() == dft_counts(counts).tobytes()  # the same transform, bit for bit
+
+    def fail():
+        raise MemoryError("work")
+
+    with pytest.raises(MemoryError, match="work"):
+        dft_counts_beside(counts, fail)
+    assert threading.active_count() == before
+
+    def exhausted(*args):
+        raise MemoryError("transform")
+
+    monkeypatch.setattr(spectra, "_fft_dft", exhausted)
+    with pytest.raises(MemoryError, match="transform"):
+        dft_counts_beside(counts, lambda: None)
+    assert threading.active_count() == before
+
+
+def test_field_reports_and_sweeps_transform_on_the_calling_thread(monkeypatch):
+    calls = _spy_on_transforms(monkeypatch)
+    monkeypatch.setattr(spectra, "_usable_cpus", lambda: 2)
+    field_checks(_set(10007, range(1, 400)))
+    run_sweep(SweepConfig(16384, "ring", (64,), 2, 5), threads=1)
+    assert calls and all(on_main for _, on_main in calls)
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 101, 499, 4093, 5039)

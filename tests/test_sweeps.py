@@ -151,7 +151,7 @@ def _spy_on_pools(monkeypatch, cpus):
             super().__init__(max_workers)
 
     monkeypatch.setattr(sweeps, "ThreadPoolExecutor", Spy)
-    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(sweeps, "_usable_cpus", lambda: cpus)
     return pools
 
 
@@ -187,6 +187,20 @@ def test_pool_never_outnumbers_the_cpus(monkeypatch):
     assert pools == [2]
     assert rows == run_sweep(cfg, threads=1)
     assert run_sweep(cfg) == rows and pools == [2, 2]
+
+
+
+def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
+    # As under taskset -c 0 on two CPUs: os.cpu_count() still reads 2.
+    monkeypatch.setattr(setops.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(setops.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert setops._usable_cpus() == 1
+    pools = []
+    monkeypatch.setattr(sweeps, "ThreadPoolExecutor", lambda max_workers: pools.append(max_workers))
+    rows = run_sweep(SweepConfig(8209, "prime", (5, 17), 4, 99), threads=2)  # above the pool gate
+    assert pools == [] and len(rows) == 8
+    monkeypatch.delattr(setops.os, "sched_getaffinity")
+    assert setops._usable_cpus() == 2
 
 
 def test_sweep_rows_revalidate_against_fresh_reports():
@@ -451,6 +465,42 @@ def test_row_counts_match_the_oracles_with_padding_anywhere():
                 assert _nonzero(prods[r]) == naive_product_counts(xs, ys, m)
                 assert set(np.flatnonzero(sum_sets[r]).tolist()) == set(naive_additive_counts(xs, xs, 1, m))
                 assert set(np.flatnonzero(prod_sets[r]).tolist()) == set(naive_product_counts(xs, xs, m))
+
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from((101, 499, 720, 3600)), st.booleans(), st.booleans(), st.integers(2, 6),
+    st.sampled_from((0.75, 0.9, 1.1, 1.25)), st.integers(0, 2**32 - 1),
+)
+@example(499, True, False, 2, 0.9, 1)  # sums, enumerated just below the batch gate
+@example(499, True, False, 2, 1.1, 1)  # and transformed just above it
+@example(3600, False, False, 3, 0.9, 2)  # products of units on 4 axes
+@example(3600, False, False, 3, 1.1, 2)
+@example(720, False, True, 2, 0.75, 3)  # product sets
+@example(720, False, True, 2, 1.25, 3)
+def test_batch_gate_boundary_matches_the_oracles(m, add, sets, rows, factor, seed):
+    # A family of rows whose pairs total a factor of the batch gate: the side
+    # taken follows S log2 S / 4 per row plus 2 _AXIS_STEPS per axis, and the
+    # counts equal the oracles' on both sides.
+    pool = list(range(m)) if add else [u for u in range(m) if math.gcd(u, m) == 1]
+    lengths = setops._whole((m,) if add else setops._unit_shape(m))[1]
+    size = math.prod(lengths)
+    gate = rows * size * math.log2(size) / 4 + 2 * setops._AXIS_STEPS * len(lengths)
+    rng = np.random.default_rng(seed)
+    nx = min(len(pool), round(math.sqrt(gate * factor / rows)))
+    ny = nx if sets else min(len(pool), round(gate * factor / rows / nx))
+    xs = [sorted(rng.choice(pool, nx, replace=False).tolist()) for _ in range(rows)]
+    ys = xs if sets else [sorted(rng.choice(pool, ny, replace=False).tolist()) for _ in range(rows)]
+    x = np.array(xs, dtype=np.int64)
+    y = x if sets else np.array(ys, dtype=np.int64)
+    combine = np.add if add else np.multiply
+    with mock.patch.object(setops, "_cyclic_rows", wraps=setops._cyclic_rows) as transform:
+        got = setops._row_counts(x, y, m, combine, not add, sets=sets)
+    assert transform.called == (rows * nx * ny > gate)
+    for r in range(rows):
+        want = naive_additive_counts(xs[r], ys[r], 1, m) if add else naive_product_counts(xs[r], ys[r], m)
+        assert (set(np.flatnonzero(got[r]).tolist()) == set(want)) if sets else (_nonzero(got[r]) == want)
 
 
 def _nonzero(counts):
