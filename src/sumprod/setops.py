@@ -3,9 +3,9 @@ over Z_m.
 
 Each operation has one exact result; the dispatch inside it only picks how
 that result is computed, and every path agrees with the pair-enumeration
-oracles in the test suite. Counts (`indicator`, `additive_rep`,
-`unit_quotient_rep`) are read-only int64 arrays of length m, built only
-once the memory budget `BYTES_PER_RESIDUE * m` fits in physical memory.
+oracles in the test suite. Counts (`indicator`, `additive_rep`, `unit_quotient_rep`)
+are read-only int64 arrays of length m, built only once the memory budget
+`BYTES_PER_RESIDUE * m` plus one enumeration block fits in physical memory.
 A count is a cyclic correlation over Z_m or the axes of the unit group
 (`_unit_group`): one exact rfftn (`_cyclic_counts`) on each axis only as
 long as the arcs the operands occupy need (`_fft_plan`) when `_fft_pays`,
@@ -18,9 +18,9 @@ or, for a set, scattered into a length-m boolean array (m <= `BITSET_LIMIT`,
 An `indicator` is built only for a spectrum of a set (`spectra`); the ring
 chain builds none, as its Parseval checks read the set itself.
 
-A sweep's set family (m <= FAMILY_CAP) counts all its rows at once (`_row_counts`):
-the transform has a leading row axis (`_cyclic_rows`; one set is one row), a row that
-fails its guard is enumerated alone, and below the gate rows are enumerated in blocks.
+A sweep's set family counts all its rows at once (`_row_counts`): the transform has a
+leading row axis (`_cyclic_rows`; one set is one row), a row that fails its guard is
+enumerated alone, and below the gate rows are enumerated in blocks.
 """
 
 from __future__ import annotations
@@ -40,16 +40,15 @@ BITSET_LIMIT = 1 << 24
 # Cap on elements materialized per vectorized chunk.
 _CHUNK_ELEMS = 1 << 22
 _SELF_ROWS = 32  # fewest rows in a block of a set's pairs with itself
-# Sweeps over Z_m, m <= FAMILY_CAP, batch each size as set families (_row_counts)
-# whose float64 temporaries and enumeration blocks hold about _ROW_BUDGET elements.
-FAMILY_CAP = 4096
+# Sweeps batch each size as set families (_row_counts) whose float64 temporaries
+# and enumeration blocks hold about _ROW_BUDGET elements.
 _ROW_BUDGET = 1 << 18
 # Peak memory of a report per residue: a field report with its spectral
 # checks (p = 1000003 and 2097143, |A| = 300 and 1000) raises the peak RSS
 # by 240-265 bytes per residue, of which tracemalloc sees about 129 (it
 # misses pocketfft's buffers). A ring report's traced peak, by at most 58 (67 with its transform on a second
-# CPU) and its RSS by at most 20, at m = 720720 and 1441440 with |A| = 1000 and 3000; at m = 65536, |A| = 3000
-# the fixed-size enumeration blocks (_CHUNK_ELEMS), not length-m arrays, lead (301 traced).
+# CPU) and its RSS by at most 20, at m = 720720 and 1441440 with |A| = 1000 and 3000. The int64 enumeration
+# blocks (_CHUNK_ELEMS) do not shrink with m: _require_fits charges one of them on top.
 BYTES_PER_RESIDUE = 265
 
 
@@ -64,9 +63,9 @@ def _usable_cpus() -> int:
 
 
 def _require_fits(m: int) -> None:
-    """Refuse, before any length-m allocation, counts over Z_m whose
-    estimated peak memory exceeds the machine's physical memory."""
-    need, have = BYTES_PER_RESIDUE * m, _physical_memory()
+    """Refuse, before any length-m allocation, counts over Z_m whose estimated peak
+    memory (length-m arrays and one int64 enumeration block) exceeds physical memory."""
+    need, have = BYTES_PER_RESIDUE * m + 8 * _CHUNK_ELEMS, _physical_memory()
     if need > have:
         raise ValueError(
             f"counts over Z_{m} need about {need >> 20} MiB, "
@@ -99,7 +98,7 @@ def _pair_blocks(a: np.ndarray, b: np.ndarray, m: int, combine: np.ufunc, same=F
     _CHUNK_ELEMS values, chunked over a and reduced in place; for rows a, b (a
     leading axis) each row's pairs, one flat row each, in blocks of _ROW_BUDGET.
     Entries are in [0, m) with m <= 2^31, so every sum and product is below
-    2^62: exact in int64 (and in int32 for m <= 2^15).
+    2^62: exact in int64 (and in int32 for m^2 < 2^31).
 
     With same (b is a) entries [lo, hi) of a meet b[lo:] alone: k blocks of at
     least _SELF_ROWS entries form (k + 1) / (2k) of the n^2 pairs, 9/16 for k = 8."""
@@ -480,7 +479,8 @@ def _row_counts(x: np.ndarray, y: np.ndarray, m: int, combine: np.ufunc = np.add
     of residues padded with -1, all at once; with sets (y is x) only counts > 0. A correlation (np.add over Z_m,
     with units a product of units over _unit_group(m)) is one rfftn of all rows (_cyclic_rows) if _fft_pays, a
     row that fails its guard enumerated alone (_pair_counts). Else, in blocks of about _ROW_BUDGET pairs, sets
-    scatter _pair_blocks of each row with itself, and counts bincount x's entries against their rows of y."""
+    scatter _pair_blocks of each row with itself, and counts bincount x's entries against their rows of y (one
+    row: _pair_counts, without row gathers and a length-m bincount per block)."""
 
     def entries(v):  # (row ids, values) of the entries that are not -1
         return np.flatnonzero(v >= 0) // max(1, v.shape[1]), v[v >= 0]
@@ -501,16 +501,19 @@ def _row_counts(x: np.ndarray, y: np.ndarray, m: int, combine: np.ufunc = np.add
                 counts[r] = _pair_counts(x[r][x[r] >= 0], y[r][y[r] >= 0], m, combine)
             return counts > 0 if sets else counts
     if sets:
-        # A repeat leaves a row's set as it is; m <= FAMILY_CAP: products and row offsets fit int32.
-        full = np.where(x >= 0, x, x.max(axis=1, keepdims=True, initial=-1)).astype(np.int32)
+        # A repeat leaves a row's set as it is; products and row offsets below 2^31 fit int32.
+        dtype = np.int32 if m * max(m, len(x)) < 1 << 31 else np.int64
+        full = np.where(x >= 0, x, x.max(axis=1, keepdims=True, initial=-1)).astype(dtype)
         seen = np.zeros((len(x), m), dtype=bool)
         step = max(1, _ROW_BUDGET // max(1, x.shape[1] * min(x.shape[1], _SELF_ROWS)))  # rows per block
         for lo in range(0, len(x), step):
             for vals in _pair_blocks(full[lo : lo + step], full[lo : lo + step], m, combine, same=True):
-                vals += m * np.arange(len(vals), dtype=np.int32)[:, None]  # each row's values into its own row
+                vals += m * np.arange(len(vals), dtype=dtype)[:, None]  # each row's values into its own row
                 seen[lo : lo + step].ravel()[vals] = True
         seen[x.max(axis=1, initial=-1) < 0] = False  # rows with no entry
         return seen
+    if len(x) == 1:
+        return _pair_counts(x[0][x[0] >= 0], y[0][y[0] >= 0], m, combine)[None]
     x_row, x_val = entries(x)
     counts, step = np.zeros(len(x) * (m + 1), dtype=np.int64), max(1, _ROW_BUDGET // max(1, y.shape[1]))
     for lo in range(0, x_row.size, step):

@@ -1,5 +1,5 @@
-"""Seeded random sweeps, exhaustive small-case searches, set-file
-ingestion and CSV emission.
+"""Seeded random sweeps (each size's trials as set families), exhaustive
+small-case searches, set-file ingestion and CSV emission.
 
 Determinism contract: every trial draws its subset from a generator
 seeded by mix(seed, size, trial) where mix is three rounds of splitmix64
@@ -21,13 +21,14 @@ import numpy as np
 
 from .estimates import (
     Derivation,
+    _mv_dot,
     field_bound_report,
     field_constant,
     ring_bound_report,
     ring_constant,
 )
 from .residues import Modulus, ResidueSet, _units_mask, make_modulus, residue_set
-from .setops import FAMILY_CAP, _family_step, _inverses, _row_counts, _row_support, _usable_cpus
+from .setops import _family_step, _inverses, _require_fits, _row_counts, _row_support, _usable_cpus
 
 CSV_HEADER = (
     "modulus,kind,size,trial,derived_seed,sum_size,prod_size,"
@@ -146,15 +147,6 @@ def _draw(m: int, size: int, derived: int, zero_free: bool) -> np.ndarray:
     return rng.choice(m - low, size=size, replace=False) + low
 
 
-def _draw_subset(mod: Modulus, size: int, derived: int, zero_free: bool) -> ResidueSet:
-    return residue_set(mod, _draw(mod.m, size, derived, zero_free))
-
-
-def _trial_row(cfg: SweepConfig, mod: Modulus, size: int, trial: int) -> SweepRow:
-    derived = derive_seed(cfg.seed, size, trial)
-    return _report_row(cfg, trial, derived, Derivation(_draw_subset(mod, size, derived, cfg.kind == KIND_PRIME)))
-
-
 def _family_rows(cfg: SweepConfig, mod: Modulus, size: int, trials: range) -> list[SweepRow]:
     """Some trials of one size as one set family: A+A, AA, A', A'A', its quotient counts and (primes) J of every
     trial at once (_row_counts), then each trial's report from a Derivation that holds them."""
@@ -168,12 +160,13 @@ def _family_rows(cfg: SweepConfig, mod: Modulus, size: int, trials: range) -> li
     inverses = np.where(units >= 0, _inverses(units, mod), -1)
     quotients = _row_counts(_row_support(unit_prods), inverses, m, np.multiply, True)
     quotients.setflags(write=False)  # its rows, read-only views, are the Derivations' counts
-    quads = (quotients * _row_counts(_row_support(sums), -a % m, m)).sum(axis=1) if prime else None
+    # J = Q . D row by row, exactly as Derivation.quad_count (_mv_dot): it reaches m |A|^2, past 2^63 at m = 10^7
+    quads = list(map(_mv_dot, quotients, _row_counts(_row_support(sums), -a % m, m))) if prime else None
     rows, d0, as_set = [], np.gcd(a, m).min(axis=1), lambda mask: ResidueSet(mod, np.flatnonzero(mask))
     for r, (trial, derived) in enumerate(zip(trials, seeds)):
         part = units[r][units[r] >= 0]
         known = {"prods": as_set(unit_prods[r]), "quotients": quotients[r]}
-        known.update({"quad_count": int(quads[r])} if prime else {})
+        known.update({"quad_count": quads[r]} if prime else {})
         core = None if part.size == size else Derivation(ResidueSet(mod, part), **known)
         known = {"prods": as_set(prods[r])} if core else known
         d = Derivation(ResidueSet(mod, a[r]), sums=as_set(sums[r]), d0=int(d0[r]), _nonunits_removed=core,
@@ -238,15 +231,15 @@ def write_csv(rows: list[SweepRow], path: str) -> None:
 
 def _pool_pays(cfg: SweepConfig) -> bool:
     """Whether worker threads speed the sweep up, from its kind and sizes
-    alone: a cell or family holds the GIL between numpy kernels, so only long
-    kernels pay. run_sweep speed-up on 2 threads (2 shared vCPUs, numpy 2.4),
-    cell by cell: ring 6000, 8/64/512: 0.58-0.95x; 8192: 1.02x; 16384:
-    0.99-1.12x; 65536: 1.59-1.77x; primes, 8/32/128: 4099: 0.57-1.16x; 4999:
-    0.97-1.15x; 5501: 0.97-1.30x; 5987: 1.08-1.26x; 6007: 1.01-1.18x; 7001:
-    0.99-1.64x; 8191: 1.31-1.63x; 10007, 8/32: 0.85-1.40x, 1000/3000:
-    1.35-1.51x. As families: prime 499, 8/32/128/400 and ring 3600, 8/64/512:
-    0.85-1.0x; ring 3600, 725: 1.25-1.75x, 1000/2000: 1.6-1.85x; ring 4096,
-    800: 1.55-1.8x; prime 4093, 1000/3000: 1.4-1.6x; prime 2003, 725/1500: 1.0x."""
+    alone: a family holds the GIL between numpy kernels, so only long kernels
+    pay. run_sweep speed-up on 2 threads (2 shared vCPUs, numpy 2.4), 25
+    trials, the pool forced: ring 6000, 8/64/512: 0.95x; 8192: 0.71-1.21x;
+    16384: 1.22-1.32x; 65536: 1.27-1.48x; primes, 8/32/128: 4099: 0.97-1.02x;
+    4999: 0.98-1.0x; 5501: 0.97-0.99x; 5987: 0.67-1.30x; 6007: 1.10-1.39x;
+    7001: 1.16-1.44x; 8191: 0.88-0.91x; 10007, 8/32: 1.32-1.59x, 1000/3000:
+    1.38-1.58x; prime 499, 8/32/128/400 and ring 3600, 8/64/512: 0.85-1.0x;
+    ring 3600, 725: 1.25-1.75x, 1000/2000: 1.6-1.85x; ring 4096, 800:
+    1.55-1.8x; prime 4093, 1000/3000: 1.4-1.6x; prime 2003, 725/1500: 1.0x."""
     floor = 6000 if cfg.kind == KIND_PRIME else 1 << 13
     return cfg.modulus >= floor or max(cfg.sizes) ** 2 >= 1 << 19
 
@@ -255,25 +248,25 @@ def run_sweep(cfg: SweepConfig, threads: int | None = None) -> list[SweepRow]:
     """Run every (size, trial) cell of the sweep; rows come back ordered by
     config position then trial index regardless of scheduling.
 
-    Up to FAMILY_CAP each size runs as set families (_family_rows), above it cell by cell.
-    Worker threads: min(threads or CPUs, CPUs), a choice of speed only, never
-    of output. Families and cells run on the calling thread unless _pool_pays.
+    Each size runs as set families of _family_step trials (_family_rows), one
+    where one transform fills the row budget. Worker threads: min(threads or CPUs,
+    CPUs), a choice of speed only, never of output; families run on the calling
+    thread unless _pool_pays.
     """
-    mod = _validated_modulus(cfg)
+    mod, tasks = _validated_modulus(cfg), []
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    family, tasks = mod.m <= FAMILY_CAP, []
+    _require_fits(mod.m)  # once, before any draw
     for size in cfg.sizes:
-        step = _family_step(mod.m, size) if family else 1
+        step = _family_step(mod.m, size)
         tasks += [(size, range(lo, min(lo + step, cfg.trials))) for lo in range(0, cfg.trials, step)]
-    run = _family_rows if family else lambda cfg, mod, size, trials: [_trial_row(cfg, mod, size, trials[0])]
     cpu = _usable_cpus()
     workers = min(threads or cpu, cpu)
     if workers == 1 or len(tasks) == 1 or not _pool_pays(cfg):
-        parts = [run(cfg, mod, *task) for task in tasks]
+        parts = [_family_rows(cfg, mod, *task) for task in tasks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda task: run(cfg, mod, *task), tasks))
+            parts = list(pool.map(lambda task: _family_rows(cfg, mod, *task), tasks))
     rows = list(chain.from_iterable(parts))
     if cfg.out_path is not None:
         write_csv(rows, cfg.out_path)

@@ -259,15 +259,24 @@ def test_out_of_memory_beside_the_transform_exits_2(capsys, tmp_path, monkeypatc
     assert failed_on == [side == "report"]  # the transform failed on the worker
 
 
-@pytest.mark.parametrize("argv", [["verify-t1", "--p", "2147483647"], ["verify-t2", "--m", "2147483647"]])
+_SWEEP_ARGS = ["--kind", "prime", "--sizes", "3,8", "--trials", "2", "--seed", "1", "--out"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify-t1", "--p", "2147483647", "--set"], ["verify-t2", "--m", "2147483647", "--set"],
+     ["sweep", "--modulus", "2147483647", *_SWEEP_ARGS]],
+)
 def test_over_budget_modulus_exits_2_before_allocating(capsys, tmp_path, argv):
-    # Length-m counts at m = 2^31 - 1 cannot fit in memory: refused up front.
+    # Length-m counts at m = 2^31 - 1 cannot fit in memory: refused up front,
+    # and a sweep before its first draw.
     setfile = tmp_path / "s.txt"
     setfile.write_text("1 2 3\n")
+    path = tmp_path / "out.csv" if argv[0] == "sweep" else setfile
     tracemalloc.start()
     start = time.perf_counter()
     try:
-        code, out, err = _run(capsys, argv + ["--set", str(setfile)])
+        code, out, err = _run(capsys, argv + [str(path)])
         elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -275,6 +284,7 @@ def test_over_budget_modulus_exits_2_before_allocating(capsys, tmp_path, argv):
     assert (code, out) == (2, "")
     assert err.startswith("error: counts over Z_2147483647 need") and err.count("\n") == 1
     assert elapsed < 1.0 and peak < 64 << 20
+    assert path.exists() == (argv[0] != "sweep")
 
 
 def _record_setops_calls(monkeypatch) -> list:

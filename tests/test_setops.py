@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sumprod import setops
+from sumprod.estimates import Derivation, ring_bound_report, ring_checks
 from sumprod.extremal import build_extremal
 from sumprod.residues import (
     NonInvertibleError,
@@ -326,9 +328,14 @@ def test_products_near_modulus_cap_are_exact():
         unit_quotient_rep(residue_set(mod, a), residue_set(mod, b))
 
 
+def _need(m):
+    """The budget of counts over Z_m: length-m arrays and one int64 enumeration block."""
+    return setops.BYTES_PER_RESIDUE * m + 8 * setops._CHUNK_ELEMS
+
+
 def _pin_memory(monkeypatch, m, spare):
     """Physical memory reads as the budget of counts over Z_m plus spare bytes."""
-    monkeypatch.setattr(setops, "_physical_memory", lambda: setops.BYTES_PER_RESIDUE * m + spare)
+    monkeypatch.setattr(setops, "_physical_memory", lambda: _need(m) + spare)
 
 
 @pytest.mark.parametrize("m", [101, 720, 1024])
@@ -355,6 +362,24 @@ def test_memory_budget_on_both_sides_for_every_count(monkeypatch, m):
         sumset(sa, sb)
     assert productset(sa, sb).elements == naive_productset(a, b, m)  # no count involved
 
+
+def test_ring_report_peak_fits_the_budget(monkeypatch):
+    # At m = 65536, |A| = 3000 the enumeration blocks, not length-m arrays,
+    # lead the traced peak of a ring report with its checks (about 301 bytes
+    # per residue): the budget refuses counts on a machine with less memory.
+    m = 65536
+    a = np.random.default_rng(7).choice(m, 3000, replace=False)
+    tracemalloc.start()
+    try:
+        d = Derivation(residue_set(make_modulus(m), a))
+        ring_checks(d)
+        ring_bound_report(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(setops, "_physical_memory", lambda: peak)
+    with pytest.raises(ValueError, match=f"counts over Z_{m} need"):
+        setops._require_fits(m)
 
 
 def test_indicator_mass_and_support():

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sumprod import setops, sweeps
-from sumprod.estimates import Check, field_bound_report, ring_bound_report
+from sumprod.estimates import Check, Derivation, field_bound_report, ring_bound_report
 from sumprod.residues import make_modulus, residue_set
 from sumprod.sweeps import (
     CSV_HEADER,
@@ -20,7 +20,7 @@ from sumprod.sweeps import (
     SweepConfig,
     SweepRow,
     _family_rows,
-    _trial_row,
+    _report_row,
     derive_seed,
     format_row,
     parse_set_file,
@@ -31,6 +31,21 @@ from sumprod.sweeps import (
 )
 
 from oracles import naive_additive_counts, naive_product_counts, naive_productset, naive_sumset
+
+
+def _reference_set(mod, size, derived, zero_free):
+    """A trial's set, drawn as a sweep draws it."""
+    return residue_set(mod, sweeps._draw(mod.m, size, derived, zero_free))
+
+
+def _reference_rows(cfg, size, trials):
+    """Each trial's row from the single-set API: its own Derivation and report."""
+    mod, rows = make_modulus(cfg.modulus), []
+    for trial in trials:
+        derived = derive_seed(cfg.seed, size, trial)
+        a_set = _reference_set(mod, size, derived, cfg.kind == "prime")
+        rows.append(_report_row(cfg, trial, derived, Derivation(a_set)))
+    return rows
 
 
 def test_parse_set_file_examples(tmp_path):
@@ -129,8 +144,8 @@ def test_pool_gate_is_decided_from_sizes_alone():
     assert not gate(5987, (8, 32, 128), "prime") and gate(6007, (8, 32, 128), "prime")
     assert not gate(3600, (8, 724)) and gate(3600, (725, 8))  # 724^2 < 2^19 <= 725^2
     assert not gate(499, (8, 724), "prime") and gate(499, (725,), "prime")
-    # Families (m <= setops.FAMILY_CAP) keep the same gate: from 725 their
-    # rows run a few to a task on the pool.
+    # Families of many rows keep the same gate: from 725 their rows run a
+    # few to a task on the pool.
     assert not gate(4096, (724,)) and gate(4096, (725,)) and gate(4093, (1000, 3000), "prime")
     # Every determinism test and golden sweep, and both sweeps of the
     # benchmark, run below the gate on one thread.
@@ -207,10 +222,8 @@ def test_sweep_rows_revalidate_against_fresh_reports():
     cfg = SweepConfig(101, "prime", (4, 9), 6, 7)
     rows = run_sweep(cfg, threads=2)
     mod = make_modulus(101)
-    from sumprod.sweeps import _draw_subset
-
     for row in rows[:: max(1, len(rows) // 8)]:
-        subset = _draw_subset(mod, row.size, row.derived_seed, True)
+        subset = _reference_set(mod, row.size, row.derived_seed, True)
         rep = field_bound_report(subset)
         assert (rep.lhs, rep.size_sum, rep.size_prod) == (row.lhs, row.sum_size, row.prod_size)
         assert rep.ratio == row.ratio
@@ -228,9 +241,7 @@ def test_ring_sweep_rows():
     assert line.split(",")[10] == ""  # empty J column
 
     mod = make_modulus(36)
-    from sumprod.sweeps import _draw_subset
-
-    subset = _draw_subset(mod, rows[0].size, rows[0].derived_seed, False)
+    subset = _reference_set(mod, rows[0].size, rows[0].derived_seed, False)
     rep = ring_bound_report(subset)
     assert rep.lhs == rows[0].lhs
 
@@ -325,12 +336,15 @@ def test_write_csv_header_exact(tmp_path):
 
 # --- Set families: every trial of one size in one batched pass ---
 
-_FAMILY_MODULI = {"prime": (2, 3, 5, 101, 499, 4093), "ring": (2, 4, 8, 64, 1024, 243, 3125, 720, 3600, 4096)}
+_FAMILY_MODULI = {
+    "prime": (2, 3, 5, 101, 499, 4093, 4099, 7001),
+    "ring": (2, 4, 8, 64, 1024, 243, 3125, 720, 3600, 4096, 8192, 65536),  # 65536: int64 scatter
+}
 
 
 @st.composite
 def _family_case(draw):
-    """A kind, a modulus up to the cap, a size from 1 to m - 1 (few, some or
+    """A kind, a modulus, a size from 1 to m - 1 (few, some or
     nearly all residues), a trial count and the batch gate: real or forced."""
     kind = draw(st.sampled_from(sorted(_FAMILY_MODULI)))
     m = draw(st.sampled_from(_FAMILY_MODULI[kind]))
@@ -351,13 +365,17 @@ def _family_case(draw):
 @example(("ring", 4096, 40, 3, 1, True))
 @example(("prime", 4093, 4092, 1, 1, None))
 @example(("ring", 4096, 4095, 1, 2, None))
+@example(("prime", 7001, 700, 3, 4, False))
+@example(("ring", 65536, 1500, 2, 6, False))  # products scattered in int64
+@example(("ring", 65536, 300, 3, 7, None))
+@example(("ring", 60000, 400, 2, 8, False))  # int32 products would wrap, and 2^32 is not 0 mod m
 def test_family_rows_match_the_per_cell_rows(case):
-    # Family rows equal the per-cell reference rows, floats bit for bit.
+    # Family rows equal the single-set reference rows, floats bit for bit.
     kind, m, size, trials, seed, force = case
     cfg, mod = SweepConfig(m, kind, (size,), trials, seed), make_modulus(m)
     with mock.patch.object(setops, "_fft_pays", return_value=force) if force is not None else mock.MagicMock():
         family = _family_rows(cfg, mod, size, range(trials))
-    cells = [_trial_row(cfg, mod, size, trial) for trial in range(trials)]
+    cells = _reference_rows(cfg, size, range(trials))
     assert family == cells
     assert [format_row(row) for row in family] == [format_row(row) for row in cells]
 
@@ -387,7 +405,7 @@ def test_family_counts_on_both_sides_of_the_batch_gate(monkeypatch, modulus, kin
     cfg = SweepConfig(modulus, kind, (size,), 25, 99)
     rows = _family_rows(cfg, mod, size, range(25))
     assert len(calls) == transforms and all(rows_ == 25 for *_, rows_ in calls)
-    assert rows == [_trial_row(cfg, mod, size, trial) for trial in range(25)]
+    assert rows == _reference_rows(cfg, size, range(25))
 
 
 def _noisy_irfftn(monkeypatch, index, noise):
@@ -404,14 +422,14 @@ def _noisy_irfftn(monkeypatch, index, noise):
 @pytest.mark.parametrize("guard", ["residual", "mass", "a_priori_bound"])
 def test_family_guard_failure_falls_back_for_that_row_only(monkeypatch, guard):
     cfg, mod, size = SweepConfig(499, "prime", (400,), 4, 3), make_modulus(499), 400
-    cells = [_trial_row(cfg, mod, size, trial) for trial in range(4)]
+    cells = _reference_rows(cfg, size, range(4))
     fallbacks = _spy(monkeypatch, setops, "_pair_counts")
     if guard == "a_priori_bound":
         monkeypatch.setattr(setops, "_FFT_ERROR_CONSTANT", 1e30)
     else:  # a flat index below one row's length lands in row 0
         _noisy_irfftn(monkeypatch, 7, 0.3 if guard == "residual" else 1.0)
     assert _family_rows(cfg, mod, size, range(4)) == cells
-    row0 = sweeps._draw_subset(mod, size, derive_seed(3, size, 0), True).array
+    row0 = _reference_set(mod, size, derive_seed(3, size, 0), True).array
     if guard == "a_priori_bound":  # no transform at all: the whole batch enumerates in rows
         assert fallbacks == []
     else:  # A+A, AA, Q and D each count row 0 alone; A+A and AA from row 0's A
@@ -432,13 +450,42 @@ def test_family_blocks_of_one_row_match(monkeypatch):
         monkeypatch.undo()
 
 
-@pytest.mark.parametrize("modulus, family", [(setops.FAMILY_CAP, True), (setops.FAMILY_CAP + 1, False)])
-def test_family_path_runs_up_to_the_cap(monkeypatch, modulus, family):
-    families, cells = _spy(monkeypatch, sweeps, "_family_rows"), _spy(monkeypatch, sweeps, "_trial_row")
+@pytest.mark.parametrize("modulus", [4096, 4097])
+def test_family_path_runs_at_every_modulus(monkeypatch, modulus):
+    # Both sides of 4096: a 5-smooth length, and 4097 = 17 * 241, padded to 8640.
+    families = _spy(monkeypatch, sweeps, "_family_rows")
     cfg = SweepConfig(modulus, "ring", (8, 64), 3, 5)
     rows = run_sweep(cfg, threads=1)
-    assert len(rows) == 6
-    assert (len(families), len(cells)) == ((2, 0) if family else (0, 6))
+    assert [len(trials) for *_, trials in families] == [3, 3]
+    assert rows == _reference_rows(cfg, 8, range(3)) + _reference_rows(cfg, 64, range(3))
+
+
+def test_one_row_family_counts_as_one_set(monkeypatch):
+    # At m = 720720 one transform fills the row budget: a family is one row,
+    # and its enumerated quotient counts are one set's (_pair_counts).
+    assert setops._family_step(720720, 64) == 1
+    families, counted = _spy(monkeypatch, sweeps, "_family_rows"), _spy(monkeypatch, setops, "_pair_counts")
+    cfg = SweepConfig(720720, "ring", (64,), 2, 5)
+    rows = run_sweep(cfg, threads=1)
+    assert [len(trials) for *_, trials in families] == [1, 1]
+    assert [(n, combine) for _, _, n, combine in counted] == [(720720, np.multiply)] * 2
+    assert rows == _reference_rows(cfg, 64, range(2))
+
+
+@pytest.mark.parametrize("force", [True, False])
+def test_family_quad_count_is_exact_above_the_int32_products(monkeypatch, force):
+    # p > 46340: products of residues pass 2^31, for most pairs of large
+    # residues at p = 65537. Each row's J goes through the exact dot of
+    # Derivation.quad_count.
+    p, size = 65537, 200
+    dots = _spy(monkeypatch, sweeps, "_mv_dot")
+    cfg = SweepConfig(p, "prime", (size,), 3, 11)
+    with mock.patch.object(setops, "_fft_pays", return_value=force):
+        rows = _family_rows(cfg, make_modulus(p), size, range(3))
+    assert len(dots) == 3
+    for row in rows:
+        d = Derivation(_reference_set(make_modulus(p), size, row.derived_seed, True))
+        assert row.quad_count == d.quad_count
 
 
 def test_row_counts_match_the_oracles_with_padding_anywhere():
