@@ -6,21 +6,20 @@ that result is computed, and every path agrees with the pair-enumeration
 oracles in the test suite. Counts (`indicator`, `additive_rep`, `unit_quotient_rep`)
 are read-only int64 arrays of length m, built only once the memory budget
 `BYTES_PER_RESIDUE * m` plus one enumeration block fits in physical memory.
-A count is a cyclic correlation over Z_m or the axes of the unit group
-(`_unit_group`): one exact rfftn (`_cyclic_counts`) on each axis only as
-long as the arcs the operands occupy need (`_fft_plan`) when `_fft_pays`,
-pair enumeration otherwise; `sumset` reads A+B off such counts. Over a
-prime with |A||B| > 4m `productset` forms an exponent sum set on bit masks.
-Otherwise pairs are enumerated in int64 blocks (`_pair_blocks`), bincounted
-or, for a set, scattered into a length-m boolean array (m <= `BITSET_LIMIT`,
-2^24) or merged by np.unique above it.
+
+One engine, `_row_counts`, forms every sum set and count: a sweep's set
+family all rows at once, and one set as a family of one row. A count is a
+cyclic correlation over Z_m or the axes of the unit group (`_unit_group`):
+one exact rfftn of all rows (`_cyclic_rows`) on each axis only as long as
+the arcs the operands occupy need (`_fft_plan`) when `_fft_pays`, a row that
+fails its guard enumerated alone. Else pairs are enumerated in int64 blocks
+(`_pair_blocks`), bincounted or, for a set, scattered into a length-m
+boolean array (m <= `BITSET_LIMIT`, 2^24) or merged by np.unique above it.
+Over a prime with |A||B| > 4m `productset` forms an exponent sum set on bit
+masks instead.
 
 An `indicator` is built only for a spectrum of a set (`spectra`); the ring
 chain builds none, as its Parseval checks read the set itself.
-
-A sweep's set family counts all its rows at once (`_row_counts`): the transform has a
-leading row axis (`_cyclic_rows`; one set is one row), a row that fails its guard is
-enumerated alone, and below the gate rows are enumerated in blocks.
 """
 
 from __future__ import annotations
@@ -52,8 +51,9 @@ _ROW_BUDGET = 1 << 18
 BYTES_PER_RESIDUE = 265
 
 
+@lru_cache(maxsize=1)
 def _physical_memory() -> int:
-    """Bytes of physical memory of this machine."""
+    """Bytes of physical memory of this machine, read once: every count checks the budget against it."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
@@ -135,14 +135,10 @@ def _pair_counts(x: np.ndarray, y: np.ndarray, n: int, combine: np.ufunc = np.ad
 
 
 def sumset(a_set: ResidueSet, b_set: ResidueSet) -> ResidueSet:
-    """Exact {a + b mod m}: the nonzero positions of the sum counts when
-    their FFT pays, the distinct pair values otherwise."""
+    """Exact {a + b mod m}: the one-row family of the two sets (_row_counts)."""
     mod = _require_same_modulus(a_set, b_set)
-    a, b, m = a_set.array, b_set.array, mod.m
-    planned = _fft_plan((m,), a.size, b.size, lambda: ((a,), (b,)))
-    if planned:
-        return ResidueSet(mod, np.flatnonzero(_sum_counts(a, b, m, planned)))
-    return ResidueSet(mod, _pairwise_values(a, b, m, np.add, a_set is b_set))
+    x = a_set.array[None]
+    return ResidueSet(mod, _row_counts(x, x if b_set is a_set else b_set.array[None], mod.m, sets=True)[0])
 
 
 def _rotate_mask(mask: int, shift: int, m: int, full: int) -> int:
@@ -257,7 +253,8 @@ def productset(a_set: ResidueSet, b_set: ResidueSet) -> ResidueSet:
         exps = np.flatnonzero(np.unpackbits(np.frombuffer(raw, np.uint8), count=group, bitorder="little"))
         vals = np.sort(pow_of[exps])
     else:
-        vals = _pairwise_values(a_arr, b_arr, m, np.multiply, a_set is b_set)
+        x = a_arr[None]
+        vals = _row_counts(x, x if b_set is a_set else b_arr[None], m, np.multiply, sets=True)[0]
     # Over a composite modulus the pair products may already include 0.
     if zero_in_result and not (vals.size and vals[0] == 0):
         vals = np.concatenate((np.zeros(1, dtype=np.int64), vals))
@@ -320,46 +317,40 @@ def _fft_pays(pairs: int, *lengths: int, rows: int = 1) -> bool:
     return pairs > rows * share * size * math.log2(size) + per_axis * len(lengths)
 
 
-def _fft_plan(shape: tuple[int, ...], nx: int, ny: int, rows):
-    """(plan, x, y) of the counts of nx x ny pairs over Z_n1 x ... x Z_nr if _fft_pays at the planned
-    lengths, else None, with the rows shifted to its starts. Windows are tried where nx + ny - 1 < n,
-    and rows() (the quotients' tables) read only if the least box pays."""
-    (plan, lengths), pairs, box = _whole(shape), nx * ny, nx + ny - 1
+def _fft_plan(shape: tuple[int, ...], pairs: int, box: int, points, rows: int):
+    """(plan, x, y) of the counts of all rows' pairs over Z_n1 x ... x Z_nr if _fft_pays at the planned lengths,
+    else None, box the longest row's |X| + |Y| - 1; x, y = points(), all rows' entries, are read only if the least
+    box pays. Windows are tried where box < n, on the arcs of all rows' entries together."""
+    plan, lengths = _whole(shape)
     if room := box < max(shape):  # the least box: X + Y in 1-D, 1 on each such axis else
         lengths = [_smooth(box)] if len(shape) == 1 else [1 if box < n else L for n, L in zip(shape, lengths)]
-    if not (pairs and _fft_pays(pairs, *lengths)):
+    if not (pairs and _fft_pays(pairs, *lengths, rows=rows)):
         return None
-    x, y = rows()
+    x, y = points()
     if room:
-        plan = tuple(_window(axis, xi, yi) if box < axis[0] else axis for axis, xi, yi in zip(plan, x, y))
-        if not _fft_pays(pairs, *[axis[4] for axis in plan]):
+        plan = tuple(_window(axis, xi, yi) if box < axis[0] else axis for axis, xi, yi in zip(plan, x[1:], y[1:]))
+        if not _fft_pays(pairs, *[axis[4] for axis in plan], rows=rows):
             return None
-        x = tuple(c if s == 0 else (c - s) % n for c, (n, s, *_) in zip(x, plan))
-        y = tuple(c if s == 0 else (c - s) % n for c, (n, _, s, *_) in zip(y, plan))
     return plan, x, y
 
 
 # c and u of the a-priori FFT error bound c u log2(S) |X| |Y| < 1/4 derived
-# in _cyclic_counts; u is the unit roundoff of float64.
+# in _cyclic_rows; u is the unit roundoff of float64.
 _FFT_ERROR_CONSTANT = 64
 _UNIT_ROUNDOFF = 2.0**-53
 
 
-def _histogram(coords: tuple, padded: tuple[int, ...]) -> np.ndarray:
+def _histogram(v: tuple, k: int, plan: tuple, padded: tuple[int, ...]) -> np.ndarray:
+    """Points v on the padded box of a plan, shifted to x's starts (plan[1], k = 1) or y's (plan[2], k = 2)."""
+    coords = (v[0], *(c if axis[k] == 0 else (c - axis[k]) % axis[0] for c, axis in zip(v[1:], plan)))
     counts = np.bincount(np.ravel_multi_index(coords, padded), minlength=math.prod(padded))
     return counts.reshape(padded).astype(np.float64)
 
 
-def _cyclic_counts(plan: tuple, x: tuple, y: tuple) -> np.ndarray | None:
-    """One set's counts on the box of an _fft_plan (x, y: its shifted rows): the one-row _cyclic_rows, or None."""
-    out = _cyclic_rows(plan, (np.zeros(x[0].size, np.intp), *x), (np.zeros(y[0].size, np.intp), *y), 1)
-    return out[0][0] if out is not None and out[1][0] else None
-
-
 def _cyclic_rows(plan: tuple, x: tuple, y: tuple, rows: int) -> tuple[np.ndarray, np.ndarray] | None:
     """(counts, ok): counts[r, t] = #{(i, j) in row r : x[i] + y[j] = t}, exactly, on the box of an _fft_plan in
-    C order, for x, y the (row ids, coordinates per axis) of their points, and ok[r] whether row r passed its guard;
-    None if the a-priori bound fails. rfftn over axes 1 .. r composes 1-D transforms at L_i: t = sum log2 L_i below.
+    C order, for x, y its points, and ok[r] whether row r passed its guard; None if the a-priori bound fails.
+    rfftn over axes 1 .. r composes 1-D transforms at L_i: t = sum log2 L_i below.
 
     Error bound. Higham (Accuracy and Stability of Numerical Algorithms,
     2nd ed., Thm 24.2) bounds a computed length-L FFT by
@@ -384,8 +375,8 @@ def _cyclic_rows(plan: tuple, x: tuple, y: tuple, rows: int) -> tuple[np.ndarray
     bound = _FFT_ERROR_CONSTANT * _UNIT_ROUNDOFF * max(1.0, sum(map(math.log2, padded))) * int(pairs.max())
     if not bound < 0.25:
         return None
-    spectrum = np.fft.rfftn(_histogram(x, (rows, *padded)), axes=axes)
-    spectrum *= spectrum if y is x else np.fft.rfftn(_histogram(y, (rows, *padded)), axes=axes)
+    spectrum = np.fft.rfftn(_histogram(x, 1, plan, (rows, *padded)), axes=axes)
+    spectrum *= spectrum if y is x else np.fft.rfftn(_histogram(y, 2, plan, (rows, *padded)), axes=axes)
     linear = np.fft.irfftn(spectrum, padded, axes=axes)
     rounded = np.rint(linear)
     ok = np.abs(linear - rounded).reshape(rows, -1).max(axis=1) < 0.25
@@ -400,67 +391,41 @@ def _cyclic_rows(plan: tuple, x: tuple, y: tuple, rows: int) -> tuple[np.ndarray
 
 
 def additive_rep(a_set: ResidueSet, b_set: ResidueSet, sign: int) -> np.ndarray:
-    """counts[t] = number of pairs (a, b) with a + sign*b = t (mod m)."""
+    """counts[t] = number of pairs (a, b) with a + sign*b = t (mod m): a one-row family (_row_counts)."""
     mod = _require_same_modulus(a_set, b_set)
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    m, a_arr = mod.m, a_set.array
-    b_arr = b_set.array if sign == 1 else (-b_set.array) % m
-    planned = _fft_plan((m,), a_arr.size, b_arr.size, lambda: ((a_arr,), (b_arr,)))
-    return _freeze(_sum_counts(a_arr, b_arr, m, planned))
-
-
-def _sum_counts(a: np.ndarray, b: np.ndarray, m: int, planned) -> np.ndarray:
-    """counts[t] = #{a[i] + b[j] = t (mod m)}: FFT on planned (_fft_plan), or enumerated."""
-    _require_fits(m)
-    box = _cyclic_counts(*planned) if planned else None
-    if box is None:
-        return _pair_counts(a, b, m)
-    ((_, sx, sy, w, _),) = planned[0]
-    if w < m:  # an arc's box, written back at sx + sy; np.zeros leaves the rest unfaulted
-        box, counts = np.zeros(m, dtype=np.int64), box
-        box[(sx + sy + np.arange(w)) % m] = counts
-    return box
+    x = a_set.array[None]
+    y = x if b_set is a_set and sign == 1 else (b_set.array if sign == 1 else -b_set.array % mod.m)[None]
+    return _freeze(_row_counts(x, y, mod.m)[0])
 
 
 def unit_quotient_rep(x_set: ResidueSet, a_set: ResidueSet) -> np.ndarray:
     """counts[t] = number of pairs (x, a) with x * a^{-1} = t (mod m).
 
-    Every element of the denominator set must be a unit of Z_m. In the
-    coordinates of `_unit_group` x a^{-1} is x - a, a cyclic correlation for
-    unit x; every x the FFT did not count (a non-unit, such as a prime's 0,
-    or all of them when the FFT does not pay or its guard fails) is
-    enumerated against the inverses."""
+    Every element of the denominator set must be a unit of Z_m. The unit
+    numerators times the inverses are a one-row family of products of units
+    (_row_counts); any non-unit numerator (a prime's 0, a ring's non-units)
+    is enumerated against the same inverses, and the two counts add."""
     mod = _require_same_modulus(x_set, a_set)
-    m = mod.m
-    _require_fits(m)
-    a_arr, x_arr = a_set.array, x_set.array
+    m, a_arr, x_arr = mod.m, a_set.array, x_set.array
     a_units = _units_mask(a_arr, mod)
     if not a_units.all():
         first = int(a_arr[np.argmin(a_units)])
         raise NonInvertibleError(first, m, math.gcd(first, m))
-    x_units, shape = _units_mask(x_arr, mod), _unit_shape(m)
+    x_units, inverses = _units_mask(x_arr, mod), _inverses(a_arr, mod)
     units = x_arr[x_units]
-
-    def rows():  # the coordinates of units mod q on each axis; an inverse's are negated
-        x, a = (tuple(log[v % q if q < m else v] for q, log in _unit_group(m)[2]) for v in (units, a_arr))
-        return x, tuple(-c % n for c, n in zip(a, shape))
-
-    planned = _fft_plan(shape, units.size, a_arr.size, rows)
-    # Residues before the transform: a cache built after its temporaries pins them (RSS).
-    whole = planned and planned[0] == _whole(shape)[0]
-    cells = planned and (_unit_residues(m) if whole else _box_residues(m, planned[0]))
-    flat = _cyclic_counts(*planned) if planned else None
-    rest = x_arr if flat is None else x_arr[~x_units]
-    # No numerator left, no inverses: always computed, they took 4% of a sweep of 499 and 3600.
-    counts = _pair_counts(rest, _inverses(a_arr, mod) if rest.size else a_arr, m, np.multiply)
-    if flat is not None:  # a non-unit over a unit is a non-unit: every unit is still 0
-        counts[cells] = flat
+    counts = _row_counts(units[None], inverses[None], m, np.multiply, True)[0]
+    if units.size < x_arr.size:  # a non-unit over a unit is a non-unit: the unit counts leave it at 0
+        counts += _pair_counts(x_arr[~x_units], inverses, m, np.multiply)
     return _freeze(counts)
 
 
-def _row_support(mask: np.ndarray) -> np.ndarray:
-    """The positions of each row of a (rows, m) mask, ascending, padded with -1 to the longest row."""
+def _row_support(counts: np.ndarray) -> np.ndarray:
+    """The positions of each row's nonzero entries, ascending, padded with -1 to the longest row (one row: none)."""
+    if len(counts) == 1:
+        return np.flatnonzero(counts)[None]
+    mask = counts.astype(bool, copy=False)  # numpy reads a bool mask faster than int64 counts
     sizes = mask.sum(axis=1)
     out = np.full((len(mask), int(sizes.max(initial=0))), -1, dtype=np.int64)
     out[np.arange(out.shape[1]) < sizes[:, None]] = np.flatnonzero(mask) % mask.shape[1]
@@ -474,32 +439,54 @@ def _family_step(m: int, size: int) -> int:
     return max(1, min(_ROW_BUDGET // longest, _CHUNK_ELEMS // size**2))
 
 
+def _points(x: np.ndarray, y: np.ndarray, m: int, add: bool) -> tuple[tuple, tuple]:
+    """(row ids, coordinates per axis) of the entries of x and of y that are not -1 (one row: all): residues
+    (add), or the log coordinates of units on each axis of _unit_group(m); y's are x's when y is x."""
+    out = []
+    for v in (x,) if y is x else (x, y):
+        ids, vals = (np.zeros(v.shape[1], np.intp), v[0]) if len(v) == 1 else (
+            np.flatnonzero(v >= 0) // v.shape[1], v[v >= 0])
+        out.append((ids, vals) if add else (ids, *(log[vals % q if q < m else vals] for q, log in _unit_group(m)[2])))
+    return out[0], out[-1]
+
+
 def _row_counts(x: np.ndarray, y: np.ndarray, m: int, combine: np.ufunc = np.add, units=False, sets=False):
     """counts[r, t] = #{(i, j) : combine(x[r, i], y[r, j]) = t (mod m)}, (rows, m) int64, for a set family's rows
-    of residues padded with -1, all at once; with sets (y is x) only counts > 0. A correlation (np.add over Z_m,
-    with units a product of units over _unit_group(m)) is one rfftn of all rows (_cyclic_rows) if _fft_pays, a
-    row that fails its guard enumerated alone (_pair_counts). Else, in blocks of about _ROW_BUDGET pairs, sets
-    scatter _pair_blocks of each row with itself, and counts bincount x's entries against their rows of y (one
-    row: _pair_counts, without row gathers and a length-m bincount per block)."""
-
-    def entries(v):  # (row ids, values) of the entries that are not -1
-        return np.flatnonzero(v >= 0) // max(1, v.shape[1]), v[v >= 0]
-
-    def coords(v):  # a correlation's coordinates: residues, or the log coordinates of units on each axis
-        return (v,) if combine is np.add else tuple(log[v % q if q < m else v] for q, log in _unit_group(m)[2])
-
-    plan, lengths = _whole((m,) if combine is np.add else _unit_shape(m))
-    correlation = combine is np.add or units
-    if correlation and _fft_pays(int((x >= 0).sum(axis=1) @ (y >= 0).sum(axis=1)), *lengths, rows=len(x)):
-        (x_row, x_val), (y_row, y_val) = entries(x), entries(y)
-        xs = (x_row, *coords(x_val))
-        out = _cyclic_rows(plan, xs, xs if y is x else (y_row, *coords(y_val)), len(x))
+    of residues padded with -1 (one row: one set, unpadded); with sets each row's values with counts > 0, ascending
+    and padded with -1 (y is x for more rows). A correlation (np.add over Z_m, with units a product of units over
+    _unit_group(m)) is one rfftn of all rows (_cyclic_rows) on the box of an _fft_plan, a row that fails its guard
+    enumerated alone (_pair_counts). Else one row is one set's _pair_counts or _pairwise_values; more go in blocks
+    of about _ROW_BUDGET pairs, sets scattering _pair_blocks of each row with itself, counts bincounting by row."""
+    if one := len(x) == 1:  # plain ints: a tiny report makes several of these calls
+        pairs, box = x.size * y.size, x.size + y.size - 1
+    else:
+        nx, ny = (x >= 0).sum(axis=1), (y >= 0).sum(axis=1)
+        pairs, box = int(nx @ ny), int((nx + ny).max()) - 1
+    if not (sets and one):  # before the log tables and any length-m array; one set's pair values need neither
+        _require_fits(m)
+    add = combine is np.add
+    shape = (m,) if add else _unit_shape(m) if units else None  # None: not a correlation
+    planned = shape and _fft_plan(shape, pairs, box, lambda: _points(x, y, m, add), len(x))
+    if planned:
+        plan, xs, ys = planned
+        _require_fits(m)  # one set's values too: they pass through length-m counts
+        whole = all(n == w for n, _, _, w, _ in plan)
+        if add:  # a window's box lies at sx + sy + j
+            cells = None if whole else (plan[0][1] + plan[0][2] + np.arange(plan[0][3])) % m
+        else:  # residues before the transform: a cache built after its temporaries pins them (RSS)
+            cells = _unit_residues(m) if whole else _box_residues(m, plan)
+        out = _cyclic_rows(plan, xs, ys, len(x))
         if out is not None:
-            counts = np.zeros((len(x), m), dtype=np.int64)
-            counts[:, slice(None) if combine is np.add else _unit_residues(m)] = out[0]
+            counts = out[0]
+            if cells is not None:  # np.zeros leaves the cells outside the box unfaulted
+                counts = np.zeros((len(x), m), dtype=np.int64)
+                counts[:, cells] = out[0]
             for r in np.flatnonzero(~out[1]):
                 counts[r] = _pair_counts(x[r][x[r] >= 0], y[r][y[r] >= 0], m, combine)
-            return counts > 0 if sets else counts
+            return _row_support(counts) if sets else counts
+    if one:
+        pair = _pairwise_values(x[0], y[0], m, combine, y is x) if sets else _pair_counts(x[0], y[0], m, combine)
+        return pair[None]
     if sets:
         # A repeat leaves a row's set as it is; products and row offsets below 2^31 fit int32.
         dtype = np.int32 if m * max(m, len(x)) < 1 << 31 else np.int64
@@ -511,10 +498,8 @@ def _row_counts(x: np.ndarray, y: np.ndarray, m: int, combine: np.ufunc = np.add
                 vals += m * np.arange(len(vals), dtype=dtype)[:, None]  # each row's values into its own row
                 seen[lo : lo + step].ravel()[vals] = True
         seen[x.max(axis=1, initial=-1) < 0] = False  # rows with no entry
-        return seen
-    if len(x) == 1:
-        return _pair_counts(x[0][x[0] >= 0], y[0][y[0] >= 0], m, combine)[None]
-    x_row, x_val = entries(x)
+        return _row_support(seen)
+    x_row, x_val = _points(x, x, m, True)[0]
     counts, step = np.zeros(len(x) * (m + 1), dtype=np.int64), max(1, _ROW_BUDGET // max(1, y.shape[1]))
     for lo in range(0, x_row.size, step):
         ys = y[x_row[lo : lo + step]]

@@ -28,7 +28,7 @@ from .estimates import (
     ring_constant,
 )
 from .residues import Modulus, ResidueSet, _units_mask, make_modulus, residue_set
-from .setops import _family_step, _inverses, _require_fits, _row_counts, _row_support, _usable_cpus
+from .setops import _family_step, _inverses, _require_fits, _row_counts, _usable_cpus
 
 CSV_HEADER = (
     "modulus,kind,size,trial,derived_seed,sum_size,prod_size,"
@@ -158,11 +158,11 @@ def _family_rows(cfg: SweepConfig, mod: Modulus, size: int, trials: range) -> li
     units = units[:, size - int((units >= 0).sum(axis=1).max()) :]
     unit_prods = prods if prime else _row_counts(units, units, m, np.multiply, True, sets=True)
     inverses = np.where(units >= 0, _inverses(units, mod), -1)
-    quotients = _row_counts(_row_support(unit_prods), inverses, m, np.multiply, True)
+    quotients = _row_counts(unit_prods, inverses, m, np.multiply, True)
     quotients.setflags(write=False)  # its rows, read-only views, are the Derivations' counts
     # J = Q . D row by row, exactly as Derivation.quad_count (_mv_dot): it reaches m |A|^2, past 2^63 at m = 10^7
-    quads = list(map(_mv_dot, quotients, _row_counts(_row_support(sums), -a % m, m))) if prime else None
-    rows, d0, as_set = [], np.gcd(a, m).min(axis=1), lambda mask: ResidueSet(mod, np.flatnonzero(mask))
+    quads = list(map(_mv_dot, quotients, _row_counts(sums, -a % m, m))) if prime else None
+    rows, d0, as_set = [], np.gcd(a, m).min(axis=1), lambda row: ResidueSet(mod, row[row >= 0])
     for r, (trial, derived) in enumerate(zip(trials, seeds)):
         part = units[r][units[r] >= 0]
         known = {"prods": as_set(unit_prods[r]), "quotients": quotients[r]}
@@ -298,7 +298,7 @@ def run_exhaustive(p: int, k: int) -> ExhaustiveSummary:
     combos = np.fromiter(chain.from_iterable(combinations(range(1, p), k)), np.int16).reshape(-1, k)
     lhs = np.ones(len(combos), np.int64)
     for op in (np.add, np.multiply):
-        lhs *= _row_counts(combos, combos, p, op, sets=True).sum(axis=1)
+        lhs *= (_row_counts(combos, combos, p, op, sets=True) >= 0).sum(axis=1)
     best = int(np.argmin(lhs))
     values, counts = np.unique(lhs, return_counts=True)
     fails = [not field_constant(p, k, int(v)).holds for v in values]

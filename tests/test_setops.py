@@ -538,14 +538,14 @@ def test_unit_quotient_rep_on_both_sides_of_the_gate(monkeypatch, m, size_a):
     bound = math.floor(size * math.log2(size) + 8192 * len(shape))
     assert not setops._fft_pays(bound, *lengths) and setops._fft_pays(bound + 1, *lengths)
     paths = []
-    original = setops._cyclic_counts
+    original = setops._cyclic_rows
 
-    def spy(plan, x, y):
-        counts = original(plan, x, y)
-        paths.append((tuple(n for n, *_ in plan), counts is not None))
-        return counts
+    def spy(plan, x, y, rows):
+        out = original(plan, x, y, rows)
+        paths.append((tuple(n for n, *_ in plan), out is not None and bool(out[1].all())))
+        return out
 
-    monkeypatch.setattr(setops, "_cyclic_counts", spy)
+    monkeypatch.setattr(setops, "_cyclic_rows", spy)
     # Every residue as a numerator, then the first 20.
     for xs, fft in ((list(range(m)), True), (list(range(20)), False)):
         a = units[:size_a]
@@ -576,10 +576,10 @@ def test_property_cases_reach_both_sides_of_the_dispatch(monkeypatch):
     # 160-element intervals mod 499 are the support of FFT counts; the full
     # Z_36, 41-element sets mod 4096 and singletons are scattered.
     paths = []
-    for name in ("_cyclic_counts", "_pairwise_values"):
+    for name in ("_cyclic_rows", "_pairwise_values"):
 
         def spy(x, y, m, *rest, original=getattr(setops, name), name=name, **kwargs):
-            paths.append((name, x[0][0] if name == "_cyclic_counts" else m))  # plan's first n
+            paths.append((name, x[0][0] if name == "_cyclic_rows" else m))  # plan's first n
             return original(x, y, m, *rest, **kwargs)
 
         monkeypatch.setattr(setops, name, spy)
@@ -587,8 +587,8 @@ def test_property_cases_reach_both_sides_of_the_dispatch(monkeypatch):
     for m, a in cases:
         assert sumset(_set(m, a), _set(m, a)).elements == naive_sumset(a, a, m)
     assert paths == [
-        ("_cyclic_counts", 101),
-        ("_cyclic_counts", 499),
+        ("_cyclic_rows", 101),
+        ("_cyclic_rows", 499),
         ("_pairwise_values", 36),
         ("_pairwise_values", 4096),
         ("_pairwise_values", 36),
@@ -647,8 +647,11 @@ def test_fft_guard_failure_falls_back_to_exact_enumeration(monkeypatch, guard):
     assert setops._fft_pays(len(units) ** 2, *_whole(*setops._unit_shape(m)))
     counts = unit_quotient_rep(_set(m, range(m)), _set(m, units))
     assert _counts_dict(counts, m) == naive_quotient_counts(range(m), units, m)
-    # Quotients fall back to enumerating every numerator against the inverses.
-    assert calls == [(p, len(a))] * 4 + [(m, m)]
+    # A failed a-priori bound transforms nothing, so the sum set enumerates its values, not counts; the
+    # quotients fall back to enumerating the unit numerators against the inverses, then the non-units (a 0).
+    nonunits = [(p, 1)] if 0 in a else []
+    sums = [(p, len(a))] * (2 if guard == "a_priori_bound" else 3)
+    assert calls == sums + [(p, len(a) - len(nonunits))] + nonunits + [(m, len(units)), (m, m - len(units))]
 
 
 def test_fft_path_is_taken_without_fallback(monkeypatch):
@@ -798,14 +801,20 @@ def _pair_set_case(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_pair_set_case())
-@example((101, list(range(101)), list(range(101))))  # the FFT side of sumset
-@example((499, list(range(160)), list(range(1, 161))))
-def test_sum_and_product_sets_property(case):
+@given(_pair_set_case(), st.sampled_from((None, True, False)))
+@example((101, list(range(101)), list(range(101))), None)  # the FFT side of sumset
+@example((499, list(range(160)), list(range(1, 161))), None)
+@example((499, list(range(160)), list(range(1, 161))), False)
+@example((4093, list(range(4000, 4093)), list(range(17, 167))), True)  # a window that wraps across 0
+def test_sum_and_product_sets_property(case, force):
+    # Two distinct operands (b is not a), as one-row families on the real side of the gate (None) or either
+    # forced side; the product set's enumeration has no transform, so only the sum set's side moves.
     m, a, b = case
     sa, sb = _set(m, a), _set(m, b)
-    assert sumset(sa, sb).elements == naive_sumset(a, b, m)
-    assert productset(sa, sb).elements == naive_productset(a, b, m)
+    with mock.patch.object(setops, "_fft_pays", return_value=force) if force is not None else mock.MagicMock():
+        got_sum, got_prod = sumset(sa, sb), productset(sa, sb)
+    assert got_sum.elements == naive_sumset(a, b, m)
+    assert got_prod.elements == naive_productset(a, b, m)
 
 
 @pytest.mark.parametrize("chunk", [None, 1000])
@@ -978,16 +987,16 @@ _BOX_MODULI = (720, 3600, 5040, 486, 1024)
 
 
 def _spy_plans(monkeypatch):
-    """Records (plan, certified) of every _cyclic_counts call."""
+    """Records (plan, certified) of every _cyclic_rows call: certified when every row passed its guard."""
     plans = []
-    original = setops._cyclic_counts
+    original = setops._cyclic_rows
 
-    def spy(plan, x, y):
-        counts = original(plan, x, y)
-        plans.append((plan, counts is not None))
-        return counts
+    def spy(plan, x, y, rows):
+        out = original(plan, x, y, rows)
+        plans.append((plan, out is not None and bool(out[1].all())))
+        return out
 
-    monkeypatch.setattr(setops, "_cyclic_counts", spy)
+    monkeypatch.setattr(setops, "_cyclic_rows", spy)
     return plans
 
 
@@ -1152,4 +1161,5 @@ def test_windowed_guard_failure_falls_back_to_exact_enumeration(monkeypatch, gua
     # Every count planned a window (box and length below n), and none certified.
     assert len(plans) == 4 and all(not ok for _, ok in plans)
     assert all(box < n and length < n for ((n, _, _, box, length),), _ in plans)
-    assert calls == [(p, len(a))] * 3 + [(p, len(xs))]
+    # A failed a-priori bound transforms nothing, so the sum set enumerates its values, not counts.
+    assert calls == [(p, len(a))] * (2 if guard == "a_priori_bound" else 3) + [(p, len(xs))]

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from sumprod import setops, sweeps
 from sumprod.estimates import Check, Derivation, field_bound_report, ring_bound_report
-from sumprod.residues import make_modulus, residue_set
+from sumprod.residues import find_generator, make_modulus, residue_set
 from sumprod.sweeps import (
     CSV_HEADER,
     DuplicateResidueWarning,
@@ -510,8 +510,8 @@ def test_row_counts_match_the_oracles_with_padding_anywhere():
                 xs, ys = rows[r], rows[r - 1]
                 assert _nonzero(sums[r]) == naive_additive_counts(xs, ys, 1, m)
                 assert _nonzero(prods[r]) == naive_product_counts(xs, ys, m)
-                assert set(np.flatnonzero(sum_sets[r]).tolist()) == set(naive_additive_counts(xs, xs, 1, m))
-                assert set(np.flatnonzero(prod_sets[r]).tolist()) == set(naive_product_counts(xs, xs, m))
+                assert _padded_set(sum_sets[r]) == sorted(naive_additive_counts(xs, xs, 1, m))
+                assert _padded_set(prod_sets[r]) == sorted(naive_product_counts(xs, xs, m))
 
 
 
@@ -547,7 +547,62 @@ def test_batch_gate_boundary_matches_the_oracles(m, add, sets, rows, factor, see
     assert transform.called == (rows * nx * ny > gate)
     for r in range(rows):
         want = naive_additive_counts(xs[r], ys[r], 1, m) if add else naive_product_counts(xs[r], ys[r], m)
-        assert (set(np.flatnonzero(got[r]).tolist()) == set(want)) if sets else (_nonzero(got[r]) == want)
+        assert (_padded_set(got[r]) == sorted(want)) if sets else (_nonzero(got[r]) == want)
+
+
+@st.composite
+def _arc_family(draw):
+    """2-6 rows inside one short arc: of Z_p for sums, of the discrete logs mod p (g^s ... g^(s+w-1)) for
+    products of units; counts pair them with as many rows inside a second arc. The arcs are short enough
+    that every axis of the plan is a window."""
+    add, p, sets = draw(st.booleans()), draw(st.sampled_from((101, 499, 1009, 4093))), draw(st.booleans())
+    n, g = (p, None) if add else (p - 1, find_generator(make_modulus(p)))
+    width, count = draw(st.integers(1, n // 8)), draw(st.integers(2, 6))
+
+    def family():
+        start = draw(st.integers(0, n - 1))
+        rows = [draw(st.sets(st.integers(0, width - 1), min_size=1, max_size=width)) for _ in range(count)]
+        return [sorted((start + e) % n if add else pow(g, (start + e) % n, p) for e in row) for row in rows]
+
+    xs = family()
+    return p, add, xs, xs if sets else family(), sets
+
+
+def _padded(rows):
+    x = np.full((len(rows), max(map(len, rows))), -1, dtype=np.int64)
+    for r, row in enumerate(rows):
+        x[r, : len(row)] = row
+    return x
+
+
+@settings(max_examples=40, deadline=None)
+@given(_arc_family())
+@example((4093, True, [[0, 1, 4090, 4091, 4092], [3, 4092]], [[100, 104], [101]], False))  # x's arc wraps across 0
+@example((101, False, [sorted(pow(2, e, 101) for e in (98, 99, 0, 1)), [32]], None, True))  # logs wrap the order
+def test_windowed_families_match_the_oracles(case):
+    # A family inside short arcs, forced to transform: each axis of its plan is a window (w < n), placed from
+    # the arcs of all rows together, and every row's counts or set equals the oracle's.
+    p, add, xs, ys, sets = case
+    x = _padded(xs)
+    y = x if sets else _padded(ys)
+    ys = xs if sets else ys
+    combine = np.add if add else np.multiply
+    with mock.patch.object(setops, "_fft_pays", return_value=True), mock.patch.object(
+        setops, "_cyclic_rows", wraps=setops._cyclic_rows
+    ) as transform:
+        got = setops._row_counts(x, y, p, combine, not add, sets=sets)
+    ((n, _, _, w, _),) = transform.call_args.args[0]
+    assert w < n == (p if add else p - 1)
+    for r in range(len(xs)):
+        want = naive_additive_counts(xs[r], ys[r], 1, p) if add else naive_product_counts(xs[r], ys[r], p)
+        assert (_padded_set(got[r]) == sorted(want)) if sets else (_nonzero(got[r]) == want)
+
+
+def _padded_set(row):
+    """A set row of _row_counts: its values ascending, then only -1 padding."""
+    k = int((row >= 0).sum())
+    assert (row[k:] == -1).all()
+    return row[:k].tolist()
 
 
 def _nonzero(counts):
