@@ -16,8 +16,9 @@ sqrt(m/d0) D < |A|/2, so the unit part A' keeps more than half of A, and
 the character-sum chain on A' gives |A'A'||A'+A'| >= |A'|^4/(4 m D^2)
 with |A'|^4 > |A|^4/16.
 
-Every quantity a report or check needs comes from one Derivation of the
-input set, which builds each piece at most once. Every inequality is one
+Every quantity a report or check needs comes from one Derivation: the view
+of one row of a set family, a single set being a family of one row, whose
+pieces are each built once for all rows. Every inequality is one
 Check carrying its two sides. Integer inequalities (the prime constant, the
 master inequality, the quadruple lower bound, the dilation bound, the
 non-unit count, Parseval) are decided exactly; the ones involving D(m), a
@@ -27,7 +28,6 @@ REL_SLACK so a genuine equality case never fails from double rounding.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -35,13 +35,14 @@ import numpy as np
 
 from .residues import (
     MODULUS_CAP,
+    Modulus,
+    NonInvertibleError,
     ResidueSet,
+    _units_mask,
     make_modulus,
-    min_gcd,
     residue_set,
-    unit_part,
 )
-from .setops import additive_rep, productset, sumset, unit_quotient_rep
+from .setops import _freeze, _inverses, _require_fits, _row_counts, productset
 from .spectra import dft_counts, dft_counts_beside, gcd_class_peaks, spectrum_of_set
 
 REL_SLACK = 1e-9
@@ -65,20 +66,23 @@ def _all_of(name: str, members: list[Check]) -> Check:
     return Check(name, tightest.lhs, tightest.rhs, all(c.holds for c in members))
 
 
-def _once(build):
-    """A property built on first use and kept on the instance. Unlike
-    functools.cached_property on Python 3.11 it takes no lock shared by every
-    instance, so sweep threads never wait on one another."""
-    key = build.__name__
+class _once:
+    """A property built on first use and kept in the instance's __dict__, which
+    Python reads before this descriptor. Unlike functools.cached_property on
+    Python 3.11 it takes no lock shared by every instance, so sweep threads
+    never wait on one another."""
 
-    @functools.wraps(build)
-    def get(self):
-        memo = self.__dict__
-        if key not in memo:
-            memo[key] = build(self)
-        return memo[key]
+    def __init__(self, build):
+        self.build, self.__doc__ = build, build.__doc__
 
-    return property(get)
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.build(obj)
+        return value
 
 
 def _require_prime_zero_free(a_set: ResidueSet) -> int:
@@ -100,54 +104,46 @@ def _mv_dot(x: np.ndarray, y: np.ndarray) -> int:
 
 
 class Derivation:
-    """Everything the reports and checks derive from one set A.
+    """Everything the reports and checks derive from one set A: the view of
+    one row of a set family (_Family), which builds each piece once for all
+    its rows; Derivation(a_set) is the view of a family of one row. The view
+    keeps each piece it reads. A family and its views are used by one thread:
+    a worker thread beside it (dft_counts_beside) receives only arrays."""
 
-    Each piece is built on first use and kept until the instance is
-    dropped; one instance serves one report and is used by one thread: a
-    worker thread beside it (dft_counts_beside) receives only arrays.
-    Nothing is cached across instances. A caller that already holds pieces
-    (a sweep's set family) passes them by name in known.
-    """
+    def __init__(self, a_set: ResidueSet):
+        self._bind(_Family(a_set.array[None], a_set.modulus), 0, a_set)
 
-    def __init__(self, a_set: ResidueSet, **known):
-        self.a = a_set
-        self.modulus = a_set.modulus
-        self.m = a_set.modulus.m
-        self.size = a_set.size
-        self.__dict__.update(known)
+    def _bind(self, family: "_Family", row: int, a_set: ResidueSet) -> "Derivation":
+        self.family, self.row, self.a = family, row, a_set
+        self.modulus, self.m, self.size = a_set.modulus, a_set.modulus.m, a_set.size
+        return self
 
     @_once
     def sums(self) -> ResidueSet:
         """A+A."""
-        return sumset(self.a, self.a)
+        return self.family.row_set(self.family.sums, self.row)
 
     @_once
     def prods(self) -> ResidueSet:
         """AA."""
-        return productset(self.a, self.a)
+        return self.family.row_set(self.family.prods, self.row)
 
-    @_once
-    def of_sums(self) -> "Derivation":
-        """The derivation of A+A."""
-        return Derivation(self.sums)
-
-    @_once
-    def _nonunits_removed(self) -> "Derivation | None":
-        part = unit_part(self.a)
-        return None if part.size == self.size else Derivation(part)
+    # Each report that builds length-m counts reads it first: it refuses them over the budget before any enumeration.
+    _fits = _once(lambda d: _require_fits(d.m))
+    _unit_view = _once(lambda d: None if d.family.units is d.family else d.family.units.view(d.row))
 
     @property
     def units(self) -> "Derivation":
-        """The derivation of the unit part A' (this one when A has no
-        non-units). Over a prime field A' is the zero-free core A minus {0}.
+        """The derivation of the unit part A' (over a prime field the zero-free
+        core A minus {0}): this one when no row of the family loses an element.
         Not stored on itself: a reference cycle would keep every array alive
         until the next garbage collection."""
-        return self._nonunits_removed or self
+        return self._unit_view or self
 
     @_once
     def d0(self) -> int:
         """min gcd(a, m) over A."""
-        return min_gcd(self.a)
+        return int(self.family.d0[self.row])
 
     @_once
     def spectrum(self) -> np.ndarray:
@@ -155,14 +151,29 @@ class Derivation:
         return spectrum_of_set(self.a)
 
     @_once
+    def sums_spectrum(self) -> np.ndarray:
+        """Spectrum of the indicator of A+A over Z_m."""
+        return spectrum_of_set(self.sums)
+
+    @_once
     def quotients(self) -> np.ndarray:
         """Counts of x a^{-1} over (x, a) in AA x A; A must consist of units."""
-        return unit_quotient_rep(self.prods, self.a)
+        if self.units.size < self.size:
+            bad = int(np.setdiff1d(self.a.array, self.units.a.array)[0])
+            raise NonInvertibleError(bad, self.m, math.gcd(bad, self.m))
+        return self.family.units.quotients[self.row]
 
     @_once
     def quotient_spectrum(self) -> np.ndarray:
-        """Spectrum of the quotient counts over Z_m."""
+        """Spectrum of the quotient counts over Z_m: one 1-D transform per
+        row, since its floats are printed."""
         return dft_counts(self.quotients)
+
+    def _quotient_spectrum_beside(self, work):  # work(), the spectrum's transform beside it unless already built
+        if "quotient_spectrum" in self.__dict__:
+            return work()
+        self.__dict__["quotient_spectrum"], done = dft_counts_beside(self.quotients, work)
+        return done
 
     @_once
     def peaks(self) -> dict[int, float]:
@@ -183,10 +194,9 @@ class Derivation:
     @_once
     def quad_count(self) -> int:
         """Exact number J of solutions of x a1^{-1} + a2 = y over
-        (AA) x A x A x (A+A): the quotient counts of (AA, A) dotted with the
-        difference counts of (A+A, A). Prime modulus and 0 not in A."""
+        (AA) x A x A x (A+A). Prime modulus and 0 not in A."""
         _require_prime_zero_free(self.a)
-        return _mv_dot(self.quotients, additive_rep(self.sums, self.a, -1))
+        return self.family.units.quads[self.row]
 
     @_once
     def spectral_quad_count(self) -> float:
@@ -194,8 +204,65 @@ class Derivation:
         with Q the quotient counts and S the sum-set indicator. Prime modulus
         and 0 not in A."""
         p = _require_prime_zero_free(self.a)
-        total = np.sum(self.quotient_spectrum * self.spectrum * np.conj(self.of_sums.spectrum)) / p
+        total = np.sum(self.quotient_spectrum * self.spectrum * np.conj(self.sums_spectrum)) / p
         return float(total.real)
+
+
+class _Family:
+    """The rows of one set family over one modulus, each ascending and padded
+    in front with -1 (one row: one set, unpadded). Each piece is built once
+    for all rows (setops._row_counts). A set piece's rows are ascending and
+    padded at the back, as setops._row_support leaves them; a row's padding
+    may stand anywhere, so rows are read by their entries >= 0."""
+
+    def __init__(self, rows: np.ndarray, mod: Modulus):
+        self.rows, self.mod, self.m = rows, mod, mod.m
+
+    def row_set(self, rows: np.ndarray, r: int) -> ResidueSet:
+        if len(rows) == 1:  # one set, unpadded: the filter costs tiny ring reports ~1% a piece (five per report)
+            return ResidueSet(self.mod, rows[r])
+        return ResidueSet(self.mod, rows[r][rows[r] >= 0])
+
+    def view(self, r: int) -> Derivation:
+        return Derivation.__new__(Derivation)._bind(self, r, self.row_set(self.rows, r))
+
+    sums = _once(lambda f: _row_counts(f.rows, f.rows, f.m, sets=True))
+    d0 = _once(lambda f: np.gcd(np.maximum(f.rows, 0), f.m).min(axis=1))  # padding reads as 0, gcd m
+
+    @_once
+    def prods(self) -> np.ndarray:
+        if len(self.rows) == 1:  # one set's product set stays productset, which keeps the prime bit mask
+            one = ResidueSet(self.mod, self.rows[0])
+            return productset(one, one).array[None]
+        return _row_counts(self.rows, self.rows, self.m, np.multiply, self.units is self, sets=True)
+
+    units = property(lambda f: f._unit_rows or f, doc="The rows' unit parts: this family when no row loses one.")
+
+    @_once
+    def _unit_rows(self) -> "_Family | None":
+        keep = _units_mask(self.rows, self.mod)  # true on the padding too: -1 is no multiple of a prime
+        if keep.all():
+            return None  # not stored as itself: a reference cycle
+        if len(self.rows) == 1:  # one set: a mask, 1 us, where the sort and trim take 7-10 us (tiny ring reports)
+            rows = self.rows[keep][None]
+        else:  # non-units to -1, in front, then as many columns as the longest unit part
+            rows = np.sort(np.where(keep, self.rows, -1), axis=1)
+            rows = rows[:, rows.shape[1] - (rows >= 0).sum(axis=1).max() :]
+        units = _Family(rows, self.mod)
+        units._unit_rows = None  # its rows hold units only
+        return units
+
+    @_once
+    def quotients(self) -> np.ndarray:  # read-only, of a family of units
+        inverses = np.where(self.rows >= 0, _inverses(self.rows, self.mod), -1)
+        return _freeze(_row_counts(self.prods, inverses, self.m, np.multiply, True))
+
+    @_once
+    def quads(self) -> list[int]:
+        """J per row of a family of units: its quotient counts dotted with the difference counts of (A+A, A),
+        exactly (_mv_dot: J reaches m |A|^2, past 2^63 at m = 10^7)."""
+        minus = np.where(self.rows >= 0, -self.rows % self.m, -1)
+        return list(map(_mv_dot, self.quotients, _row_counts(self.sums, minus, self.m)))
 
 
 def _derived(a: "ResidueSet | Derivation") -> Derivation:
@@ -289,6 +356,7 @@ def field_bound_report(a: "ResidueSet | Derivation") -> FieldBoundReport:
         raise ValueError(f"prime modulus required, got {d.m}")
     if d.size == 0:
         raise ValueError("empty set")
+    d._fits
     p, k, core = d.m, d.size, d.units
     lhs = d.sums.size * d.prods.size
     term_pa = float(p * k)
@@ -308,7 +376,7 @@ def field_bound_report(a: "ResidueSet | Derivation") -> FieldBoundReport:
         quad_lower=core.size**3,
         fourier_max=core.peak,
         fourier_cap=math.sqrt(core.cap_sq),
-        stripped_zero=core is not d,
+        stripped_zero=core.size != d.size,
     )
 
 
@@ -331,9 +399,10 @@ def spectral_checks(a: "ResidueSet | Derivation") -> list[Check]:
     Cauchy-Schwarz bound sum_n |A^(n)| |S^(n)| <= m sqrt(|A| |A+A|), for a
     zero-free set over a prime field."""
     d = _derived(a)
+    d._fits
     exact = d.quad_count
     rel_error = abs(d.spectral_quad_count - exact) / max(exact, 1)
-    cs_lhs = float(np.sum(np.abs(d.spectrum) * np.abs(d.of_sums.spectrum)))
+    cs_lhs = float(np.sum(np.abs(d.spectrum) * np.abs(d.sums_spectrum)))
     cs_cap = d.m * math.sqrt(d.size * d.sums.size)
     return [
         Check("spectral_identity", rel_error, 1e-9, rel_error <= 1e-9),
@@ -407,6 +476,7 @@ def ring_checks(a: "ResidueSet | Derivation") -> list[Check]:
     d = _derived(a)
     if d.size == 0:
         raise ValueError("empty set")
+    d._fits
     m, units = d.m, d.units
     proper = d.modulus.divisors[:-1]
 
@@ -416,9 +486,7 @@ def ring_checks(a: "ResidueSet | Derivation") -> list[Check]:
 
     # The quotient counts, the step with the largest temporaries, come before the full set's A+A and AA
     # are held; their spectrum's transform runs beside rest, and only this thread touches derivations.
-    known = units.__dict__.get("quotient_spectrum")
-    spectrum, (parseval, rep) = (known, rest()) if known is not None else dft_counts_beside(units.quotients, rest)
-    units.__dict__["quotient_spectrum"] = spectrum
+    parseval, rep = units._quotient_spectrum_beside(rest)
     square = _all_of("divisor_square_bound", [divisor_square_bound(units, e) for e in proper])
     divisor_cap = sum(m // e for e in d.modulus.divisors if e >= max(rep.d0, 2))
     majority = 2 * units.size

@@ -12,7 +12,8 @@ family all rows at once, and one set as a family of one row. A count is a
 cyclic correlation over Z_m or the axes of the unit group (`_unit_group`):
 one exact rfftn of all rows (`_cyclic_rows`) on each axis only as long as
 the arcs the operands occupy need (`_fft_plan`) when `_fft_pays`, a row that
-fails its guard enumerated alone. Else pairs are enumerated in int64 blocks
+fails its guard enumerated alone; one sum set on such a window is read off
+its box, with no length-m array. Else pairs are enumerated in int64 blocks
 (`_pair_blocks`), bincounted or, for a set, scattered into a length-m
 boolean array (m <= `BITSET_LIMIT`, 2^24) or merged by np.unique above it.
 Over a prime with |A||B| > 4m `productset` forms an exponent sum set on bit
@@ -469,14 +470,18 @@ def _row_counts(x: np.ndarray, y: np.ndarray, m: int, combine: np.ufunc = np.add
     planned = shape and _fft_plan(shape, pairs, box, lambda: _points(x, y, m, add), len(x))
     if planned:
         plan, xs, ys = planned
-        _require_fits(m)  # one set's values too: they pass through length-m counts
         whole = all(n == w for n, _, _, w, _ in plan)
+        boxed = sets and one and add and not whole  # one sum set read off its box: no length-m array
+        _require_fits(plan[0][4] if boxed else m)  # any other set's values pass through length-m counts
         if add:  # a window's box lies at sx + sy + j
             cells = None if whole else (plan[0][1] + plan[0][2] + np.arange(plan[0][3])) % m
         else:  # residues before the transform: a cache built after its temporaries pins them (RSS)
             cells = _unit_residues(m) if whole else _box_residues(m, plan)
         out = _cyclic_rows(plan, xs, ys, len(x))
-        if out is not None:
+        if boxed:
+            if out is not None and out[1][0]:  # else its values are enumerated below
+                return np.sort(cells[out[0][0] > 0])[None]
+        elif out is not None:
             counts = out[0]
             if cells is not None:  # np.zeros leaves the cells outside the box unfaulted
                 counts = np.zeros((len(x), m), dtype=np.int64)

@@ -21,14 +21,14 @@ import numpy as np
 
 from .estimates import (
     Derivation,
-    _mv_dot,
+    _Family,
     field_bound_report,
     field_constant,
     ring_bound_report,
     ring_constant,
 )
-from .residues import Modulus, ResidueSet, _units_mask, make_modulus, residue_set
-from .setops import _family_step, _inverses, _require_fits, _row_counts, _usable_cpus
+from .residues import Modulus, ResidueSet, make_modulus, residue_set
+from .setops import _family_step, _require_fits, _row_counts, _usable_cpus
 
 CSV_HEADER = (
     "modulus,kind,size,trial,derived_seed,sum_size,prod_size,"
@@ -148,31 +148,12 @@ def _draw(m: int, size: int, derived: int, zero_free: bool) -> np.ndarray:
 
 
 def _family_rows(cfg: SweepConfig, mod: Modulus, size: int, trials: range) -> list[SweepRow]:
-    """Some trials of one size as one set family: A+A, AA, A', A'A', its quotient counts and (primes) J of every
-    trial at once (_row_counts), then each trial's report from a Derivation that holds them."""
-    m, prime = mod.m, cfg.kind == KIND_PRIME
+    """Some trials of one size as one set family (estimates._Family), whose pieces (A+A, AA, A', the quotient
+    counts and, for primes, J) are each built once for every trial; then each trial's report from its row's view."""
     seeds = [derive_seed(cfg.seed, size, trial) for trial in trials]
-    a = np.sort([_draw(m, size, derived, prime) for derived in seeds], axis=1)  # each row a set's stored form
-    sums, prods = _row_counts(a, a, m, sets=True), _row_counts(a, a, m, np.multiply, prime, sets=True)
-    units = np.sort(np.where(_units_mask(a, mod), a, -1), axis=1)  # A': its -1s, then ascending
-    units = units[:, size - int((units >= 0).sum(axis=1).max()) :]
-    unit_prods = prods if prime else _row_counts(units, units, m, np.multiply, True, sets=True)
-    inverses = np.where(units >= 0, _inverses(units, mod), -1)
-    quotients = _row_counts(unit_prods, inverses, m, np.multiply, True)
-    quotients.setflags(write=False)  # its rows, read-only views, are the Derivations' counts
-    # J = Q . D row by row, exactly as Derivation.quad_count (_mv_dot): it reaches m |A|^2, past 2^63 at m = 10^7
-    quads = list(map(_mv_dot, quotients, _row_counts(sums, -a % m, m))) if prime else None
-    rows, d0, as_set = [], np.gcd(a, m).min(axis=1), lambda row: ResidueSet(mod, row[row >= 0])
-    for r, (trial, derived) in enumerate(zip(trials, seeds)):
-        part = units[r][units[r] >= 0]
-        known = {"prods": as_set(unit_prods[r]), "quotients": quotients[r]}
-        known.update({"quad_count": quads[r]} if prime else {})
-        core = None if part.size == size else Derivation(ResidueSet(mod, part), **known)
-        known = {"prods": as_set(prods[r])} if core else known
-        d = Derivation(ResidueSet(mod, a[r]), sums=as_set(sums[r]), d0=int(d0[r]), _nonunits_removed=core,
-                       **known)
-        rows.append(_report_row(cfg, trial, derived, d))
-    return rows
+    rows = np.sort([_draw(mod.m, size, derived, cfg.kind == KIND_PRIME) for derived in seeds], axis=1)
+    family = _Family(rows, mod)  # each row a set's stored form
+    return [_report_row(cfg, trial, derived, family.view(r)) for r, (trial, derived) in enumerate(zip(trials, seeds))]
 
 
 def _report_row(cfg: SweepConfig, trial: int, derived: int, d: Derivation) -> SweepRow:
@@ -248,8 +229,9 @@ def run_sweep(cfg: SweepConfig, threads: int | None = None) -> list[SweepRow]:
     """Run every (size, trial) cell of the sweep; rows come back ordered by
     config position then trial index regardless of scheduling.
 
-    Each size runs as set families of _family_step trials (_family_rows), one
-    where one transform fills the row budget. Worker threads: min(threads or CPUs,
+    Each size runs as set families of _family_step trials, one where one transform
+    fills the row budget: _family_rows builds each family's pieces once and reports
+    each trial from its row's view (a Derivation). Worker threads: min(threads or CPUs,
     CPUs), a choice of speed only, never of output; families run on the calling
     thread unless _pool_pays.
     """

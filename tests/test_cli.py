@@ -8,6 +8,7 @@ import threading
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import sumprod
@@ -262,16 +263,24 @@ def test_out_of_memory_beside_the_transform_exits_2(capsys, tmp_path, monkeypatc
 _SWEEP_ARGS = ["--kind", "prime", "--sizes", "3,8", "--trials", "2", "--seed", "1", "--out"]
 
 
+_T1, _T2, _SPECTRAL = (["verify-t1", "--p"], ["verify-t2", "--m"], ["spectral", "--p"])
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [["verify-t1", "--p", "2147483647", "--set"], ["verify-t2", "--m", "2147483647", "--set"],
-     ["sweep", "--modulus", "2147483647", *_SWEEP_ARGS]],
+    "argv, size",
+    [pytest.param(_T1 + ["2147483647", "--set"], 3, id="argv0"),
+     pytest.param(_T2 + ["2147483647", "--set"], 3, id="argv1"),
+     pytest.param(["sweep", "--modulus", "2147483647", *_SWEEP_ARGS], 3, id="argv2"),
+     pytest.param(_SPECTRAL + ["2147483647", "--set"], 3, id="spectral"),
+     *(pytest.param(cmd + ["2147483647", "--set"], 5000, id=f"{cmd[0]}-5000") for cmd in (_T1, _T2, _SPECTRAL))],
 )
-def test_over_budget_modulus_exits_2_before_allocating(capsys, tmp_path, argv):
-    # Length-m counts at m = 2^31 - 1 cannot fit in memory: refused up front,
-    # and a sweep before its first draw.
+def test_over_budget_modulus_exits_2_before_allocating(capsys, tmp_path, argv, size):
+    # Length-m counts at m = 2^31 - 1 cannot fit in memory: a report refuses
+    # them before it enumerates A+A or AA (which for 5,000 elements take
+    # tens of seconds), and a sweep before its first draw.
+    elems = [1, 2, 3] if size == 3 else (np.random.default_rng(5).choice(2**31 - 2, size, replace=False) + 1).tolist()
     setfile = tmp_path / "s.txt"
-    setfile.write_text("1 2 3\n")
+    setfile.write_text(" ".join(map(str, elems)) + "\n")
     path = tmp_path / "out.csv" if argv[0] == "sweep" else setfile
     tracemalloc.start()
     start = time.perf_counter()
@@ -289,18 +298,22 @@ def test_over_budget_modulus_exits_2_before_allocating(capsys, tmp_path, argv):
 
 def _record_setops_calls(monkeypatch) -> list:
     """Wrap every binding of a sumprod.setops function in another sumprod
-    module and record each call as (function name, argument values)."""
+    module and record each call as (function name, argument values). Arrays
+    are keyed by content, so a piece built twice from equal arrays shows."""
     calls = []
 
     def key(arg):
         if isinstance(arg, ResidueSet):
             return (arg.modulus.m, arg.elements)
+        if isinstance(arg, np.ndarray):
+            return ("array", arg.dtype.str, arg.shape, arg.tobytes())
         return arg if isinstance(arg, (int, str)) else ("object", id(arg))
 
     def recording(function):
-        def wrapper(*args):
-            calls.append((function.__name__, tuple(key(a) for a in args)))
-            return function(*args)
+        def wrapper(*args, **kwargs):
+            named = tuple((name, key(value)) for name, value in sorted(kwargs.items()))
+            calls.append((function.__name__, tuple(map(key, args)), named))
+            return function(*args, **kwargs)
 
         return wrapper
 
@@ -332,7 +345,7 @@ def test_each_derived_set_is_built_once(capsys, tmp_path, monkeypatch, argv, ele
     assert code == 0
     assert calls
     repeated = {call for call in calls if calls.count(call) > 1}
-    assert sorted(name for name, _ in repeated) == []
+    assert sorted(name for name, *_ in repeated) == []
 
 
 def test_module_invocation_smoke():

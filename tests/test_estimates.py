@@ -2,13 +2,17 @@ import gc
 import math
 import weakref
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sumprod import spectra
+from sumprod import setops, spectra
 from sumprod.estimates import (
     Derivation,
+    _Family,
     _mv_dot,
     field_bound_report,
     field_checks,
@@ -17,6 +21,7 @@ from sumprod.estimates import (
     ring_bound_report,
     ring_checks,
     ring_constant,
+    spectral_checks,
     zm_extremal,
 )
 from sumprod.residues import make_modulus, residue_set
@@ -279,14 +284,74 @@ def test_derivation_is_freed_when_dropped(monkeypatch):
     monkeypatch.setattr(spectra, "_usable_cpus", lambda: 2)
     gc.disable()
     try:
-        for a in (_set(101, range(1, 30)), _set(101, range(0, 30)), _set(36, range(0, 20)), _set(65536, range(0, 40))):
-            d = Derivation(a)
+        family = _Family(np.array([[-1, 2, 4, 6], [1, 2, 5, 7], [0, 3, 9, 30]]), make_modulus(36))
+        sets = (_set(101, range(1, 30)), _set(101, range(0, 30)), _set(36, range(0, 20)), _set(65536, range(0, 40)))
+        for a in (*sets, 0, 1, 2):  # then the row views of one family, one row without units
+            d = family.view(a) if isinstance(a, int) else Derivation(a)
             if d.modulus.is_prime:
                 field_checks(d)
             ring_checks(d)
             ref = weakref.ref(d)
             del d
             assert ref() is None
+        ref = weakref.ref(family)
+        del family
+        assert ref() is None
     finally:
         gc.enable()
 
+
+def _padded(rows):
+    """A family's rows: each ascending, padded in front with -1 to the longest (one row: unpadded)."""
+    width = max(map(len, rows))
+    return np.array([[-1] * (width - len(row)) + sorted(row) for row in rows], dtype=np.int64)
+
+
+@st.composite
+def _family_case(draw):
+    """Rows of one family over a prime or a ring, of one size or several. Rows may hold 0, and at m = 36
+    a row may hold only multiples of 2 or 3, so that its unit part is empty."""
+    m = draw(st.sampled_from((7, 13, 101, 36, 60, 97)))
+    size = draw(st.integers(1, min(m - 1, 14)))
+    pool = [x for x in range(m) if x % 2 == 0 or x % 3 == 0] if m == 36 and draw(st.booleans()) else range(m)
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        k = size if draw(st.booleans()) else draw(st.integers(1, size))
+        rows.append(draw(st.lists(st.sampled_from(pool), min_size=min(k, len(pool)), max_size=k, unique=True)))
+    return m, rows
+
+
+def _all_checks(d):
+    """Every report and check of a derivation: (name, result or the error it raised), ring_checks first."""
+    out = []
+    for name, run in (("ring_checks", ring_checks), ("ring_bound_report", ring_bound_report),
+                      ("field_checks", field_checks), ("field_bound_report", field_bound_report),
+                      ("spectral_checks", spectral_checks)):
+        if name.startswith(("field", "spectral")) and not d.modulus.is_prime:
+            continue
+        if name == "spectral_checks" and 0 in d.a:
+            continue
+        try:
+            out.append((name, run(d)))
+        except ValueError as exc:
+            out.append((name, repr(exc)))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(_family_case(), st.sampled_from((None, True, False)))
+@example((36, [[2, 3, 4], [1, 5, 7], [0, 6, 30]]), None)  # a row without units beside rows of units
+@example((36, [[2, 3, 4, 6, 9]]), False)  # one row, no units
+@example((101, [[0, 1, 2], [3, 4, 5]]), None)  # a row with 0 beside a zero-free row
+@example((101, [list(range(1, 60)), list(range(40, 99))]), True)  # both transformed
+def test_family_row_views_match_single_set_derivations(case, force):
+    # Each row's view of one family gives every report and check of the row's own Derivation, exactly,
+    # on the real side of the FFT gate (None) or either forced side.
+    m, rows = case
+    mod = make_modulus(m)
+    with mock.patch.object(setops, "_fft_pays", return_value=force) if force is not None else mock.MagicMock():
+        family = _Family(_padded(rows), mod)
+        for r, row in enumerate(rows):
+            view, single = family.view(r), Derivation(residue_set(mod, row))
+            assert view.a == single.a
+            assert _all_checks(view) == _all_checks(single)

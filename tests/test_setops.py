@@ -1148,6 +1148,8 @@ def test_windowed_guard_failure_falls_back_to_exact_enumeration(monkeypatch, gua
     xs = [pow(g, e, p) for e in range(4000, 4300)]  # wraps across the order p - 1
     den = [pow(g, e, p) for e in range(5, 255)]
     plans, calls = _spy_plans(monkeypatch), _spy_enumeration(monkeypatch)
+    values, enumerate_values = [], setops._pairwise_values
+    monkeypatch.setattr(setops, "_pairwise_values", lambda *args: values.append(args[2]) or enumerate_values(*args))
     if guard == "a_priori_bound":
         monkeypatch.setattr(setops, "_FFT_ERROR_CONSTANT", 1e30)
     elif guard == "residual":
@@ -1161,5 +1163,28 @@ def test_windowed_guard_failure_falls_back_to_exact_enumeration(monkeypatch, gua
     # Every count planned a window (box and length below n), and none certified.
     assert len(plans) == 4 and all(not ok for _, ok in plans)
     assert all(box < n and length < n for ((n, _, _, box, length),), _ in plans)
-    # A failed a-priori bound transforms nothing, so the sum set enumerates its values, not counts.
-    assert calls == [(p, len(a))] * (2 if guard == "a_priori_bound" else 3) + [(p, len(xs))]
+    # The sum set is read off its box, so with the box uncertified it enumerates its values, not counts.
+    assert calls == [(p, len(a))] * 2 + [(p, len(xs))]
+    assert values == [p]
+
+
+@pytest.mark.parametrize("guard", [None, "a_priori_bound", "residual"])
+def test_windowed_sumset_needs_no_length_m_counts(monkeypatch, guard):
+    # At m = 2^31 - 1, over any memory budget, {0, ..., 999} + itself is read off its 2,000-cell box; a box
+    # that fails its guard enumerates the values. Neither allocates anything of length m.
+    m = 2**31 - 1
+    a = _set(m, range(1000))
+    if guard == "a_priori_bound":
+        monkeypatch.setattr(setops, "_FFT_ERROR_CONSTANT", 1e30)
+    elif guard == "residual":
+        _noisy_irfftn(monkeypatch, 7, 0.3)
+    plans = _spy_plans(monkeypatch)
+    tracemalloc.start()
+    try:
+        got = sumset(a, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got.array, np.arange(1999))
+    assert [(plan[0][3:], ok) for plan, ok in plans] == [((1999, 2000), guard is None)]
+    assert peak < 64 << 20

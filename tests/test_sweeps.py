@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sumprod import setops, sweeps
+from sumprod import estimates, setops, sweeps
 from sumprod.estimates import Check, Derivation, field_bound_report, ring_bound_report
 from sumprod.residues import find_generator, make_modulus, residue_set
 from sumprod.sweeps import (
@@ -475,10 +475,10 @@ def test_one_row_family_counts_as_one_set(monkeypatch):
 @pytest.mark.parametrize("force", [True, False])
 def test_family_quad_count_is_exact_above_the_int32_products(monkeypatch, force):
     # p > 46340: products of residues pass 2^31, for most pairs of large
-    # residues at p = 65537. Each row's J goes through the exact dot of
-    # Derivation.quad_count.
+    # residues at p = 65537. Each row's J goes through the exact dot of the
+    # family's J (estimates._mv_dot).
     p, size = 65537, 200
-    dots = _spy(monkeypatch, sweeps, "_mv_dot")
+    dots = _spy(monkeypatch, estimates, "_mv_dot")
     cfg = SweepConfig(p, "prime", (size,), 3, 11)
     with mock.patch.object(setops, "_fft_pays", return_value=force):
         rows = _family_rows(cfg, make_modulus(p), size, range(3))
