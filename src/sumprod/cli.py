@@ -116,8 +116,6 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
     a_set = _load_set(args.set, mod)
     if 0 in a_set:
         raise ValueError("spectral diagnostics require a set without 0")
-    if a_set.size == 0:
-        raise ValueError("empty set")
     d = Derivation(a_set)
     checks = spectral_checks(d)
     identity, fourier, cs = checks

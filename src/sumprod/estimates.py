@@ -266,7 +266,11 @@ class _Family:
 
 
 def _derived(a: "ResidueSet | Derivation") -> Derivation:
-    return a if isinstance(a, Derivation) else Derivation(a)
+    """The derivation of a nonempty set: every report and check list refuses an empty one."""
+    d = a if isinstance(a, Derivation) else Derivation(a)
+    if d.size == 0:
+        raise ValueError("empty set")
+    return d
 
 
 def field_constant(p: int, size_a: int, lhs: int) -> Check:
@@ -354,8 +358,6 @@ def field_bound_report(a: "ResidueSet | Derivation") -> FieldBoundReport:
     d = _derived(a)
     if not d.modulus.is_prime:
         raise ValueError(f"prime modulus required, got {d.m}")
-    if d.size == 0:
-        raise ValueError("empty set")
     d._fits
     p, k, core = d.m, d.size, d.units
     lhs = d.sums.size * d.prods.size
@@ -434,8 +436,6 @@ class RingBoundReport:
 
 def ring_bound_report(a: "ResidueSet | Derivation") -> RingBoundReport:
     d = _derived(a)
-    if d.size == 0:
-        raise ValueError("empty set")
     m, k, d0 = d.m, d.size, d.d0
     halfpower = d.modulus.divisor_halfpower_sum
     lhs = d.sums.size * d.prods.size
@@ -474,8 +474,6 @@ def ring_checks(a: "ResidueSet | Derivation") -> list[Check]:
     unit-majority step is asserted only when the reduction takes that branch.
     """
     d = _derived(a)
-    if d.size == 0:
-        raise ValueError("empty set")
     d._fits
     m, units = d.m, d.units
     proper = d.modulus.divisors[:-1]

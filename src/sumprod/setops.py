@@ -6,6 +6,10 @@ that result is computed, and every path agrees with the pair-enumeration
 oracles in the test suite. Counts (`indicator`, `additive_rep`, `unit_quotient_rep`)
 are read-only int64 arrays of length m, built only once the memory budget
 `BYTES_PER_RESIDUE * m` plus one enumeration block fits in physical memory.
+Per-modulus tables (the unit group's shape, generators, log tables and
+residues, and the gcd classes of frequencies) live in one store, `_TABLES`,
+built on first read; it evicts whole moduli, least recently read first, past
+a sixteenth of physical memory, and to make room for a count `_require_fits` admits.
 
 One engine, `_row_counts`, forms every sum set and count: a sweep's set
 family all rows at once, and one set as a family of one row. A count is a
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from bisect import bisect_left
 from functools import lru_cache
 
@@ -48,7 +53,10 @@ _ROW_BUDGET = 1 << 18
 # by 240-265 bytes per residue, of which tracemalloc sees about 129 (it
 # misses pocketfft's buffers). A ring report's traced peak, by at most 58 (67 with its transform on a second
 # CPU) and its RSS by at most 20, at m = 720720 and 1441440 with |A| = 1000 and 3000. The int64 enumeration
-# blocks (_CHUNK_ELEMS) do not shrink with m: _require_fits charges one of them on top.
+# blocks (_CHUNK_ELEMS) do not shrink with m: _require_fits charges one of them on top. Every figure was measured
+# on an empty store, so it holds Z_m's own tables: 12 bytes per residue for a prime (an int32 log table, int64
+# residues), at most 16 for a composite m (int32 gcd classes and log tables per prime power, int64 units; 5.5 at
+# 720720, near 16 at a prime power). Other moduli's tables are evicted to make room.
 BYTES_PER_RESIDUE = 265
 
 
@@ -63,15 +71,17 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _require_fits(m: int) -> None:
-    """Refuse, before any length-m allocation, counts over Z_m whose estimated peak
-    memory (length-m arrays and one int64 enumeration block) exceeds physical memory."""
-    need, have = BYTES_PER_RESIDUE * m + 8 * _CHUNK_ELEMS, _physical_memory()
+def _require_fits(n: int, keep: int | None = None) -> None:
+    """Refuse, before any length-n allocation, counts whose estimated peak memory (length-n arrays and one int64
+    enumeration block) exceeds physical memory; else evict the tables (_TABLES) of moduli other than keep (default
+    n) until they fit beside it."""
+    need, have = BYTES_PER_RESIDUE * n + 8 * _CHUNK_ELEMS, _physical_memory()
     if need > have:
         raise ValueError(
-            f"counts over Z_{m} need about {need >> 20} MiB, "
+            f"counts over Z_{n} need about {need >> 20} MiB, "
             f"more than the {have >> 20} MiB of physical memory"
         )
+    _TABLES.shrink(have - need, n if keep is None else keep)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -177,21 +187,18 @@ def _prime_power_axes(p: int, k: int, m: int) -> list[tuple[int, int]]:
     return [(2, p**k - 1), (2 ** (k - 2), 5)] if k > 2 else [(2, 3)] if k == 2 else [(1, 1)] if m == 2 else []
 
 
-@lru_cache(maxsize=64)
-def _unit_shape(m: int) -> tuple[int, ...]:
-    """The axis lengths of _unit_group(m), without its tables."""
+def _unit_shape(m: int) -> dict:
+    """Table "shape": the axis lengths of the unit group, without its other tables."""
     factors = make_modulus(m).factorization
     lengths = (n for p, k in factors for n, _ in _prime_power_axes(p, k, m))
-    return tuple(sorted(lengths, key=lambda n: (_whole((n,))[1], n)))
+    return {"shape": tuple(sorted(lengths, key=lambda n: (_whole((n,))[1], n)))}
 
 
-@lru_cache(maxsize=16)
-def _unit_group(m: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, np.ndarray], ...]]:
-    """(Z/m)^x as the product of the axes of its prime powers q, each generator
-    lifted to itself mod q and 1 mod m/q. Returns _unit_shape(m), ascending in
-    transform length (rfftn halves the last axis: at m = 720720 the reverse
-    order costs 61 ms per transform against 7 ms), the generator of each axis
-    and per axis (q, an int32 log table from units mod q to coordinates)."""
+def _unit_group(m: int) -> dict:
+    """(Z/m)^x as the product of the axes of its prime powers q, each generator lifted to itself mod q and 1 mod
+    m/q, in the order of "shape", ascending in transform length (rfftn halves the last axis: at m = 720720 the
+    reverse order costs 61 ms per transform against 7 ms): "gens", the generator of each axis, and "logs", per
+    axis an int32 log table of length q from units mod q to coordinates."""
     axes = []
     for p, k in make_modulus(m).factorization:
         q, gens = p**k, _prime_power_axes(p, k, m)
@@ -202,21 +209,76 @@ def _unit_group(m: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[i
         coords = np.indices([n for n, _ in gens], dtype=np.int32).reshape(len(gens), own.size)
         for (n, g), coord, log in zip(gens, coords, logs):
             log[own] = coord
-            axes.append((n, (1 + (g - 1) * lift) % m, q, _freeze(log)))
+            axes.append((n, (1 + (g - 1) * lift) % m, _freeze(log)))
     axes.sort(key=lambda axis: (_whole((axis[0],))[1], axis[0]))
-    return tuple(n for n, *_ in axes), tuple(g for _, g, *_ in axes), tuple((q, log) for *_, q, log in axes)
+    return {"gens": tuple(g for _, g, _ in axes), "logs": tuple(log for *_, log in axes)}
 
 
 def _box_residues(m: int, plan: tuple) -> np.ndarray:
-    """Residues of the cells of a box (_fft_plan) of _unit_group(m), C order: g^(sx + sy) g^j per axis."""
-    axes = zip(_unit_group(m)[1], plan)
+    """Residues of the cells of a box (_fft_plan) of the unit group, C order: g^(sx + sy) g^j per axis."""
+    axes = zip(_TABLES.read(m, _unit_group)["gens"], plan)
     return _outer_products([_power_table(g, w, m) * pow(g, s + t, m) % m for g, (_, s, t, w, _) in axes], m)
 
 
-@lru_cache(maxsize=16)
-def _unit_residues(m: int) -> np.ndarray:
-    """All residues of _unit_group(m), cached apart: windowed counts skip them."""
-    return _freeze(_box_residues(m, _whole(_unit_shape(m))[0]))
+def _unit_residues(m: int) -> dict:
+    """Table "residues": all residues of the unit group, built apart from its log tables: windowed counts skip them."""
+    return {"residues": _freeze(_box_residues(m, _whole(_TABLES.read(m, _unit_shape)["shape"])[0]))}
+
+
+def _gcd_classes(m: int) -> dict:
+    """Tables "freqs", the frequencies [1, m) grouped by gcd(k, m) over the proper divisors d of m, ascending in d
+    and inside each group; "starts", where each group starts, and "lengths", its length. gcd(k, m) = d exactly when
+    k = d n with n coprime to m/d, so a group is d times a sieve over [0, m/d), never empty (n = 1). They fit
+    int32 (m <= 2^31); for a prime m the one group is the slice [1, m)."""
+    mod, groups = make_modulus(m), []
+    for d in () if mod.is_prime else mod.divisors[:-1]:
+        coprime = np.ones(m // d, dtype=bool)
+        for prime in (p for p, _ in mod.factorization if (m // d) % p == 0):
+            coprime[::prime] = False
+        groups.append((d * np.flatnonzero(coprime)).astype(np.int32))
+    lengths = np.array([g.size for g in groups] or [m - 1])
+    freqs = slice(1, m) if mod.is_prime else _freeze(np.concatenate(groups))
+    return {"freqs": freqs, "starts": _freeze(np.cumsum(lengths) - lengths), "lengths": _freeze(lengths)}
+
+
+def _nbytes(tables: dict) -> int:
+    """Bytes of the arrays among tables, alone or in tuples; other entries (ints, a slice) count 0."""
+    entries = (a for t in tables.values() for a in (t if isinstance(t, tuple) else (t,)))
+    return sum(a.nbytes for a in entries if isinstance(a, np.ndarray))
+
+
+class _Tables:
+    """The one store of per-modulus tables: under m, per builder (_unit_shape, _unit_group, _unit_residues,
+    _gcd_classes) the tables it returns by name, built on its first read; the moduli in order of their last read.
+    Whole moduli are evicted, least recently read first, once the tables pass cap bytes and to make room for a count
+    (_require_fits); a caller still holding an evicted table keeps it alive. Sweep threads share it: every read
+    takes one lock."""
+
+    def __init__(self, cap: int):
+        self.cap, self.nbytes, self._lock, self._moduli = cap, 0, threading.RLock(), {}
+
+    def read(self, m: int, build) -> dict:
+        """The tables build(m) returns, by name."""
+        with self._lock:
+            built = self._moduli[m] = self._moduli.pop(m, {})  # now the last read
+            if build not in built:
+                built[build] = build(m)
+                self.nbytes += _nbytes(built[build])
+                self.shrink(self.cap, m)
+            return built[build]
+
+    def shrink(self, limit: int, keep: int | None) -> None:
+        """Evict the moduli but keep, least recently read first, until the tables hold at most limit bytes."""
+        with self._lock:
+            while self.nbytes > limit and (m := next((k for k in self._moduli if k != keep), None)) is not None:
+                self.nbytes -= sum(map(_nbytes, self._moduli.pop(m).values()))
+
+    def clear(self) -> None:
+        self.shrink(-1, None)
+
+
+# A sixteenth of physical memory: about 500 MiB on a machine with 8 GiB.
+_TABLES = _Tables(_physical_memory() >> 4)
 
 
 def _inverses(units: np.ndarray, mod: Modulus) -> np.ndarray:
@@ -242,7 +304,7 @@ def productset(a_set: ResidueSet, b_set: ResidueSet) -> ResidueSet:
     # A 0 is the first entry of a sorted array.
     a_arr, b_arr = a_set.array[int(a_zero) :], b_set.array[int(b_zero) :]
     if mod.is_prime and 2 < m <= BITSET_LIMIT and a_arr.size * b_arr.size > 4 * m:
-        pow_of, ((_, exp_of),) = _unit_residues(m), _unit_group(m)[2]
+        pow_of, (exp_of,) = _TABLES.read(m, _unit_residues)["residues"], _TABLES.read(m, _unit_group)["logs"]
         group, full = m - 1, (1 << (m - 1)) - 1
         bits = np.zeros(group, dtype=np.uint8)
         bits[exp_of[b_arr]] = 1
@@ -436,18 +498,18 @@ def _row_support(counts: np.ndarray) -> np.ndarray:
 def _family_step(m: int, size: int) -> int:
     """Rows per set family of |A| = size over Z_m: its longest transform fills
     _ROW_BUDGET and its |A|^2 pairs per row _CHUNK_ELEMS, with one row at least."""
-    longest = max(math.prod(_whole(shape)[1]) for shape in ((m,), _unit_shape(m)))
+    longest = max(math.prod(_whole(shape)[1]) for shape in ((m,), _TABLES.read(m, _unit_shape)["shape"]))
     return max(1, min(_ROW_BUDGET // longest, _CHUNK_ELEMS // size**2))
 
 
 def _points(x: np.ndarray, y: np.ndarray, m: int, add: bool) -> tuple[tuple, tuple]:
     """(row ids, coordinates per axis) of the entries of x and of y that are not -1 (one row: all): residues
-    (add), or the log coordinates of units on each axis of _unit_group(m); y's are x's when y is x."""
-    out = []
+    (add), or the log coordinates of units on each axis of the unit group ("logs"); y's are x's when y is x."""
+    out, logs = [], () if add else _TABLES.read(m, _unit_group)["logs"]
     for v in (x,) if y is x else (x, y):
         ids, vals = (np.zeros(v.shape[1], np.intp), v[0]) if len(v) == 1 else (
             np.flatnonzero(v >= 0) // v.shape[1], v[v >= 0])
-        out.append((ids, vals) if add else (ids, *(log[vals % q if q < m else vals] for q, log in _unit_group(m)[2])))
+        out.append((ids, vals) if add else (ids, *(log[vals % log.size if log.size < m else vals] for log in logs)))
     return out[0], out[-1]
 
 
@@ -455,7 +517,7 @@ def _row_counts(x: np.ndarray, y: np.ndarray, m: int, combine: np.ufunc = np.add
     """counts[r, t] = #{(i, j) : combine(x[r, i], y[r, j]) = t (mod m)}, (rows, m) int64, for a set family's rows
     of residues padded with -1 (one row: one set, unpadded); with sets each row's values with counts > 0, ascending
     and padded with -1 (y is x for more rows). A correlation (np.add over Z_m, with units a product of units over
-    _unit_group(m)) is one rfftn of all rows (_cyclic_rows) on the box of an _fft_plan, a row that fails its guard
+    the unit group) is one rfftn of all rows (_cyclic_rows) on the box of an _fft_plan, a row that fails its guard
     enumerated alone (_pair_counts). Else one row is one set's _pair_counts or _pairwise_values; more go in blocks
     of about _ROW_BUDGET pairs, sets scattering _pair_blocks of each row with itself, counts bincounting by row."""
     if one := len(x) == 1:  # plain ints: a tiny report makes several of these calls
@@ -466,17 +528,17 @@ def _row_counts(x: np.ndarray, y: np.ndarray, m: int, combine: np.ufunc = np.add
     if not (sets and one):  # before the log tables and any length-m array; one set's pair values need neither
         _require_fits(m)
     add = combine is np.add
-    shape = (m,) if add else _unit_shape(m) if units else None  # None: not a correlation
+    shape = (m,) if add else _TABLES.read(m, _unit_shape)["shape"] if units else None  # None: not a correlation
     planned = shape and _fft_plan(shape, pairs, box, lambda: _points(x, y, m, add), len(x))
     if planned:
         plan, xs, ys = planned
         whole = all(n == w for n, _, _, w, _ in plan)
         boxed = sets and one and add and not whole  # one sum set read off its box: no length-m array
-        _require_fits(plan[0][4] if boxed else m)  # any other set's values pass through length-m counts
+        _require_fits(plan[0][4] if boxed else m, m)  # any other set's values pass through length-m counts
         if add:  # a window's box lies at sx + sy + j
             cells = None if whole else (plan[0][1] + plan[0][2] + np.arange(plan[0][3])) % m
-        else:  # residues before the transform: a cache built after its temporaries pins them (RSS)
-            cells = _unit_residues(m) if whole else _box_residues(m, plan)
+        else:  # residues before the transform: a table built after its temporaries pins them (RSS)
+            cells = _TABLES.read(m, _unit_residues)["residues"] if whole else _box_residues(m, plan)
         out = _cyclic_rows(plan, xs, ys, len(x))
         if boxed:
             if out is not None and out[1][0]:  # else its values are enumerated below

@@ -12,12 +12,11 @@ checked in estimates.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from functools import lru_cache
 
 import numpy as np
 
-from .residues import ResidueSet, make_modulus
-from .setops import _freeze, _usable_cpus, indicator
+from .residues import ResidueSet
+from .setops import _TABLES, _gcd_classes, _usable_cpus, indicator
 
 # Direct summation is used when the period and the support are both small
 # enough that the twiddle work stays trivial; everything else goes to the
@@ -82,33 +81,13 @@ def spectrum_of_set(a_set: ResidueSet) -> np.ndarray:
     return dft_counts(indicator(a_set))
 
 
-@lru_cache(maxsize=16)
-def _gcd_classes(m: int) -> tuple[np.ndarray | slice, np.ndarray, np.ndarray]:
-    """The frequencies [1, m) grouped by gcd(k, m) over the proper divisors
-    d of m, ascending in d and inside each group, where each group starts,
-    and its length. gcd(k, m) = d exactly when k = d n with n coprime to m/d,
-    so a group is d times a sieve over [0, m/d), never empty (n = 1). They
-    fit int32 (m <= 2^31); for a prime m the one group is the slice [1, m).
-    """
-    mod = make_modulus(m)
-    if mod.is_prime:
-        return slice(1, m), _freeze(np.zeros(1, dtype=np.int64)), _freeze(np.array([m - 1]))
-    groups = []
-    for d in mod.divisors[:-1]:
-        coprime = np.ones(m // d, dtype=bool)
-        for prime in (p for p, _ in mod.factorization if (m // d) % p == 0):
-            coprime[::prime] = False
-        groups.append((d * np.flatnonzero(coprime)).astype(np.int32))
-    lengths = np.array([g.size for g in groups])
-    return _freeze(np.concatenate(groups)), _freeze(np.cumsum(lengths) - lengths), _freeze(lengths)
-
-
 def gcd_class_peaks(spectrum: np.ndarray) -> np.ndarray:
     """Per proper divisor d of m = spectrum.size, ascending, the peak of
     |S(k)| over the k in [1, m) with gcd(k, m) = d: the row at period m/d,
     since S_{m/d}(n) = S(d n). Within 1e-12 relative of the peak the
     smallest k wins, so rounding noise cannot reorder tied frequencies."""
-    freqs, starts, lengths = _gcd_classes(spectrum.size)
+    classes = _TABLES.read(spectrum.size, _gcd_classes)
+    freqs, starts, lengths = classes["freqs"], classes["starts"], classes["lengths"]
     mags = np.abs(spectrum)[freqs]
     peaks = np.maximum.reduceat(mags, starts)
     # Each class holds its own peak, so its first hit lies inside it.

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import sumprod
-from sumprod import cli, estimates, spectra
+from sumprod import cli, estimates, setops, spectra
 from sumprod.residues import ResidueSet
 
 from oracles import overlap_sets
@@ -227,6 +227,20 @@ def test_verify_t2_prints_the_same_on_one_and_two_cpus(capsys, tmp_path, monkeyp
             monkeypatch.setattr(spectra, "_usable_cpus", lambda: cpus)
             runs.append(_run(capsys, ["verify-t2", "--m", str(m), "--set", str(setfile)]))
         assert runs[0] == runs[1] and runs[0][0] in (0, 1)
+
+
+def test_verify_t2_prints_the_same_when_every_table_is_evicted(capsys, tmp_path, monkeypatch):
+    # Under a 1-byte cap each table the store builds evicts every other modulus's tables.
+    m = 720720
+    setfile = tmp_path / "s.txt"
+    setfile.write_text(" ".join(map(str, np.random.default_rng(7).choice(m, 1000, replace=False).tolist())) + "\n")
+    argv = ["verify-t2", "--m", str(m), "--set", str(setfile)]
+    uncapped = _run(capsys, argv)
+    setops._TABLES.clear()
+    monkeypatch.setattr(setops._TABLES, "cap", 1)
+    setops._TABLES.read(10007, setops._unit_residues)  # another modulus's tables, evicted by the first build below
+    assert _run(capsys, argv) == uncapped and uncapped[0] in (0, 1)
+    assert list(setops._TABLES._moduli) == [m]
 
 
 @pytest.mark.parametrize("side", ["transform", "report"])

@@ -144,6 +144,12 @@ def test_field_report_singleton_and_zero():
         field_bound_report(_set(12, [1]))
 
 
+@pytest.mark.parametrize("checks", [field_checks, ring_checks, spectral_checks])
+def test_every_check_list_refuses_an_empty_set(checks):
+    with pytest.raises(ValueError, match="^empty set$"):
+        checks(_set(13, []))
+
+
 def test_field_constant_exhaustive_p5():
     p = 5
     worst = math.inf

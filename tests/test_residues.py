@@ -11,7 +11,7 @@ from sumprod.residues import (
     residue_set,
     unit_part,
 )
-from sumprod.setops import _unit_group, _unit_residues
+from sumprod.setops import _TABLES, _unit_group, _unit_residues, _unit_shape
 
 from oracles import mod_inverse, multiplicative_order, naive_divisors, naive_dlog_table, smallest_primitive_root
 
@@ -93,8 +93,9 @@ def test_mod_inverse_round_trip_up_to_2000():
 
 def _dlog_dict(p):
     """(g, {g^k: k}) from the one axis of the unit group of a prime p > 2."""
-    (shape, _, ((q, exp_of),)), pow_of = _unit_group(p), _unit_residues(p)
-    assert q == p and shape == (p - 1,) and exp_of.dtype == np.int32 and not exp_of.flags.writeable
+    shape, (exp_of,) = _TABLES.read(p, _unit_shape)["shape"], _TABLES.read(p, _unit_group)["logs"]
+    pow_of = _TABLES.read(p, _unit_residues)["residues"]
+    assert exp_of.size == p and shape == (p - 1,) and exp_of.dtype == np.int32 and not exp_of.flags.writeable
     assert exp_of[pow_of].tolist() == list(range(p - 1))
     return int(pow_of[1]), dict(zip(pow_of.tolist(), range(p - 1)))
 

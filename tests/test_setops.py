@@ -1,3 +1,4 @@
+import gc
 import math
 import re
 import tracemalloc
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sumprod import setops
-from sumprod.estimates import Derivation, ring_bound_report, ring_checks
+from sumprod.estimates import Derivation, field_bound_report, ring_bound_report, ring_checks
 from sumprod.extremal import build_extremal
 from sumprod.residues import (
     NonInvertibleError,
@@ -263,7 +264,8 @@ def test_productset_dlog_path_matches_naive():
 def test_productset_dlog_results_are_sorted_with_and_without_zero(monkeypatch):
     # The residues of the exponent sum set come out of pow_of unsorted.
     p = 101
-    pow_of, ((_, exp_of),) = setops._unit_residues(p), setops._unit_group(p)[2]
+    pow_of = setops._TABLES.read(p, setops._unit_residues)["residues"]
+    (exp_of,) = setops._TABLES.read(p, setops._unit_group)["logs"]
     rng = np.random.default_rng(71)
     a = random_subset(rng, p, 30, exclude_zero=True)
     b = random_subset(rng, p, 25, exclude_zero=True)
@@ -467,23 +469,24 @@ def _units(m):
     ids=str,
 )
 def test_unit_group_axes_and_tables(m, shape):
-    got_shape, gens, logs = setops._unit_group(m)
-    residues = setops._unit_residues(m)  # cached apart, from the generators
-    assert got_shape == shape == setops._unit_shape(m) and math.prod(shape) == len(_units(m))
+    group = setops._TABLES.read(m, setops._unit_group)
+    gens, logs = group["gens"], group["logs"]
+    residues = setops._TABLES.read(m, setops._unit_residues)["residues"]  # built apart, from the generators
+    assert setops._TABLES.read(m, setops._unit_shape)["shape"] == shape and math.prod(shape) == len(_units(m))
     lengths = _whole(*shape)
     assert lengths == sorted(lengths)  # the longest transform axis is last
     assert all(pow(g, n, m) == 1 % m for g, n in zip(gens, shape))
     units = np.array(_units(m), dtype=np.int64)
     assert np.array_equal(np.sort(residues), units)
-    coords = tuple(log[units % q] for q, log in logs)  # each unit's coordinates
+    coords = tuple(log[units % log.size] for log in logs)  # each unit's coordinates
     assert len(coords) == len(shape)
     assert np.array_equal(residues[np.ravel_multi_index(coords, shape)], units)
     # One int32 log table per axis, indexed by the axis's prime power; none
     # of length m unless m is a prime power.
     powers = [p**k for p, k in make_modulus(m).factorization]
-    for (q, log), n, c in zip(logs, shape, coords):
-        assert q in powers and (q < m or len(powers) == 1)
-        assert log.dtype == np.int32 and log.shape == (q,) and not log.flags.writeable
+    for log, n, c in zip(logs, shape, coords):
+        assert log.size in powers and (log.size < m or len(powers) == 1)
+        assert log.dtype == np.int32 and log.ndim == 1 and not log.flags.writeable
         assert 0 <= c.min() and c.max() < n
     assert not residues.flags.writeable and residues.dtype == np.int64
     assert np.all(units * setops._inverses(units, make_modulus(m)) % m == 1 % m)
@@ -494,16 +497,65 @@ def test_unit_group_lifts_a_root_that_fails_mod_p_squared(monkeypatch):
     assert pow(19, 6, 49) == 1 and smallest_primitive_root(7) == 3
     original = setops.find_generator
     monkeypatch.setattr(setops, "find_generator", lambda mod: 19 if mod.m == 7 else original(mod))
-    setops._unit_group.cache_clear()
-    setops._unit_residues.cache_clear()
+    setops._TABLES.clear()
     try:
-        shape, gens, _ = setops._unit_group(49)
-        residues = setops._unit_residues(49)
+        shape = setops._TABLES.read(49, setops._unit_shape)["shape"]
+        gens = setops._TABLES.read(49, setops._unit_group)["gens"]
+        residues = setops._TABLES.read(49, setops._unit_residues)["residues"]
         assert shape == (42,) and gens == (26,) and int(residues[1]) == 26
         assert np.array_equal(np.sort(residues), _units(49))
     finally:
-        setops._unit_group.cache_clear()
-        setops._unit_residues.cache_clear()
+        setops._TABLES.clear()
+
+
+def test_table_store_keeps_at_most_its_cap_after_reports_at_16_primes(monkeypatch):
+    # Each field report at p near 2 * 10^5 builds a log table and a residue table (about 2.4 MB);
+    # under an 8 MiB cap the store evicts whole moduli, least recently read first.
+    cap = 8 << 20
+    monkeypatch.setattr(setops._TABLES, "cap", cap)
+    primes = [p for p in range(200_003, 201_000, 2) if make_modulus(p).is_prime][:16]
+    rng = np.random.default_rng(24)
+    sets = [_set(p, rng.choice(np.arange(1, p), 300, replace=False)) for p in primes]
+    setops._TABLES.clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for a in sets:
+            field_bound_report(a)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        setops._TABLES.clear()
+    assert len(primes) == 16 and retained <= cap
+
+
+def test_table_store_is_charged_to_the_memory_budget(monkeypatch):
+    # A count over a second modulus evicts the first one's tables to fit; a count whose own need is
+    # over the budget is refused with the same message as before any table existed, and evicts nothing.
+    p, units = 10007, list(range(1, 10007))
+    setops._TABLES.clear()
+    counts = unit_quotient_rep(_set(p, units), _set(p, units[:50]))  # a whole transform: logs and residues
+    assert _counts_dict(counts, p) == naive_quotient_counts(units, units[:50], p)
+    held = setops._TABLES.nbytes
+    assert held > 11 * p and list(setops._TABLES._moduli) == [p]
+    m, xs, a = 720, list(range(720)), _units(720)
+    _pin_memory(monkeypatch, m, held // 2)
+    counts = unit_quotient_rep(_set(m, xs), _set(m, a))
+    assert _counts_dict(counts, m) == naive_quotient_counts(xs, a, m)
+    assert list(setops._TABLES._moduli) == [m] and setops._TABLES.nbytes < held
+    setops._TABLES.read(p, setops._unit_residues)
+    stored = list(setops._TABLES._moduli), setops._TABLES.nbytes
+    _pin_memory(monkeypatch, m, -1)
+    with pytest.raises(ValueError, match=f"counts over Z_{m} need about"):
+        unit_quotient_rep(_set(m, xs), _set(m, a))
+    assert (list(setops._TABLES._moduli), setops._TABLES.nbytes) == stored  # a refused count evicts nothing
+    # {0, ..., 999} + itself over Z_p is read off a box of 2,000 cells: charged as 2,000 cells, keeping p's tables.
+    _pin_memory(monkeypatch, 2000, 0)
+    window = _set(p, range(1000))
+    assert np.array_equal(sumset(window, window).array, np.arange(1999))
+    assert list(setops._TABLES._moduli) == [p]
+    setops._TABLES.clear()
 
 
 @st.composite
@@ -531,7 +583,7 @@ def test_unit_quotient_rep_property_over_every_modulus(case):
 @pytest.mark.parametrize("m, size_a", [(243, 60), (720, 192), (2929, 40), (4096, 40), (5040, 48)])
 def test_unit_quotient_rep_on_both_sides_of_the_gate(monkeypatch, m, size_a):
     units = _units(m)
-    shape = setops._unit_shape(m)
+    shape = setops._TABLES.read(m, setops._unit_shape)["shape"]
     lengths = _whole(*shape)
     size = math.prod(lengths)
     # S log2 S plus 2^13 per axis, exactly.
@@ -644,7 +696,7 @@ def test_fft_guard_failure_falls_back_to_exact_enumeration(monkeypatch, guard):
     assert _counts_dict(counts, p) == naive_quotient_counts(a, b, p)
     # Over a composite modulus too (four axes), on every numerator.
     m, units = 720, _units(720)
-    assert setops._fft_pays(len(units) ** 2, *_whole(*setops._unit_shape(m)))
+    assert setops._fft_pays(len(units) ** 2, *_whole(*setops._TABLES.read(m, setops._unit_shape)["shape"]))
     counts = unit_quotient_rep(_set(m, range(m)), _set(m, units))
     assert _counts_dict(counts, m) == naive_quotient_counts(range(m), units, m)
     # A failed a-priori bound transforms nothing, so the sum set enumerates its values, not counts; the
@@ -753,9 +805,10 @@ def test_vectorized_dlog_tables_equal_the_loop():
     # A prime's unit group is one axis: the discrete log to the smallest
     # primitive root, and its powers.
     for p in (2, 3, 5, 7, 101, 499, 10007, 65537, 1000003):
-        shape, (g_axis,), ((q, exp_of),) = setops._unit_group(p)
-        pow_of = setops._unit_residues(p)
-        assert q == p and shape == (p - 1,) and g_axis == int(pow_of[1 % (p - 1)])
+        shape, group = setops._TABLES.read(p, setops._unit_shape)["shape"], setops._TABLES.read(p, setops._unit_group)
+        (g_axis,), (exp_of,) = group["gens"], group["logs"]
+        pow_of = setops._TABLES.read(p, setops._unit_residues)["residues"]
+        assert shape == (p - 1,) and g_axis == int(pow_of[1 % (p - 1)])
         assert exp_of.dtype == np.int32 and exp_of.shape == (p,) and not exp_of.flags.writeable
         g = find_generator(make_modulus(p))
         loop_exp = np.zeros(p, dtype=np.int64)
@@ -1070,12 +1123,12 @@ def test_windowed_quotient_counts_over_geometric_windows(case):
 
 @st.composite
 def _box_case(draw):
-    """Units in a box of per-axis arcs of _unit_group(m), each arc possibly
+    """Units in a box of per-axis arcs of the unit group of Z_m, each arc possibly
     wrapping, with non-unit numerators at times; the FFT side forced, since
     the pairs of such small sets never pay."""
     m = draw(st.sampled_from(_BOX_MODULI))
-    shape = setops._unit_shape(m)
-    grid = setops._unit_residues(m).reshape(shape)
+    shape = setops._TABLES.read(m, setops._unit_shape)["shape"]
+    grid = setops._TABLES.read(m, setops._unit_residues)["residues"].reshape(shape)
 
     def box():
         # Thin boxes (one arc of up to 3, the others of 1) leave room even on
@@ -1107,8 +1160,8 @@ def test_box_residues_are_the_group_residues_on_the_box():
     # residues, gathered at the same coordinates, must agree.
     rng = np.random.default_rng(5)
     for m in _BOX_MODULI + (101, 4093):
-        shape = setops._unit_shape(m)
-        grid = setops._unit_residues(m).reshape(shape)
+        shape = setops._TABLES.read(m, setops._unit_shape)["shape"]
+        grid = setops._TABLES.read(m, setops._unit_residues)["residues"].reshape(shape)
         assert np.array_equal(setops._box_residues(m, setops._whole(shape)[0]), grid.ravel())
         for _ in range(20):
             plan = []

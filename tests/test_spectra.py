@@ -28,7 +28,6 @@ from sumprod.spectra import (
     DIRECT_WORK_LIMIT,
     _direct_dft,
     _fft_dft,
-    _gcd_classes,
     dft_counts,
     dft_counts_beside,
     gcd_class_peaks,
@@ -209,7 +208,8 @@ def test_max_nontrivial_skips_noncoprime_frequencies():
 
 def test_gcd_classes_equal_the_gcd_definition():
     for m in (2, 9, 36, 97, 720720):
-        freqs, starts, lengths = _gcd_classes(m)
+        classes = setops._TABLES.read(m, setops._gcd_classes)
+        freqs, starts, lengths = classes["freqs"], classes["starts"], classes["lengths"]
         k = np.arange(1, m, dtype=np.int64)
         g = np.gcd(k, m)
         # k sorted by gcd class, ascending within each class

@@ -205,6 +205,19 @@ def test_pool_never_outnumbers_the_cpus(monkeypatch):
 
 
 
+def test_evicting_every_table_leaves_sweep_rows_as_they_are(monkeypatch):
+    # Under a 1-byte cap each table the store builds evicts every other modulus's tables, so the
+    # second sweep and each thread count rebuild them; the rows cannot move.
+    configs = [SweepConfig(3600, "ring", (8, 64, 512), 4, 5), SweepConfig(7001, "prime", (8, 32), 4, 5)]
+    assert sweeps._pool_pays(configs[1]) and not sweeps._pool_pays(configs[0])
+    uncapped = [run_sweep(cfg, threads=1) for cfg in configs]
+    setops._TABLES.clear()
+    monkeypatch.setattr(setops._TABLES, "cap", 1)
+    for threads in (1, 2):
+        assert [run_sweep(cfg, threads=threads) for cfg in configs] == uncapped
+        assert list(setops._TABLES._moduli) == [7001]
+
+
 def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
     # As under taskset -c 0 on two CPUs: os.cpu_count() still reads 2.
     monkeypatch.setattr(setops.os, "cpu_count", lambda: 2)
@@ -531,7 +544,7 @@ def test_batch_gate_boundary_matches_the_oracles(m, add, sets, rows, factor, see
     # taken follows S log2 S / 4 per row plus 2 _AXIS_STEPS per axis, and the
     # counts equal the oracles' on both sides.
     pool = list(range(m)) if add else [u for u in range(m) if math.gcd(u, m) == 1]
-    lengths = setops._whole((m,) if add else setops._unit_shape(m))[1]
+    lengths = setops._whole((m,) if add else setops._TABLES.read(m, setops._unit_shape)["shape"])[1]
     size = math.prod(lengths)
     gate = rows * size * math.log2(size) / 4 + 2 * setops._AXIS_STEPS * len(lengths)
     rng = np.random.default_rng(seed)
