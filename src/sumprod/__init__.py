@@ -20,11 +20,9 @@ from .residues import (
     ResidueSet,
     find_generator,
     make_modulus,
-    min_gcd,
     residue_set,
-    unit_part,
 )
-from .setops import additive_rep, indicator, productset, sumset, unit_quotient_rep
+from .setops import indicator, productset, sumset
 from .spectra import dft_counts, spectrum_of_set
 from .sweeps import (
     CSV_HEADER,

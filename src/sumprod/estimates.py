@@ -23,7 +23,9 @@ Check carrying its two sides. Integer inequalities (the prime constant, the
 master inequality, the quadruple lower bound, the dilation bound, the
 non-unit count, Parseval) are decided exactly; the ones involving D(m), a
 square root or an FFT amplitude carry the one-sided relative slack
-REL_SLACK so a genuine equality case never fails from double rounding.
+REL_SLACK so a genuine equality case never fails from double rounding,
+except the spectral identity, whose relative error against the exact J
+is held to a fixed 1e-9.
 """
 
 from __future__ import annotations

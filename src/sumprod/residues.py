@@ -166,19 +166,7 @@ def find_generator(mod: Modulus) -> int:
     raise AssertionError("unreachable: every prime has a primitive root")
 
 
-def min_gcd(a_set: ResidueSet) -> int:
-    """Minimum of gcd(a, m) over a in the set, with gcd(0, m) = m."""
-    if a_set.size == 0:
-        raise ValueError("min_gcd of an empty set")
-    return int(np.gcd(a_set.array, a_set.modulus.m).min())
-
-
 def _units_mask(arr: np.ndarray, mod: Modulus) -> np.ndarray:
     """Which entries of arr are units mod m (a remainder per prime costs less than np.gcd)."""
     return np.logical_and.reduce([arr % p != 0 for p, _ in mod.factorization])
 
-
-def unit_part(a_set: ResidueSet) -> ResidueSet:
-    """The elements coprime to the modulus (the invertible ones)."""
-    arr = a_set.array
-    return ResidueSet(a_set.modulus, arr[_units_mask(arr, a_set.modulus)])

@@ -3,8 +3,8 @@ over Z_m.
 
 Each operation has one exact result; the dispatch inside it only picks how
 that result is computed, and every path agrees with the pair-enumeration
-oracles in the test suite. Counts (`indicator`, `additive_rep`, `unit_quotient_rep`)
-are read-only int64 arrays of length m, built only once the memory budget
+oracles in the test suite. Counts (`indicator` and the rows of `_row_counts`)
+are int64 arrays of length m, built only once the memory budget
 `BYTES_PER_RESIDUE * m` plus one enumeration block fits in physical memory.
 Per-modulus tables (the unit group's shape, generators, log tables and
 residues, and the gcd classes of frequencies) live in one store, `_TABLES`,
@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .residues import Modulus, NonInvertibleError, ResidueSet, _units_mask, find_generator, make_modulus
+from .residues import Modulus, ResidueSet, find_generator, make_modulus
 
 # Cap on m for the length-m boolean scatter of pair enumeration (at most
 # 16 MiB) and for the discrete-log tables of a product set.
@@ -451,37 +451,6 @@ def _cyclic_rows(plan: tuple, x: tuple, y: tuple, rows: int) -> tuple[np.ndarray
         rounded = rounded[lead + (slice(0, w),)]
     counts = rounded.astype(np.int64).reshape(rows, -1)
     return counts, ok & (counts.sum(axis=1) == pairs)
-
-
-def additive_rep(a_set: ResidueSet, b_set: ResidueSet, sign: int) -> np.ndarray:
-    """counts[t] = number of pairs (a, b) with a + sign*b = t (mod m): a one-row family (_row_counts)."""
-    mod = _require_same_modulus(a_set, b_set)
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    x = a_set.array[None]
-    y = x if b_set is a_set and sign == 1 else (b_set.array if sign == 1 else -b_set.array % mod.m)[None]
-    return _freeze(_row_counts(x, y, mod.m)[0])
-
-
-def unit_quotient_rep(x_set: ResidueSet, a_set: ResidueSet) -> np.ndarray:
-    """counts[t] = number of pairs (x, a) with x * a^{-1} = t (mod m).
-
-    Every element of the denominator set must be a unit of Z_m. The unit
-    numerators times the inverses are a one-row family of products of units
-    (_row_counts); any non-unit numerator (a prime's 0, a ring's non-units)
-    is enumerated against the same inverses, and the two counts add."""
-    mod = _require_same_modulus(x_set, a_set)
-    m, a_arr, x_arr = mod.m, a_set.array, x_set.array
-    a_units = _units_mask(a_arr, mod)
-    if not a_units.all():
-        first = int(a_arr[np.argmin(a_units)])
-        raise NonInvertibleError(first, m, math.gcd(first, m))
-    x_units, inverses = _units_mask(x_arr, mod), _inverses(a_arr, mod)
-    units = x_arr[x_units]
-    counts = _row_counts(units[None], inverses[None], m, np.multiply, True)[0]
-    if units.size < x_arr.size:  # a non-unit over a unit is a non-unit: the unit counts leave it at 0
-        counts += _pair_counts(x_arr[~x_units], inverses, m, np.multiply)
-    return _freeze(counts)
 
 
 def _row_support(counts: np.ndarray) -> np.ndarray:

@@ -17,7 +17,9 @@ BRUTE_FORCE_CAP = 10**9
 
 
 def naive_divisors(m):
-    return [d for d in range(1, m + 1) if m % d == 0]
+    """Divisors of m, ascending: trial division up to sqrt(m), each d paired with m / d."""
+    small = [d for d in range(1, math.isqrt(m) + 1) if m % d == 0]
+    return sorted(set(small + [m // d for d in small]))
 
 
 def naive_sumset(a, b, m):
@@ -65,9 +67,10 @@ def naive_product_counts(a, b, m):
 
 def naive_quotient_counts(xs, a, m):
     out = {}
-    for x in xs:
-        for y in a:
-            t = x * pow(y, -1, m) % m
+    for y in a:
+        inverse = pow(y, -1, m)
+        for x in xs:
+            t = x * inverse % m
             out[t] = out.get(t, 0) + 1
     return out
 

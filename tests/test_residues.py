@@ -3,14 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sumprod.residues import (
-    NonInvertibleError,
-    find_generator,
-    make_modulus,
-    min_gcd,
-    residue_set,
-    unit_part,
-)
+from sumprod.estimates import Derivation, ring_bound_report
+from sumprod.residues import NonInvertibleError, find_generator, make_modulus, residue_set
 from sumprod.setops import _TABLES, _unit_group, _unit_residues, _unit_shape
 
 from oracles import mod_inverse, multiplicative_order, naive_divisors, naive_dlog_table, smallest_primitive_root
@@ -114,21 +108,22 @@ def test_dlog_table_examples():
 
 
 def test_min_gcd_examples():
+    # d0, min gcd(a, m) over A with gcd(0, m) = m, as the ring report reads it; an empty set is refused.
     mod9 = make_modulus(9)
-    assert min_gcd(residue_set(mod9, [3, 5])) == 1
-    assert min_gcd(residue_set(mod9, [0, 3, 6])) == 3
-    assert min_gcd(residue_set(mod9, [0])) == 9
-    with pytest.raises(ValueError):
-        min_gcd(residue_set(mod9, []))
+    assert Derivation(residue_set(mod9, [3, 5])).d0 == 1
+    assert Derivation(residue_set(mod9, [0, 3, 6])).d0 == 3
+    assert Derivation(residue_set(mod9, [0])).d0 == 9
+    with pytest.raises(ValueError, match="empty set"):
+        ring_bound_report(residue_set(mod9, []))
 
 
 def test_unit_part_examples():
     mod6 = make_modulus(6)
-    assert unit_part(residue_set(mod6, [1, 2, 3, 4])).elements == {1}
+    assert Derivation(residue_set(mod6, [1, 2, 3, 4])).units.a.elements == {1}
     mod7 = make_modulus(7)
     a = residue_set(mod7, [1, 2, 3, 4])
-    assert unit_part(a).elements == a.elements
-    assert unit_part(residue_set(make_modulus(9), [0])).elements == set()
+    assert Derivation(a).units.a.elements == a.elements
+    assert Derivation(residue_set(make_modulus(9), [0])).units.a.elements == set()
 
 
 def test_min_gcd_agrees_with_unit_part():
@@ -138,8 +133,9 @@ def test_min_gcd_agrees_with_unit_part():
         size = int(rng.integers(1, m + 1))
         mod = make_modulus(m)
         a = residue_set(mod, rng.choice(m, size=size, replace=False).tolist())
-        assert (min_gcd(a) == 1) == (unit_part(a).size > 0)
-        assert unit_part(a).elements == {x for x in a.array.tolist() if math.gcd(x, m) == 1}
+        d = Derivation(a)
+        assert (d.d0 == 1) == (d.units.size > 0)
+        assert d.units.a.elements == {x for x in a.array.tolist() if math.gcd(x, m) == 1}
 
 
 def test_residue_set_membership_and_views():

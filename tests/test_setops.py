@@ -12,21 +12,8 @@ from hypothesis import strategies as st
 from sumprod import setops
 from sumprod.estimates import Derivation, field_bound_report, ring_bound_report, ring_checks
 from sumprod.extremal import build_extremal
-from sumprod.residues import (
-    NonInvertibleError,
-    find_generator,
-    make_modulus,
-    residue_set,
-    unit_part,
-)
-from sumprod.setops import (
-    BITSET_LIMIT,
-    additive_rep,
-    indicator,
-    productset,
-    sumset,
-    unit_quotient_rep,
-)
+from sumprod.residues import NonInvertibleError, find_generator, make_modulus, residue_set
+from sumprod.setops import BITSET_LIMIT, indicator, productset, sumset
 
 from oracles import (
     convolved_sumset,
@@ -70,6 +57,27 @@ def _counts_dict(counts, m):
 
 def _support(counts):
     return set(np.flatnonzero(counts).tolist())
+
+
+def _sums(a, b, sign):
+    """counts[t] = #{(x, y) in a x b : x + sign*y = t (mod m)}, read-only: the one-row family of
+    setops._row_counts, with -y for sign -1, and y the same row as x for a set with itself."""
+    m, x = a.modulus.m, a.array[None]
+    y = x if b is a and sign == 1 else (b.array if sign == 1 else -b.array % m)[None]
+    return setops._freeze(setops._row_counts(x, y, m)[0])
+
+
+def _quotients(xs, a):
+    """counts[t] = #{(x, y) in xs x a : x y^-1 = t (mod m)}, read-only, for sets of units: the one-row
+    family of products of units that the reports count (setops._row_counts against setops._inverses)."""
+    inverses = setops._inverses(a.array, a.modulus)
+    return setops._freeze(setops._row_counts(xs.array[None], inverses[None], a.modulus.m, np.multiply, True)[0])
+
+
+def _unit_numerators(xs, m):
+    """The units among xs: quotient counts are formed over unit numerators only (not a prime's 0 or a
+    ring's non-units)."""
+    return [x for x in xs if math.gcd(x, m) == 1]
 
 
 def test_sumset_examples():
@@ -164,13 +172,11 @@ def test_dilate_fiber_bound_all_small_m():
 def test_additive_rep_examples():
     mod5 = make_modulus(5)
     a = residue_set(mod5, [1, 2])
-    counts = additive_rep(a, a, 1)
+    counts = _sums(a, a, 1)
     assert _counts_dict(counts, 5) == {2: 1, 3: 2, 4: 1}
     assert int(counts.sum()) == 4
     b = residue_set(mod5, [0, 2, 3])
-    assert _counts_dict(additive_rep(residue_set(mod5, [0]), b, 1), 5) == {0: 1, 2: 1, 3: 1}
-    with pytest.raises(ValueError):
-        additive_rep(a, a, 2)
+    assert _counts_dict(_sums(residue_set(mod5, [0]), b, 1), 5) == {0: 1, 2: 1, 3: 1}
 
 
 def test_additive_rep_matches_oracle_and_support():
@@ -182,23 +188,23 @@ def test_additive_rep_matches_oracle_and_support():
         b = random_subset(rng, m, int(rng.integers(1, m + 1)))
         sa, sb = residue_set(mod, a), residue_set(mod, b)
         for sign in (1, -1):
-            counts = additive_rep(sa, sb, sign)
+            counts = _sums(sa, sb, sign)
             assert _counts_dict(counts, m) == naive_additive_counts(a, b, sign, m)
             assert int(counts.sum()) == len(a) * len(b)
         assert int(counts.sum()) == sa.size * sb.size
-        assert _support(additive_rep(sa, sb, 1)) == sumset(sa, sb).elements
+        assert _support(_sums(sa, sb, 1)) == sumset(sa, sb).elements
 
 
 def test_quotient_rep_examples():
     mod5 = make_modulus(5)
     x = residue_set(mod5, [1, 2, 4])
     a = residue_set(mod5, [1, 2])
-    counts = unit_quotient_rep(x, a)
+    counts = _quotients(x, a)
     assert _counts_dict(counts, 5) == {1: 2, 2: 2, 3: 1, 4: 1}
     assert int(counts.sum()) == 6
-    assert _counts_dict(unit_quotient_rep(x, residue_set(mod5, [1])), 5) == {1: 1, 2: 1, 4: 1}
+    assert _counts_dict(_quotients(x, residue_set(mod5, [1])), 5) == {1: 1, 2: 1, 4: 1}
     with pytest.raises(NonInvertibleError) as err:
-        unit_quotient_rep(x, residue_set(mod5, [0, 1]))
+        Derivation(residue_set(mod5, [0, 1])).quotients
     assert err.value.gcd == 5
 
 
@@ -207,21 +213,21 @@ def test_quotient_rep_matches_oracle():
     for p in (5, 11, 31, 101):
         mod = make_modulus(p)
         for _ in range(15):
-            xs = random_subset(rng, p, int(rng.integers(1, p)))
+            xs = _unit_numerators(random_subset(rng, p, int(rng.integers(1, p))), p)
             a = random_subset(rng, p, int(rng.integers(1, p)), exclude_zero=True)
-            counts = unit_quotient_rep(residue_set(mod, xs), residue_set(mod, a))
+            counts = _quotients(residue_set(mod, xs), residue_set(mod, a))
             assert _counts_dict(counts, p) == naive_quotient_counts(xs, a, p)
 
 
 def test_unit_quotient_rep_ring():
     mod9 = make_modulus(9)
-    x = residue_set(mod9, [0, 1, 2, 4])
+    xs = _unit_numerators([0, 1, 2, 4], 9)
     a = residue_set(mod9, [1, 2])  # both units mod 9; 2^{-1} = 5
-    counts = unit_quotient_rep(x, a)
-    assert int(counts.sum()) == 8
-    assert _counts_dict(counts, 9) == naive_quotient_counts([0, 1, 2, 4], [1, 2], 9)
+    counts = _quotients(residue_set(mod9, xs), a)
+    assert int(counts.sum()) == 6
+    assert _counts_dict(counts, 9) == naive_quotient_counts(xs, [1, 2], 9)
     with pytest.raises(NonInvertibleError) as err:
-        unit_quotient_rep(x, residue_set(mod9, [3]))
+        Derivation(residue_set(mod9, [3])).quotients
     assert err.value.gcd == 3
 
 
@@ -306,13 +312,14 @@ def test_counts_above_two_to_the_twenty_are_dense():
     m = (1 << 20) + 2
     a, b = [1, 5, m - 1], [2, 7]
     for sign in (1, -1):
-        counts = additive_rep(_set(m, a), _set(m, b), sign)
+        counts = _sums(_set(m, a), _set(m, b), sign)
         assert _counts_dict(counts, m) == naive_additive_counts(a, b, sign, m)
     assert _support(indicator(_set(m, a))) == set(a)
     assert sumset(_set(m, a), _set(m, b)).elements == naive_sumset(a, b, m)
     units = [1, 5, m - 1]  # m = 2 * 3 * 174763
-    counts = unit_quotient_rep(_set(m, [0] + a), _set(m, units))
-    assert _counts_dict(counts, m) == naive_quotient_counts([0] + a, units, m)
+    xs = _unit_numerators([0] + a, m)
+    counts = _quotients(_set(m, xs), _set(m, units))
+    assert _counts_dict(counts, m) == naive_quotient_counts(xs, units, m)
 
 
 def test_products_near_modulus_cap_are_exact():
@@ -327,7 +334,7 @@ def test_products_near_modulus_cap_are_exact():
     # Length-m counts cannot fit: the budget refuses them before allocating.
     assert setops.BYTES_PER_RESIDUE * m > setops._physical_memory()
     with pytest.raises(ValueError, match="physical memory"):
-        unit_quotient_rep(residue_set(mod, a), residue_set(mod, b))
+        _quotients(residue_set(mod, a), residue_set(mod, b))
 
 
 def _need(m):
@@ -346,11 +353,12 @@ def test_memory_budget_on_both_sides_for_every_count(monkeypatch, m):
     units = [x for x in range(m) if math.gcd(x, m) == 1]
     a, b = list(range(m)), units
     sa, sb = residue_set(mod, a), residue_set(mod, b)
+    xs = _unit_numerators(a, m)
     assert setops._fft_pays(len(a) * len(b), *_whole(m))  # so sumset reaches its FFT branch
     builds = {
         "indicator": (lambda: indicator(sa), {x: 1 for x in a}),
-        "additive_rep": (lambda: additive_rep(sa, sb, -1), naive_additive_counts(a, b, -1, m)),
-        "unit_quotient_rep": (lambda: unit_quotient_rep(sa, sb), naive_quotient_counts(a, b, m)),
+        "additive_rep": (lambda: _sums(sa, sb, -1), naive_additive_counts(a, b, -1, m)),
+        "unit_quotient_rep": (lambda: _quotients(residue_set(mod, xs), sb), naive_quotient_counts(xs, b, m)),
     }
     _pin_memory(monkeypatch, m, 0)
     for name, (build, want) in builds.items():
@@ -421,7 +429,7 @@ def _quotient_case(draw):
 @given(_additive_case())
 def test_additive_rep_property(case):
     m, a, b, sign = case
-    counts = additive_rep(_set(m, a), _set(m, b), sign)
+    counts = _sums(_set(m, a), _set(m, b), sign)
     assert _counts_dict(counts, m) == naive_additive_counts(a, b, sign, m)
     assert int(counts.sum()) == len(a) * len(b)
 
@@ -430,7 +438,8 @@ def test_additive_rep_property(case):
 @given(_quotient_case())
 def test_unit_quotient_rep_prime_property(case):
     p, xs, a = case
-    counts = unit_quotient_rep(_set(p, xs), _set(p, a))
+    xs = _unit_numerators(xs, p)
+    counts = _quotients(_set(p, xs), _set(p, a))
     assert _counts_dict(counts, p) == naive_quotient_counts(xs, a, p)
     assert int(counts.sum()) == len(xs) * len(a)
 
@@ -535,20 +544,20 @@ def test_table_store_is_charged_to_the_memory_budget(monkeypatch):
     # over the budget is refused with the same message as before any table existed, and evicts nothing.
     p, units = 10007, list(range(1, 10007))
     setops._TABLES.clear()
-    counts = unit_quotient_rep(_set(p, units), _set(p, units[:50]))  # a whole transform: logs and residues
+    counts = _quotients(_set(p, units), _set(p, units[:50]))  # a whole transform: logs and residues
     assert _counts_dict(counts, p) == naive_quotient_counts(units, units[:50], p)
     held = setops._TABLES.nbytes
     assert held > 11 * p and list(setops._TABLES._moduli) == [p]
-    m, xs, a = 720, list(range(720)), _units(720)
+    m, xs, a = 720, _unit_numerators(range(720), 720), _units(720)
     _pin_memory(monkeypatch, m, held // 2)
-    counts = unit_quotient_rep(_set(m, xs), _set(m, a))
+    counts = _quotients(_set(m, xs), _set(m, a))
     assert _counts_dict(counts, m) == naive_quotient_counts(xs, a, m)
     assert list(setops._TABLES._moduli) == [m] and setops._TABLES.nbytes < held
     setops._TABLES.read(p, setops._unit_residues)
     stored = list(setops._TABLES._moduli), setops._TABLES.nbytes
     _pin_memory(monkeypatch, m, -1)
     with pytest.raises(ValueError, match=f"counts over Z_{m} need about"):
-        unit_quotient_rep(_set(m, xs), _set(m, a))
+        _quotients(_set(m, xs), _set(m, a))
     assert (list(setops._TABLES._moduli), setops._TABLES.nbytes) == stored  # a refused count evicts nothing
     # {0, ..., 999} + itself over Z_p is read off a box of 2,000 cells: charged as 2,000 cells, keeping p's tables.
     _pin_memory(monkeypatch, 2000, 0)
@@ -568,13 +577,14 @@ def _group_quotient_case(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_group_quotient_case())
-@example((7, [0], [1, 2, 3], True))  # 0 over a prime
-@example((720, [0, 2, 5, 7, 360], [1, 7, 11, 719], True))  # non-unit numerators
+@example((7, [0], [1, 2, 3], True))  # 0 over a prime: no unit numerator
+@example((720, [0, 2, 5, 7, 360], [1, 7, 11, 719], True))  # non-unit numerators beside units
 def test_unit_quotient_rep_property_over_every_modulus(case):
-    # Both sides of _fft_pays on any modulus, numerators of every kind.
+    # Both sides of _fft_pays on any modulus, over the unit numerators of any draw.
     m, xs, a, pays = case
+    xs = _unit_numerators(xs, m)
     with mock.patch.object(setops, "_fft_pays", return_value=pays):
-        counts = unit_quotient_rep(_set(m, xs), _set(m, a))
+        counts = _quotients(_set(m, xs), _set(m, a))
     assert _counts_dict(counts, m) == naive_quotient_counts(xs, a, m)
     assert int(counts.sum()) == len(xs) * len(a)
 
@@ -600,11 +610,10 @@ def test_unit_quotient_rep_on_both_sides_of_the_gate(monkeypatch, m, size_a):
     monkeypatch.setattr(setops, "_cyclic_rows", spy)
     # Every residue as a numerator, then the first 20.
     for xs, fft in ((list(range(m)), True), (list(range(20)), False)):
-        a = units[:size_a]
-        numerators = sum(1 for x in xs if math.gcd(x, m) == 1)
-        assert setops._fft_pays(numerators * len(a), *lengths) == fft
+        a, xs = units[:size_a], _unit_numerators(xs, m)
+        assert setops._fft_pays(len(xs) * len(a), *lengths) == fft
         paths.clear()
-        counts = unit_quotient_rep(_set(m, xs), _set(m, a))
+        counts = _quotients(_set(m, xs), _set(m, a))
         assert paths == ([(shape, True)] if fft else [])  # the FFT certified its counts
         assert _counts_dict(counts, m) == naive_quotient_counts(xs, a, m)
 
@@ -614,7 +623,7 @@ def test_unit_quotient_rep_names_the_first_non_unit():
                           (720, [1, 7, 10, 12], "10 is not invertible mod 720 (gcd 10)"),
                           (101, [0, 5], "0 is not invertible mod 101 (gcd 101)")):
         with pytest.raises(NonInvertibleError, match=re.escape(message)) as err:
-            unit_quotient_rep(_set(m, [1, 2]), _set(m, a))
+            Derivation(_set(m, a)).quotients
         assert err.value.gcd == int(message.split("gcd ")[1][:-1])
 
 
@@ -690,20 +699,20 @@ def test_fft_guard_failure_falls_back_to_exact_enumeration(monkeypatch, guard):
         _noisy_irfftn(monkeypatch, 7, 1.0)  # rounds cleanly, one pair too many
     assert sumset(_set(p, a), _set(p, b)).elements == naive_sumset(a, b, p)
     for sign in (1, -1):
-        counts = additive_rep(_set(p, a), _set(p, b), sign)
+        counts = _sums(_set(p, a), _set(p, b), sign)
         assert _counts_dict(counts, p) == naive_additive_counts(a, b, sign, p)
-    counts = unit_quotient_rep(_set(p, a), _set(p, b))
-    assert _counts_dict(counts, p) == naive_quotient_counts(a, b, p)
-    # Over a composite modulus too (four axes), on every numerator.
+    xs = _unit_numerators(a, p)
+    counts = _quotients(_set(p, xs), _set(p, b))
+    assert _counts_dict(counts, p) == naive_quotient_counts(xs, b, p)
+    # Over a composite modulus too (four axes), on every unit numerator.
     m, units = 720, _units(720)
     assert setops._fft_pays(len(units) ** 2, *_whole(*setops._TABLES.read(m, setops._unit_shape)["shape"]))
-    counts = unit_quotient_rep(_set(m, range(m)), _set(m, units))
-    assert _counts_dict(counts, m) == naive_quotient_counts(range(m), units, m)
+    counts = _quotients(_set(m, units), _set(m, units))
+    assert _counts_dict(counts, m) == naive_quotient_counts(units, units, m)
     # A failed a-priori bound transforms nothing, so the sum set enumerates its values, not counts; the
-    # quotients fall back to enumerating the unit numerators against the inverses, then the non-units (a 0).
-    nonunits = [(p, 1)] if 0 in a else []
+    # quotients fall back to enumerating the unit numerators against the inverses.
     sums = [(p, len(a))] * (2 if guard == "a_priori_bound" else 3)
-    assert calls == sums + [(p, len(a) - len(nonunits))] + nonunits + [(m, len(units)), (m, m - len(units))]
+    assert calls == sums + [(p, len(xs)), (m, len(units))]
 
 
 def test_fft_path_is_taken_without_fallback(monkeypatch):
@@ -711,13 +720,14 @@ def test_fft_path_is_taken_without_fallback(monkeypatch):
     rng = np.random.default_rng(47)
     a = random_subset(rng, 499, 300)
     b = random_subset(rng, 499, 250, exclude_zero=True)
-    counts = unit_quotient_rep(_set(499, a), _set(499, b))
-    assert _counts_dict(counts, 499) == naive_quotient_counts(a, b, 499)
+    xs = _unit_numerators(a, 499)
+    counts = _quotients(_set(499, xs), _set(499, b))
+    assert _counts_dict(counts, 499) == naive_quotient_counts(xs, b, 499)
     assert calls == []
     m, units = 720, _units(720)
-    counts = unit_quotient_rep(_set(m, range(m)), _set(m, units))
-    assert _counts_dict(counts, m) == naive_quotient_counts(range(m), units, m)
-    assert calls == [(m, m - len(units))]  # the non-unit numerators alone
+    counts = _quotients(_set(m, units), _set(m, units))
+    assert _counts_dict(counts, m) == naive_quotient_counts(units, units, m)
+    assert calls == []
 
 
 def _five_smooth_up_to(limit):
@@ -771,7 +781,7 @@ def test_counts_on_both_sides_of_two_to_the_twenty(monkeypatch):
         x = _set(m, [(start_x + i) % m for i in range(len_x)])
         y = _set(m, range(start_y, start_y + len_y))
         for sign in (1, -1):
-            counts = additive_rep(x, y, sign)
+            counts = _sums(x, y, sign)
             assert _counts_dict(counts, m) == _interval_counts(start_x, len_x, start_y, len_y, sign, m)
     for p in ((1 << 20) - 3, (1 << 20) + 7):
         assert setops._fft_pays(len_x * len_y, *_whole(p - 1))
@@ -782,20 +792,18 @@ def test_counts_on_both_sides_of_two_to_the_twenty(monkeypatch):
         want = {}
         for e, c in _interval_counts(start_x, len_x, start_a, len_y, -1, p - 1).items():
             want[pow(g, e, p)] = c
-        want[0] = len_y
-        assert _counts_dict(unit_quotient_rep(_set(p, xs), _set(p, a)), p) == want
-    # Only each prime's 0, a non-unit numerator, is enumerated.
-    assert enumerated == [((1 << 20) - 3, 1), ((1 << 20) + 7, 1)]
-    enumerated.clear()
+        assert _counts_dict(_quotients(_set(p, _unit_numerators(xs, p)), _set(p, a)), p) == want
+    assert enumerated == []
     for m in ((1 << 20) - 3, 1 << 20, (1 << 20) + 1, (1 << 20) + 7):
         a = random_subset(rng, m, 200)
         b = random_subset(rng, m, 150, exclude_zero=True)
         for sign in (1, -1):
-            counts = additive_rep(_set(m, a), _set(m, b), sign)
+            counts = _sums(_set(m, a), _set(m, b), sign)
             assert _counts_dict(counts, m) == naive_additive_counts(a, b, sign, m)
         if make_modulus(m).is_prime:
-            counts = unit_quotient_rep(_set(m, a), _set(m, b))
-            assert _counts_dict(counts, m) == naive_quotient_counts(a, b, m)
+            xs = _unit_numerators(a, m)
+            counts = _quotients(_set(m, xs), _set(m, b))
+            assert _counts_dict(counts, m) == naive_quotient_counts(xs, b, m)
     # Two additive counts per modulus, and a quotient count per prime.
     sizes = [((1 << 20) - 3, 3), (1 << 20, 2), ((1 << 20) + 1, 2), ((1 << 20) + 7, 3)]
     assert enumerated == [(m, 200) for m, calls in sizes for _ in range(calls)]
@@ -924,7 +932,7 @@ def test_residue_set_stored_form_property(case):
         "ndarray": residue_set(mod, np.array(a + a[-2:], dtype=np.int64)),
         "productset": productset(a_nonzero, sb),
         "productset with 0": productset(residue_set(mod, [0] + a), sb),
-        "unit_part": unit_part(sa),
+        "unit_part": Derivation(sa).units.a,
     }
     for pays in (True, False):
         with mock.patch.object(setops, "_fft_pays", return_value=pays):
@@ -1088,7 +1096,7 @@ def _additive_window_case(draw):
 def test_windowed_additive_counts_and_sumset_property(case):
     m, a, b, sign, force = case
     with mock.patch.object(setops, "_fft_pays", return_value=force) if force is not None else mock.MagicMock():
-        counts = additive_rep(_set(m, a), _set(m, b), sign)
+        counts = _sums(_set(m, a), _set(m, b), sign)
         got_sum = sumset(_set(m, a), _set(m, b))
     assert _counts_dict(counts, m) == naive_additive_counts(a, b, sign, m)
     assert int(counts.sum()) == len(a) * len(b)
@@ -1115,8 +1123,9 @@ def _geometric_window_case(draw):
 @example((4093, [pow(2, e, 4093) for e in range(100, 300)], [pow(2, e, 4093) for e in range(7, 150)], None))
 def test_windowed_quotient_counts_over_geometric_windows(case):
     p, xs, a, force = case
+    xs = _unit_numerators(xs, p)
     with mock.patch.object(setops, "_fft_pays", return_value=force) if force is not None else mock.MagicMock():
-        counts = unit_quotient_rep(_set(p, xs), _set(p, a))
+        counts = _quotients(_set(p, xs), _set(p, a))
     assert _counts_dict(counts, p) == naive_quotient_counts(xs, a, p)
     assert int(counts.sum()) == len(xs) * len(a)
 
@@ -1150,8 +1159,9 @@ def _box_case(draw):
 @example((1024, [1, 3, 5, 7, 9, 1021, 1023], [3, 9, 27, 81], True))  # ±3^k: short arcs on the long axis
 def test_windowed_quotient_counts_over_unit_group_boxes(case):
     m, xs, a, pays = case
+    xs = _unit_numerators(xs, m)
     with mock.patch.object(setops, "_fft_pays", return_value=pays):
-        counts = unit_quotient_rep(_set(m, xs), _set(m, a))
+        counts = _quotients(_set(m, xs), _set(m, a))
     assert _counts_dict(counts, m) == naive_quotient_counts(xs, a, m)
 
 
@@ -1178,9 +1188,11 @@ def test_extremal_counts_transform_below_the_modulus(monkeypatch):
     p = 100003
     built = build_extremal(p, 2000)
     a = built.chosen
-    sums, prods = sumset(a, a), productset(a, a)
+    d = Derivation(a)
+    sums, minus = d.family.sums, -a.array[None] % p  # the pieces behind J, with AA built before the spy
+    d.prods
     plans = _spy_plans(monkeypatch)
-    quotients, differences = unit_quotient_rep(prods, a), additive_rep(sums, a, -1)
+    quotients, differences = d.quotients, setops._row_counts(sums, minus, p)[0]
     assert [(len(plan), ok) for plan, ok in plans] == [(1, True), (1, True)]
     (((n_q, _, _, box_q, length_q),), _), (((n_d, _, _, box_d, length_d),), _) = plans
     assert (n_q, n_d) == (p - 1, p)
@@ -1188,8 +1200,9 @@ def test_extremal_counts_transform_below_the_modulus(monkeypatch):
     assert length_q <= 4 * built.window_len and length_d <= 4 * built.window_len
     # The same counts enumerated.
     with mock.patch.object(setops, "_fft_pays", return_value=False):
-        assert np.array_equal(quotients, unit_quotient_rep(prods, a))
-        assert np.array_equal(differences, additive_rep(sums, a, -1))
+        assert np.array_equal(quotients, Derivation(a).quotients)
+        assert np.array_equal(differences, setops._row_counts(sums, minus, p)[0])
+    assert d.quad_count == int(np.dot(quotients, differences))
 
 
 @pytest.mark.parametrize("guard", ["a_priori_bound", "residual", "mass"])
@@ -1211,8 +1224,8 @@ def test_windowed_guard_failure_falls_back_to_exact_enumeration(monkeypatch, gua
         _noisy_irfftn(monkeypatch, 7, 1.0)  # rounds cleanly, one pair too many
     assert sumset(_set(p, a), _set(p, b)).elements == naive_sumset(a, b, p)
     for sign in (1, -1):
-        assert _counts_dict(additive_rep(_set(p, a), _set(p, b), sign), p) == naive_additive_counts(a, b, sign, p)
-    assert _counts_dict(unit_quotient_rep(_set(p, xs), _set(p, den)), p) == naive_quotient_counts(xs, den, p)
+        assert _counts_dict(_sums(_set(p, a), _set(p, b), sign), p) == naive_additive_counts(a, b, sign, p)
+    assert _counts_dict(_quotients(_set(p, xs), _set(p, den)), p) == naive_quotient_counts(xs, den, p)
     # Every count planned a window (box and length below n), and none certified.
     assert len(plans) == 4 and all(not ok for _, ok in plans)
     assert all(box < n and length < n for ((n, _, _, box, length),), _ in plans)

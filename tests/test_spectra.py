@@ -20,8 +20,8 @@ from sumprod.estimates import (
     ring_checks,
     spectral_checks,
 )
-from sumprod.residues import make_modulus, residue_set, unit_part
-from sumprod.setops import additive_rep, indicator, sumset, unit_quotient_rep
+from sumprod.residues import make_modulus, residue_set
+from sumprod.setops import indicator, sumset
 from sumprod.sweeps import SweepConfig, run_sweep
 from sumprod.spectra import (
     DIRECT_Q_LIMIT,
@@ -48,6 +48,19 @@ from oracles import (
 
 def _set(m, elems):
     return residue_set(make_modulus(m), elems)
+
+
+def _sum_counts(a):
+    """counts[t] = #{(x, y) in A x A : x + y = t (mod m)}: a one-row family of setops._row_counts."""
+    x = a.array[None]
+    return setops._row_counts(x, x, a.modulus.m)[0]
+
+
+def _quotient_counts(xs, a):
+    """counts[t] = #{(x, y) in xs x a : x y^-1 = t (mod m)} for sets of units: products of units against
+    setops._inverses, as the reports count them."""
+    inverses = setops._inverses(a.array, a.modulus)
+    return setops._row_counts(xs.array[None], inverses[None], a.modulus.m, np.multiply, True)[0]
 
 
 def spectral_quadruple_count(a_set):
@@ -83,7 +96,7 @@ def test_dft_matches_naive_complex_sum():
     for m in (6, 12, 36, 97):
         mod = make_modulus(m)
         a = residue_set(mod, random_subset(rng, m, max(1, m // 3)))
-        dense = additive_rep(a, a, 1)
+        dense = _sum_counts(a)
         counts = {int(t): int(c) for t, c in enumerate(dense)}
         for q in mod.divisors[1:]:
             got = dft_counts(_vector(counts_mod(dense, q)))
@@ -157,7 +170,7 @@ def test_amplitude_zero_equals_mass():
     for _ in range(40):
         m = int(rng.integers(2, 2000))
         a = _set(m, random_subset(rng, m, int(rng.integers(1, min(m, 60) + 1))))
-        counts = additive_rep(a, a, 1)
+        counts = _sum_counts(a)
         spec, mass = dft_counts(counts), int(counts.sum())
         assert abs(spec[0].real - mass) <= 1e-12 * max(mass, 1)
         assert abs(spec[0].imag) <= 1e-12 * max(mass, 1)
@@ -169,7 +182,7 @@ def test_parseval_identity_for_counts():
         m = int(rng.integers(2, 300))
         mod = make_modulus(m)
         a = residue_set(mod, random_subset(rng, m, int(rng.integers(1, m + 1))))
-        counts = additive_rep(a, a, 1)
+        counts = _sum_counts(a)
         for q in mod.divisors[1:]:
             dense = counts_mod(counts, q)
             spec = dft_counts(_vector(dense))
@@ -189,7 +202,7 @@ def test_max_nontrivial_examples():
     assert max_nontrivial(delta) == (1, pytest.approx(1.0))
     assert gcd_class_peaks(delta).tolist() == [max_nontrivial(delta)[1]]
 
-    q = unit_quotient_rep(_set(5, [1, 2, 4]), _set(5, [1, 2]))
+    q = _quotient_counts(_set(5, [1, 2, 4]), _set(5, [1, 2]))
     _, mag = max_nontrivial(dft_counts(q))
     assert mag <= math.sqrt(5 * 3 * 2) * (1 + REL_SLACK)
     assert gcd_class_peaks(dft_counts(q)).tolist() == [mag]
@@ -354,7 +367,7 @@ def test_divisor_bound_checks_composite():
         mod = make_modulus(m)
         for _ in range(10):
             a = residue_set(mod, random_subset(rng, m, int(rng.integers(1, m + 1))))
-            units = Derivation(unit_part(a))
+            units = Derivation(a).units
             rows = [divisor_square_bound(units, e) for e in mod.divisors[:-1]]
             assert all(r.holds for r in rows)
             assert _named(ring_checks(a))["divisor_square_bound"].holds
@@ -470,7 +483,7 @@ def _peak_case(draw):
         elems = sorted(set(elems) | {-x % m for x in elems})
     if kind == "quotients":
         units = _set(m, [x for x in elems if math.gcd(x, m) == 1])
-        return m, kind, unit_quotient_rep(units, units)
+        return m, kind, _quotient_counts(units, units)
     return m, kind, indicator(_set(m, elems))
 
 
