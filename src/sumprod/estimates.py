@@ -229,7 +229,7 @@ class _Family:
         return Derivation.__new__(Derivation)._bind(self, r, self.row_set(self.rows, r))
 
     sums = _once(lambda f: _row_counts(f.rows, f.rows, f.m, sets=True))
-    d0 = _once(lambda f: np.gcd(np.maximum(f.rows, 0), f.m).min(axis=1))  # padding reads as 0, gcd m
+    d0 = _once(lambda f: np.gcd(np.maximum(f.rows, 0), f.m).min(axis=1, initial=f.m))  # padding reads as gcd m
 
     @_once
     def prods(self) -> np.ndarray:

@@ -35,18 +35,21 @@ def power_prefix(mod: Modulus, g: int, length: int) -> ResidueSet:
 def best_window(points: ResidueSet, length: int) -> tuple[int, int]:
     """Offset L maximizing |points ∩ {L+1, ..., L+length mod p}|.
 
-    Scans all p offsets with a cyclic prefix-sum window in O(p); ties go
-    to the smallest offset. Returns (offset, count).
+    The count changes only where a point enters the window, so the smallest
+    best offset is 0 or (x - length) mod p for a point x. Each candidate's
+    count is read by searchsorted on the points and the points + p, in
+    O(n log n) with nothing of length p; ties go to the smallest offset.
+    Returns (offset, count).
     """
     p = points.modulus.m
     if not 1 <= length <= p - 1:
         raise ValueError(f"window length {length} out of range [1, {p - 1}]")
-    ind = np.zeros(2 * p, dtype=np.uint32)  # two copies: the prefix sums stay below 2p < 2^32
-    ind[points.array] = ind[points.array + p] = 1
-    prefix = np.cumsum(ind, dtype=np.uint32)
-    counts = prefix[length : length + p] - prefix[:p]
+    x = points.array
+    offsets = np.sort(np.concatenate(([0], (x - length) % p)))  # a repeated 0 leaves the first best as it is
+    both = np.concatenate((x, x + p))  # ascending: a window (L, L + length] with L < p lies below 2p
+    counts = np.searchsorted(both, offsets + length, side="right") - np.searchsorted(both, offsets, side="right")
     best = int(np.argmax(counts))
-    return best, int(counts[best])
+    return int(offsets[best]), int(counts[best])
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,10 @@ cyclic correlation over Z_m or the axes of the unit group (`_unit_group`):
 one exact rfftn of all rows (`_cyclic_rows`) on each axis only as long as
 the arcs the operands occupy need (`_fft_plan`) when `_fft_pays`, a row that
 fails its guard enumerated alone; one sum set on such a window is read off
-its box, with no length-m array. Else pairs are enumerated in int64 blocks
-(`_pair_blocks`), bincounted or, for a set, scattered into a length-m
-boolean array (m <= `BITSET_LIMIT`, 2^24) or merged by np.unique above it.
+its box, with no length-m array. Else one routine, `_enumerated`, forms the
+pairs of one row or all rows at once (`_pair_blocks`), each row in its own
+stretch of m + 1 cells, bincounted or, for sets, marked in a boolean row;
+one set above `BITSET_LIMIT` (2^24) merges np.unique of its blocks instead.
 Over a prime with |A||B| > 4m `productset` forms an exponent sum set on bit
 masks instead.
 
@@ -105,44 +106,30 @@ def _require_same_modulus(a: ResidueSet, b: ResidueSet) -> Modulus:
 
 
 def _pair_blocks(a: np.ndarray, b: np.ndarray, m: int, combine: np.ufunc, same=False):
-    """combine(a[i], b[j]) mod m over all pairs, in flat blocks of about
-    _CHUNK_ELEMS values, chunked over a and reduced in place; for rows a, b (a
-    leading axis) each row's pairs, one flat row each, in blocks of _ROW_BUDGET.
-    Entries are in [0, m) with m <= 2^31, so every sum and product is below
-    2^62: exact in int64 (and in int32 for m^2 < 2^31).
+    """combine(a[r, i], b[r, j]) mod m over the pairs of each row r (a leading axis), in (rows, k) blocks chunked
+    over a's columns, of about _CHUNK_ELEMS values for one row and _ROW_BUDGET for more. With more rows, row r's
+    values lie in its own stretch of m + 1 cells, r (m + 1) + [0, m], whose last cell takes its pairs with a
+    padding entry (-1). Entries are in [0, m) with m <= 2^31, so every sum and product is below 2^62: exact in
+    int64 (and in int32 for (m + 1) max(m, rows) < 2^31).
 
     With same (b is a) entries [lo, hi) of a meet b[lo:] alone: k blocks of at
     least _SELF_ROWS entries form (k + 1) / (2k) of the n^2 pairs, 9/16 for k = 8."""
-    n, rows = a.shape[-1], a.size // max(1, a.shape[-1])
-    if n and b.size:
-        step = max(1, (_CHUNK_ELEMS if a.ndim == 1 else _ROW_BUDGET) // (rows * b.shape[-1]))
-        if same:
-            step = min(step, max(_SELF_ROWS, -(-n // 8)))
-        for lo in range(0, n, step):
-            vals = combine(a[..., lo : lo + step, None], b[..., None, lo if same else 0 :])
-            yield np.remainder(vals, m, out=vals).reshape(*a.shape[:-1], -1)
-
-
-def _pairwise_values(a: np.ndarray, b: np.ndarray, m: int, combine: np.ufunc, same=False) -> np.ndarray:
-    """Sorted distinct pair values of _pair_blocks: scattered into one
-    length-m boolean array (at most 16 MiB) for m <= BITSET_LIMIT, merged
-    from each block's np.unique above it."""
-    if m <= BITSET_LIMIT:
-        seen = np.zeros(m, dtype=bool)
-        for vals in _pair_blocks(a, b, m, combine, same):
-            seen[vals] = True
-        return np.flatnonzero(seen)
-    pieces = [np.unique(vals) for vals in _pair_blocks(a, b, m, combine, same)]
-    return np.unique(np.concatenate(pieces)) if pieces else np.empty(0, dtype=np.int64)
-
-
-def _pair_counts(x: np.ndarray, y: np.ndarray, n: int, combine: np.ufunc = np.add) -> np.ndarray:
-    """counts[t] = #{(i, j) : combine(x[i], y[j]) = t (mod n)}: the
-    histogram of _pair_blocks."""
-    counts = np.zeros(n, dtype=np.int64)
-    for block in _pair_blocks(x, y, n, combine):
-        counts += np.bincount(block, minlength=n)
-    return counts
+    rows, n = a.shape
+    if rows > 1:
+        pad = min(a.min(initial=0), b.min(initial=0)) < 0
+        offsets = (m + 1) * np.arange(rows, dtype=a.dtype)[:, None, None]
+    step = max(1, (_CHUNK_ELEMS if rows == 1 else _ROW_BUDGET) // max(1, b.size))
+    if same:
+        step = min(step, max(_SELF_ROWS, -(-n // 8)))
+    for lo in range(0, n if b.size else 0, step):
+        xs, ys = a[:, lo : lo + step, None], b[:, None, lo if same else 0 :]
+        vals = combine(xs, ys)
+        np.remainder(vals, m, out=vals)
+        if rows > 1:
+            if pad:
+                np.putmask(vals, (xs < 0) | (ys < 0), m)
+            vals += offsets
+        yield vals.reshape(rows, -1)
 
 
 def sumset(a_set: ResidueSet, b_set: ResidueSet) -> ResidueSet:
@@ -482,13 +469,36 @@ def _points(x: np.ndarray, y: np.ndarray, m: int, add: bool) -> tuple[tuple, tup
     return out[0], out[-1]
 
 
+def _enumerated(x: np.ndarray, y: np.ndarray, m: int, combine: np.ufunc, sets=False) -> np.ndarray:
+    """_row_counts by enumeration: each row's pairs (_pair_blocks) bincounted, or with sets marked in a boolean
+    row, in one stretch of m + 1 cells per row whose last cell, the pairs with padding, is dropped. More rows go
+    as int32 where products and row offsets fit, a set's padding read as its row's maximum (a repeat leaves the
+    set as it is). One set above BITSET_LIMIT merges each block's np.unique instead of a length-m array."""
+    same = sets and y is x  # a set needs each unordered pair once, counts every ordered pair
+    if sets and len(x) == 1 and m > BITSET_LIMIT:
+        pieces = [np.unique(vals) for vals in _pair_blocks(x, y, m, combine, same)]
+        return (np.unique(np.concatenate(pieces)) if pieces else np.empty(0, dtype=np.int64))[None]
+    if len(x) > 1:
+        dtype = np.int32 if (m + 1) * max(m, len(x)) < 1 << 31 else np.int64
+        rows = [(np.where(v >= 0, v, v.max(axis=1, keepdims=True, initial=-1)) if sets else v).astype(dtype)
+                for v in ((x,) if y is x else (x, y))]
+        x, y = rows[0], rows[-1]
+    cells = np.zeros(len(x) * (m + 1), dtype=bool if sets else np.int64)
+    for vals in _pair_blocks(x, y, m, combine, same):
+        if sets:
+            cells[vals] = True
+        else:
+            cells += np.bincount(vals.ravel(), minlength=cells.size)
+    cells = cells.reshape(len(x), m + 1)[:, :m]
+    return _row_support(cells) if sets else cells
+
+
 def _row_counts(x: np.ndarray, y: np.ndarray, m: int, combine: np.ufunc = np.add, units=False, sets=False):
     """counts[r, t] = #{(i, j) : combine(x[r, i], y[r, j]) = t (mod m)}, (rows, m) int64, for a set family's rows
     of residues padded with -1 (one row: one set, unpadded); with sets each row's values with counts > 0, ascending
-    and padded with -1 (y is x for more rows). A correlation (np.add over Z_m, with units a product of units over
-    the unit group) is one rfftn of all rows (_cyclic_rows) on the box of an _fft_plan, a row that fails its guard
-    enumerated alone (_pair_counts). Else one row is one set's _pair_counts or _pairwise_values; more go in blocks
-    of about _ROW_BUDGET pairs, sets scattering _pair_blocks of each row with itself, counts bincounting by row."""
+    and padded with -1. A correlation (np.add over Z_m, with units a product of units over the unit group) is one
+    rfftn of all rows (_cyclic_rows) on the box of an _fft_plan, a row that fails its guard enumerated alone and
+    unpadded; else every row's pairs are enumerated at once (_enumerated)."""
     if one := len(x) == 1:  # plain ints: a tiny report makes several of these calls
         pairs, box = x.size * y.size, x.size + y.size - 1
     else:
@@ -518,30 +528,6 @@ def _row_counts(x: np.ndarray, y: np.ndarray, m: int, combine: np.ufunc = np.add
                 counts = np.zeros((len(x), m), dtype=np.int64)
                 counts[:, cells] = out[0]
             for r in np.flatnonzero(~out[1]):
-                counts[r] = _pair_counts(x[r][x[r] >= 0], y[r][y[r] >= 0], m, combine)
+                counts[r] = _enumerated(x[r][x[r] >= 0][None], y[r][y[r] >= 0][None], m, combine)[0]
             return _row_support(counts) if sets else counts
-    if one:
-        pair = _pairwise_values(x[0], y[0], m, combine, y is x) if sets else _pair_counts(x[0], y[0], m, combine)
-        return pair[None]
-    if sets:
-        # A repeat leaves a row's set as it is; products and row offsets below 2^31 fit int32.
-        dtype = np.int32 if m * max(m, len(x)) < 1 << 31 else np.int64
-        full = np.where(x >= 0, x, x.max(axis=1, keepdims=True, initial=-1)).astype(dtype)
-        seen = np.zeros((len(x), m), dtype=bool)
-        step = max(1, _ROW_BUDGET // max(1, x.shape[1] * min(x.shape[1], _SELF_ROWS)))  # rows per block
-        for lo in range(0, len(x), step):
-            for vals in _pair_blocks(full[lo : lo + step], full[lo : lo + step], m, combine, same=True):
-                vals += m * np.arange(len(vals), dtype=dtype)[:, None]  # each row's values into its own row
-                seen[lo : lo + step].ravel()[vals] = True
-        seen[x.max(axis=1, initial=-1) < 0] = False  # rows with no entry
-        return _row_support(seen)
-    x_row, x_val = _points(x, x, m, True)[0]
-    counts, step = np.zeros(len(x) * (m + 1), dtype=np.int64), max(1, _ROW_BUDGET // max(1, y.shape[1]))
-    for lo in range(0, x_row.size, step):
-        ys = y[x_row[lo : lo + step]]
-        vals = combine(x_val[lo : lo + step, None], ys)
-        vals %= m
-        np.putmask(vals, ys < 0, m)
-        vals += (m + 1) * x_row[lo : lo + step, None]
-        counts += np.bincount(vals.ravel(), minlength=counts.size)
-    return counts.reshape(len(x), m + 1)[:, :m]
+    return _enumerated(x, y, m, combine, sets)

@@ -202,6 +202,18 @@ def naive_best_window(points, length, p):
     return best
 
 
+def prefix_sum_best_window(points, length, p):
+    """The cyclic prefix-sum scan of all p offsets: the indicator of the points
+    twice over (length 2p), its running sums, and each offset's window count
+    as a difference of two of them; smallest offset wins ties."""
+    ind = np.zeros(2 * p, dtype=np.int64)
+    ind[points] = ind[np.asarray(points) + p] = 1
+    prefix = np.cumsum(ind)
+    counts = prefix[length : length + p] - prefix[:p]
+    best = int(np.argmax(counts))
+    return best, int(counts[best])
+
+
 def random_subset(rng, m, size, exclude_zero=False):
     low = 1 if exclude_zero else 0
     picks = rng.choice(m - low, size=size, replace=False) + low

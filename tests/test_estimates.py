@@ -193,6 +193,11 @@ def test_ring_report_multiples_of_three():
     assert rep.nonunit_count == 3
 
 
+def test_d0_of_the_empty_set_is_the_modulus():
+    # No element: the minimum gcd starts at m, as a padding entry reads.
+    assert Derivation(residue_set(make_modulus(9), [])).d0 == 9
+
+
 def test_ring_report_prime_degenerates_to_field_terms():
     rng = np.random.default_rng(97)
     for p in (7, 31, 101):

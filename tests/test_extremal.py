@@ -7,7 +7,7 @@ from sumprod.estimates import field_checks, field_constant
 from sumprod.extremal import best_window, build_extremal, power_prefix
 from sumprod.residues import find_generator, make_modulus, residue_set
 
-from oracles import naive_best_window
+from oracles import naive_best_window, prefix_sum_best_window
 
 
 def test_power_prefix_examples():
@@ -47,6 +47,7 @@ def test_best_window_matches_naive_scan():
             pick = rng.choice(p, size=max(1, p // 5), replace=False)
             points = residue_set(mod, pick.tolist())
             assert best_window(points, length) == naive_best_window(points.elements, length, p)
+            assert best_window(points, length) == prefix_sum_best_window(points.array, length, p)
 
     # per-offset agreement with literal intersection counting
     mod = make_modulus(101)
@@ -79,7 +80,26 @@ def test_best_window_matches_every_offset_with_wraps_and_ties():
         for pick in shapes:
             points = residue_set(mod, sorted({x % p for x in pick}))
             for length in range(1, p):
-                assert best_window(points, length) == naive_best_window(points.elements, length, p), (p, pick, length)
+                got = best_window(points, length)
+                assert got == naive_best_window(points.elements, length, p), (p, pick, length)
+                assert got == prefix_sum_best_window(points.array, length, p), (p, pick, length)
+
+
+@pytest.mark.parametrize("p", [10007, 1000003])
+def test_best_window_matches_the_prefix_sum_scan_at_large_primes(p):
+    # Random points (empty, one, sparse, denser) at every length, and power
+    # prefixes at the construction's lengths ceil(sqrt(p n)), n <= 300,
+    # against the scan of all p offsets over a length-2p indicator, which
+    # best_window no longer allocates.
+    rng, mod = np.random.default_rng(p), make_modulus(p)
+    g = find_generator(mod)
+    for length in (1, 3, math.isqrt(p), math.isqrt(300 * p) + 1, p // 2, p - 1):
+        cases = [rng.choice(p, size=size, replace=False) for size in (0, 1, 50, 3000)]
+        if length <= math.isqrt(300 * p) + 1:
+            cases.append(power_prefix(mod, g, length).array)
+        for pick in cases:
+            points = residue_set(mod, pick)
+            assert best_window(points, length) == prefix_sum_best_window(points.array, length, p), (length, pick.size)
 
 
 def test_window_average_identity_exact():

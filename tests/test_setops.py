@@ -279,13 +279,13 @@ def test_productset_dlog_results_are_sorted_with_and_without_zero(monkeypatch):
     exps = np.unique(exp_of[sorted(naive_productset(a, b, p))])
     assert not np.all(np.diff(pow_of[exps]) > 0)
     enumerated = []
-    original = setops._pairwise_values
+    original = setops._enumerated
 
     def spy(*args, **kwargs):
         enumerated.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(setops, "_pairwise_values", spy)
+    monkeypatch.setattr(setops, "_enumerated", spy)
     for x, y in ((a, b), ([0] + a, b), (a, [0] + b), ([0] + a, [0] + b)):
         got = productset(_set(p, x), _set(p, y))
         _assert_stored_form(got, p)
@@ -637,7 +637,7 @@ def test_property_cases_reach_both_sides_of_the_dispatch(monkeypatch):
     # 160-element intervals mod 499 are the support of FFT counts; the full
     # Z_36, 41-element sets mod 4096 and singletons are scattered.
     paths = []
-    for name in ("_cyclic_rows", "_pairwise_values"):
+    for name in ("_cyclic_rows", "_enumerated"):
 
         def spy(x, y, m, *rest, original=getattr(setops, name), name=name, **kwargs):
             paths.append((name, x[0][0] if name == "_cyclic_rows" else m))  # plan's first n
@@ -650,23 +650,23 @@ def test_property_cases_reach_both_sides_of_the_dispatch(monkeypatch):
     assert paths == [
         ("_cyclic_rows", 101),
         ("_cyclic_rows", 499),
-        ("_pairwise_values", 36),
-        ("_pairwise_values", 4096),
-        ("_pairwise_values", 36),
+        ("_enumerated", 36),
+        ("_enumerated", 4096),
+        ("_enumerated", 36),
     ]
 
 
-def _spy_enumeration(monkeypatch):
-    """Records (n, |x|) of every _pair_counts call that forms a pair."""
+def _spy_enumeration(monkeypatch, sets=False):
+    """Records (n, entries of x) of every _enumerated call that forms a pair: of counts, or with sets of set values."""
     calls = []
-    original = setops._pair_counts
+    original = setops._enumerated
 
-    def spy(x, y, n, *rest):
-        if x.size and y.size:
-            calls.append((n, x.size))
-        return original(x, y, n, *rest)
+    def spy(x, y, n, combine, sets_=False):
+        if sets_ == sets and (x >= 0).any() and (y >= 0).any():
+            calls.append((n, int((x >= 0).sum())))
+        return original(x, y, n, combine, sets_)
 
-    monkeypatch.setattr(setops, "_pair_counts", spy)
+    monkeypatch.setattr(setops, "_enumerated", spy)
     return calls
 
 
@@ -950,10 +950,11 @@ def test_residue_set_stored_form_property(case):
 
 @st.composite
 def _pair_block_case(draw):
-    """Operands a, b and a block size _CHUNK_ELEMS with a on a chosen side
-    of one block: a block holds step = max(1, chunk // |b|) rows of a, so
-    |a| <= step gives one block and |a| > step several. Pair values go
-    through the length-m scatter or, past BITSET_LIMIT, np.unique."""
+    """Operands a, b (one row each) and a block size _CHUNK_ELEMS with a on a
+    chosen side of one block: a block holds step = max(1, chunk // |b|)
+    entries of a, so |a| <= step gives one block and |a| > step several.
+    Pair values go through the length-m scatter or, past BITSET_LIMIT,
+    np.unique."""
     m = draw(st.one_of(st.sampled_from(_SMALL_PRIMES + (36, 720)), st.integers(2, 4096)))
     b = sorted(draw(st.sets(st.integers(0, m - 1), min_size=1, max_size=min(m, 24))))
     chunk = draw(st.integers(1, 96))
@@ -972,7 +973,7 @@ def _pair_block_case(draw):
 @example((720, [0, 1, 2, 3, 719], [5, 6, 7], 12, False))  # |a| = step + 1: two
 def test_pair_enumeration_property_on_both_sides_of_one_block(case):
     m, a, b, chunk, scatter = case
-    x, y = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    x, y = np.array([a], dtype=np.int64), np.array([b], dtype=np.int64)
     blocks = -(-len(a) // max(1, chunk // len(b)))
     with mock.patch.object(setops, "_CHUNK_ELEMS", chunk), mock.patch.object(
         setops, "BITSET_LIMIT", setops.BITSET_LIMIT if scatter else 1
@@ -982,11 +983,11 @@ def test_pair_enumeration_property_on_both_sides_of_one_block(case):
             (np.multiply, naive_product_counts(a, b, m), naive_productset(a, b, m)),
         ):
             assert sum(1 for _ in setops._pair_blocks(x, y, m, combine)) == blocks
-            got = setops._pair_counts(x, y, m, combine)
-            assert got.dtype == np.int64 and got.shape == (m,)
-            nz = np.flatnonzero(got)
-            assert dict(zip(nz.tolist(), got[nz].tolist())) == counts, combine.__name__
-            assert setops._pairwise_values(x, y, m, combine).tolist() == sorted(values), combine.__name__
+            got = setops._enumerated(x, y, m, combine)
+            assert got.dtype == np.int64 and got.shape == (1, m)
+            nz = np.flatnonzero(got[0])
+            assert dict(zip(nz.tolist(), got[0, nz].tolist())) == counts, combine.__name__
+            assert setops._enumerated(x, y, m, combine, sets=True).tolist() == [sorted(values)], combine.__name__
 
 
 # --- A set with itself: each unordered pair is formed once ---
@@ -1038,8 +1039,9 @@ def test_self_pairs_form_nine_sixteenths_and_counts_all(monkeypatch):
     assert productset(a, b).elements == naive_productset(a.elements, a.elements, m)
     assert sum(formed) == n * n
     formed.clear()
-    counts = setops._pair_counts(a.array, a.array, m, np.multiply)
-    assert int(counts.sum()) == sum(formed) == n * n  # counts need ordered pairs
+    x = a.array[None]
+    counts = setops._enumerated(x, x, m, np.multiply)
+    assert int(counts.sum()) == sum(formed) == n * n  # counts need ordered pairs, with y the same row as x
 
 
 # --- Windowed counts: each axis only as long as the operands' arcs need ---
@@ -1213,9 +1215,7 @@ def test_windowed_guard_failure_falls_back_to_exact_enumeration(monkeypatch, gua
     b = list(range(17, 267))
     xs = [pow(g, e, p) for e in range(4000, 4300)]  # wraps across the order p - 1
     den = [pow(g, e, p) for e in range(5, 255)]
-    plans, calls = _spy_plans(monkeypatch), _spy_enumeration(monkeypatch)
-    values, enumerate_values = [], setops._pairwise_values
-    monkeypatch.setattr(setops, "_pairwise_values", lambda *args: values.append(args[2]) or enumerate_values(*args))
+    plans, calls, values = _spy_plans(monkeypatch), _spy_enumeration(monkeypatch), _spy_enumeration(monkeypatch, True)
     if guard == "a_priori_bound":
         monkeypatch.setattr(setops, "_FFT_ERROR_CONSTANT", 1e30)
     elif guard == "residual":
@@ -1231,7 +1231,7 @@ def test_windowed_guard_failure_falls_back_to_exact_enumeration(monkeypatch, gua
     assert all(box < n and length < n for ((n, _, _, box, length),), _ in plans)
     # The sum set is read off its box, so with the box uncertified it enumerates its values, not counts.
     assert calls == [(p, len(a))] * 2 + [(p, len(xs))]
-    assert values == [p]
+    assert values == [(p, len(a))]
 
 
 @pytest.mark.parametrize("guard", [None, "a_priori_bound", "residual"])

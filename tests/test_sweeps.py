@@ -436,18 +436,19 @@ def _noisy_irfftn(monkeypatch, index, noise):
 def test_family_guard_failure_falls_back_for_that_row_only(monkeypatch, guard):
     cfg, mod, size = SweepConfig(499, "prime", (400,), 4, 3), make_modulus(499), 400
     cells = _reference_rows(cfg, size, range(4))
-    fallbacks = _spy(monkeypatch, setops, "_pair_counts")
+    enumerated = _spy(monkeypatch, setops, "_enumerated")
     if guard == "a_priori_bound":
         monkeypatch.setattr(setops, "_FFT_ERROR_CONSTANT", 1e30)
     else:  # a flat index below one row's length lands in row 0
         _noisy_irfftn(monkeypatch, 7, 0.3 if guard == "residual" else 1.0)
     assert _family_rows(cfg, mod, size, range(4)) == cells
     row0 = _reference_set(mod, size, derive_seed(3, size, 0), True).array
+    fallbacks = [call for call in enumerated if len(call[0]) == 1]
     if guard == "a_priori_bound":  # no transform at all: the whole batch enumerates in rows
-        assert fallbacks == []
-    else:  # A+A, AA, Q and D each count row 0 alone; A+A and AA from row 0's A
-        assert [n for _, _, n, *_ in fallbacks] == [499] * 4
-        assert np.array_equal(fallbacks[0][0], row0) and np.array_equal(fallbacks[1][0], row0)
+        assert fallbacks == [] and enumerated and all(len(x) == 4 for x, *_ in enumerated)
+    else:  # A+A, AA, Q and D each count row 0 alone, unpadded; A+A and AA from row 0's A
+        assert enumerated == fallbacks and [n for _, _, n, *_ in fallbacks] == [499] * 4
+        assert np.array_equal(fallbacks[0][0], row0[None]) and np.array_equal(fallbacks[1][0], row0[None])
 
 
 def test_family_blocks_of_one_row_match(monkeypatch):
@@ -475,13 +476,14 @@ def test_family_path_runs_at_every_modulus(monkeypatch, modulus):
 
 def test_one_row_family_counts_as_one_set(monkeypatch):
     # At m = 720720 one transform fills the row budget: a family is one row,
-    # and its enumerated quotient counts are one set's (_pair_counts).
+    # and its enumerated quotient counts are one set's (one row of _enumerated).
     assert setops._family_step(720720, 64) == 1
-    families, counted = _spy(monkeypatch, sweeps, "_family_rows"), _spy(monkeypatch, setops, "_pair_counts")
+    families, enumerated = _spy(monkeypatch, sweeps, "_family_rows"), _spy(monkeypatch, setops, "_enumerated")
     cfg = SweepConfig(720720, "ring", (64,), 2, 5)
     rows = run_sweep(cfg, threads=1)
     assert [len(trials) for *_, trials in families] == [1, 1]
-    assert [(n, combine) for _, _, n, combine in counted] == [(720720, np.multiply)] * 2
+    counted = [(len(x), n, combine) for x, _, n, combine, sets in enumerated if not sets]
+    assert counted == [(1, 720720, np.multiply)] * 2
     assert rows == _reference_rows(cfg, 64, range(2))
 
 
@@ -526,6 +528,60 @@ def test_row_counts_match_the_oracles_with_padding_anywhere():
                 assert _padded_set(sum_sets[r]) == sorted(naive_additive_counts(xs, xs, 1, m))
                 assert _padded_set(prod_sets[r]) == sorted(naive_product_counts(xs, xs, m))
 
+
+
+@st.composite
+def _enumerated_case(draw):
+    """A family of 2-5 rows over Z_m, each padded with -1 in front or at the back (an empty row allowed), paired
+    with itself or with a second family, and block sizes that split a row's pairs or leave them whole: _ROW_BUDGET
+    for the family, _CHUNK_ELEMS and _SELF_ROWS for each row alone, BITSET_LIMIT on either side of m."""
+    m = draw(st.one_of(st.sampled_from((2, 9, 36, 101, 720, 46337, 46349)), st.integers(2, 600)))  # int32 or not
+    count = draw(st.integers(2, 5))
+
+    def family():
+        rows = [sorted(draw(st.sets(st.integers(0, m - 1), max_size=min(m, 16)))) for _ in range(count)]
+        x = np.full((count, max(map(len, rows)) + draw(st.integers(0, 2))), -1, dtype=np.int64)
+        for r, row in enumerate(rows):
+            start = x.shape[1] - len(row) if draw(st.booleans()) else 0  # padding in front or at the back
+            x[r, start : start + len(row)] = row
+        return rows, x
+
+    xs, x = family()
+    ys, y = (xs, x) if draw(st.booleans()) else family()
+    blocks = {name: draw(st.integers(1, 400)) for name in ("_ROW_BUDGET", "_CHUNK_ELEMS")}
+    blocks["_SELF_ROWS"], blocks["BITSET_LIMIT"] = draw(st.integers(1, 8)), draw(st.sampled_from((1, 1 << 24)))
+    return m, xs, x, ys, y, blocks
+
+
+@settings(max_examples=60, deadline=None)
+@given(_enumerated_case())
+@example((101, [[], [3, 50], [7]], np.array([[-1, -1], [3, 50], [-1, 7]]), [[], [3, 50], [7]],
+          np.array([[-1, -1], [3, 50], [-1, 7]]), {"_ROW_BUDGET": 1 << 18, "_CHUNK_ELEMS": 1 << 22,
+                                                   "_SELF_ROWS": 32, "BITSET_LIMIT": 1 << 24}))  # one block each
+@example((720, [[1, 5, 719], [0, 2], [6]], np.array([[1, 5, 719], [0, 2, -1], [-1, -1, 6]]), [[], [7, 9], [1, 2, 3]],
+          np.array([[-1, -1, -1], [7, 9, -1], [1, 2, 3]]), {"_ROW_BUDGET": 1, "_CHUNK_ELEMS": 1,
+                                                            "_SELF_ROWS": 1, "BITSET_LIMIT": 1}))  # one entry each
+@example((46349, [[46347, 46348], [46000]], np.array([[46347, 46348], [46000, -1]]), [[46348], [3, 46001]],
+          np.array([[-1, 46348], [3, 46001]]), {"_ROW_BUDGET": 3, "_CHUNK_ELEMS": 3,
+                                                  "_SELF_ROWS": 1, "BITSET_LIMIT": 1 << 24}))  # products past 2^31
+def test_enumerated_family_matches_each_row_alone_and_the_oracles(case):
+    # Every pair enumerated for all rows at once (each row in its own stretch of m + 1 cells, its pairs with
+    # padding in the last) equals each row enumerated alone, unpadded, and the oracles' counts and sets.
+    m, xs, x, ys, y, blocks = case
+    with mock.patch.multiple(setops, **blocks):
+        for combine in (np.add, np.multiply):
+            for sets in (False, True):
+                got = setops._enumerated(x, y, m, combine, sets)
+                assert got.dtype == np.int64 and (sets or got.shape == (len(x), m))
+                for r, (xr, yr) in enumerate(zip(xs, ys)):
+                    row = np.array([xr], dtype=np.int64)
+                    other = row if y is x else np.array([yr], dtype=np.int64)
+                    alone = setops._enumerated(row, other, m, combine, sets)[0]
+                    want = naive_additive_counts(xr, yr, 1, m) if combine is np.add else naive_product_counts(xr, yr, m)
+                    if sets:
+                        assert _padded_set(got[r]) == alone.tolist() == sorted(want), (r, combine.__name__)
+                    else:
+                        assert _nonzero(got[r]) == _nonzero(alone) == want, (r, combine.__name__)
 
 
 @settings(max_examples=30, deadline=None)
