@@ -44,7 +44,7 @@ from .residues import (
     make_modulus,
     residue_set,
 )
-from .setops import _freeze, _inverses, _require_fits, _row_counts, productset
+from .setops import _freeze, _require_fits, _row_counts, productset
 from .spectra import dft_counts, dft_counts_beside, gcd_class_peaks, spectrum_of_set
 
 REL_SLACK = 1e-9
@@ -236,7 +236,7 @@ class _Family:
         if len(self.rows) == 1:  # one set's product set stays productset, which keeps the prime bit mask
             one = ResidueSet(self.mod, self.rows[0])
             return productset(one, one).array[None]
-        return _row_counts(self.rows, self.rows, self.m, np.multiply, self.units is self, sets=True)
+        return _row_counts(self.rows, self.rows, self.m, np.multiply, sets=True)
 
     units = property(lambda f: f._unit_rows or f, doc="The rows' unit parts: this family when no row loses one.")
 
@@ -256,15 +256,13 @@ class _Family:
 
     @_once
     def quotients(self) -> np.ndarray:  # read-only, of a family of units
-        inverses = np.where(self.rows >= 0, _inverses(self.rows, self.mod), -1)
-        return _freeze(_row_counts(self.prods, inverses, self.m, np.multiply, True))
+        return _freeze(_row_counts(self.prods, self.rows, self.m, np.divide))
 
     @_once
     def quads(self) -> list[int]:
         """J per row of a family of units: its quotient counts dotted with the difference counts of (A+A, A),
         exactly (_mv_dot: J reaches m |A|^2, past 2^63 at m = 10^7)."""
-        minus = np.where(self.rows >= 0, -self.rows % self.m, -1)
-        return list(map(_mv_dot, self.quotients, _row_counts(self.sums, minus, self.m)))
+        return list(map(_mv_dot, self.quotients, _row_counts(self.sums, self.rows, self.m, np.subtract)))
 
 
 def _derived(a: "ResidueSet | Derivation") -> Derivation:

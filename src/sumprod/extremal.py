@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .residues import Modulus, ResidueSet, find_generator, make_modulus
+from .residues import Modulus, ResidueSet, _distinct, find_generator, make_modulus
 from .setops import _power_table, productset, sumset
 
 
@@ -26,7 +26,7 @@ def power_prefix(mod: Modulus, g: int, length: int) -> ResidueSet:
     p = mod.m
     if not 1 <= length <= p - 1:
         raise ValueError(f"prefix length {length} out of range [1, {p - 1}]")
-    out = np.unique(_power_table(g, length + 1, p)[1:])
+    out = _distinct(_power_table(g, length + 1, p)[1:])
     if out.size != length:
         raise ValueError(f"{g} is not a primitive root mod {p}: prefix repeats")
     return ResidueSet(mod, out)

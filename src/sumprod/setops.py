@@ -11,18 +11,18 @@ residues, and the gcd classes of frequencies) live in one store, `_TABLES`,
 built on first read; it evicts whole moduli, least recently read first, past
 a sixteenth of physical memory, and to make room for a count `_require_fits` admits.
 
-One engine, `_row_counts`, forms every sum set and count: a sweep's set
-family all rows at once, and one set as a family of one row. A count is a
-cyclic correlation over Z_m or the axes of the unit group (`_unit_group`):
-one exact rfftn of all rows (`_cyclic_rows`) on each axis only as long as
-the arcs the operands occupy need (`_fft_plan`) when `_fft_pays`, a row that
-fails its guard enumerated alone; one sum set on such a window is read off
-its box, with no length-m array. Else one routine, `_enumerated`, forms the
-pairs of one row or all rows at once (`_pair_blocks`), each row in its own
-stretch of m + 1 cells, bincounted or, for sets, marked in a boolean row;
-one set above `BITSET_LIMIT` (2^24) merges np.unique of its blocks instead.
-Over a prime with |A||B| > 4m `productset` forms an exponent sum set on bit
-masks instead.
+One engine, `_row_counts`, forms every set and count of x + y, x - y, x y
+and x y^-1: a sweep's set family all rows at once, one set as a family of
+one row. A count is a cyclic correlation over Z_m, or over the axes of the
+unit group (`_unit_group`) for units, y negated for x - y and x y^-1: one
+exact rfftn of all rows (`_cyclic_rows`) on each axis only as long as the
+operands' arcs need (`_fft_plan`) when `_fft_pays`, a row that fails its
+guard enumerated alone; one sum set on such a window is read off its box,
+with no length-m array. Else `_enumerated` forms the pairs of one row or all
+rows at once (`_pair_blocks`; x y^-1 as x times y's Euler inverses), each
+row in its own stretch of m + 1 cells, bincounted or, for sets, marked in a
+boolean row; one set above `BITSET_LIMIT` (2^24) merges its blocks' distinct
+values. Over a prime with |A||B| > 4m `productset` shifts bit masks instead.
 
 An `indicator` is built only for a spectrum of a set (`spectra`); the ring
 chain builds none, as its Parseval checks read the set itself.
@@ -38,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .residues import Modulus, ResidueSet, find_generator, make_modulus
+from .residues import Modulus, ResidueSet, _distinct, _units_mask, find_generator, make_modulus
 
 # Cap on m for the length-m boolean scatter of pair enumeration (at most
 # 16 MiB) and for the discrete-log tables of a product set.
@@ -281,34 +281,26 @@ def _inverses(units: np.ndarray, mod: Modulus) -> np.ndarray:
 
 
 def productset(a_set: ResidueSet, b_set: ResidueSet) -> ResidueSet:
-    """Exact {a * b mod m}, formed in 64-bit-safe intermediates. Over a prime
-    with large zero-free inputs, an exponent sum set mod m-1 in discrete-log
-    coordinates; 0 is stripped first and put back as the absorbing element."""
+    """Exact {a * b mod m}: the one-row family of the two sets (_row_counts). Over a prime with |A||B| > 4m, an
+    exponent sum set mod m-1 on bit masks; 0 is stripped first and put back in front, as absorbing."""
     mod = _require_same_modulus(a_set, b_set)
     m = mod.m
-    a_zero, b_zero = 0 in a_set, 0 in b_set
-    zero_in_result = (a_zero and b_set.size > 0) or (b_zero and a_set.size > 0)
-    # A 0 is the first entry of a sorted array.
-    a_arr, b_arr = a_set.array[int(a_zero) :], b_set.array[int(b_zero) :]
-    if mod.is_prime and 2 < m <= BITSET_LIMIT and a_arr.size * b_arr.size > 4 * m:
-        pow_of, (exp_of,) = _TABLES.read(m, _unit_residues)["residues"], _TABLES.read(m, _unit_group)["logs"]
-        group, full = m - 1, (1 << (m - 1)) - 1
-        bits = np.zeros(group, dtype=np.uint8)
-        bits[exp_of[b_arr]] = 1
-        base = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-        acc = 0
-        for e in exp_of[a_arr]:
-            acc |= _rotate_mask(base, int(e), group, full)
-        raw = acc.to_bytes((group + 7) // 8, "little")
-        exps = np.flatnonzero(np.unpackbits(np.frombuffer(raw, np.uint8), count=group, bitorder="little"))
-        vals = np.sort(pow_of[exps])
-    else:
-        x = a_arr[None]
-        vals = _row_counts(x, x if b_set is a_set else b_arr[None], m, np.multiply, sets=True)[0]
-    # Over a composite modulus the pair products may already include 0.
-    if zero_in_result and not (vals.size and vals[0] == 0):
-        vals = np.concatenate((np.zeros(1, dtype=np.int64), vals))
-    return ResidueSet(mod, vals)
+    if not (mod.is_prime and 2 < m <= BITSET_LIMIT and a_set.size * b_set.size > 4 * m):
+        x = a_set.array[None]
+        return ResidueSet(mod, _row_counts(x, x if b_set is a_set else b_set.array[None], m, np.multiply, sets=True)[0])
+    a_arr, b_arr = (s.array[int(0 in s) :] for s in (a_set, b_set))  # a 0 is the first entry of a sorted array
+    pow_of, (exp_of,) = _TABLES.read(m, _unit_residues)["residues"], _TABLES.read(m, _unit_group)["logs"]
+    group, full = m - 1, (1 << (m - 1)) - 1
+    bits = np.zeros(group, dtype=np.uint8)
+    bits[exp_of[b_arr]] = 1
+    base = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+    acc = 0
+    for e in exp_of[a_arr]:
+        acc |= _rotate_mask(base, int(e), group, full)
+    raw = acc.to_bytes((group + 7) // 8, "little")
+    exps = np.flatnonzero(np.unpackbits(np.frombuffer(raw, np.uint8), count=group, bitorder="little"))
+    # Both zero-free parts are nonempty (|A|, |B| > 4): a 0 in either puts 0 in the result.
+    return ResidueSet(mod, np.concatenate((np.zeros(int(0 in a_set or 0 in b_set), np.int64), np.sort(pow_of[exps]))))
 
 
 # Every 5-smooth length up to 2^32, ascending: pocketfft is fast on them.
@@ -370,13 +362,13 @@ def _fft_pays(pairs: int, *lengths: int, rows: int = 1) -> bool:
 def _fft_plan(shape: tuple[int, ...], pairs: int, box: int, points, rows: int):
     """(plan, x, y) of the counts of all rows' pairs over Z_n1 x ... x Z_nr if _fft_pays at the planned lengths,
     else None, box the longest row's |X| + |Y| - 1; x, y = points(), all rows' entries, are read only if the least
-    box pays. Windows are tried where box < n, on the arcs of all rows' entries together."""
+    box pays, and None from it is None. Windows are tried where box < n, on the arcs of all rows' entries together."""
     plan, lengths = _whole(shape)
     if room := box < max(shape):  # the least box: X + Y in 1-D, 1 on each such axis else
         lengths = [_smooth(box)] if len(shape) == 1 else [1 if box < n else L for n, L in zip(shape, lengths)]
-    if not (pairs and _fft_pays(pairs, *lengths, rows=rows)):
+    if not (pairs and _fft_pays(pairs, *lengths, rows=rows)) or (xy := points()) is None:
         return None
-    x, y = points()
+    x, y = xy
     if room:
         plan = tuple(_window(axis, xi, yi) if box < axis[0] else axis for axis, xi, yi in zip(plan, x[1:], y[1:]))
         if not _fft_pays(pairs, *[axis[4] for axis in plan], rows=rows):
@@ -458,26 +450,34 @@ def _family_step(m: int, size: int) -> int:
     return max(1, min(_ROW_BUDGET // longest, _CHUNK_ELEMS // size**2))
 
 
-def _points(x: np.ndarray, y: np.ndarray, m: int, add: bool) -> tuple[tuple, tuple]:
-    """(row ids, coordinates per axis) of the entries of x and of y that are not -1 (one row: all): residues
-    (add), or the log coordinates of units on each axis of the unit group ("logs"); y's are x's when y is x."""
+def _points(x: np.ndarray, y: np.ndarray, m: int, combine: np.ufunc, shape: tuple) -> tuple[tuple, tuple] | None:
+    """(row ids, coordinates per axis) of the entries of x and of y that are not -1 (one row: all): residues (a sum
+    or difference) or log coordinates on each axis of the unit group ("logs"), None if an operand holds a non-unit
+    (checked before the logs are read); a difference's or quotient's y negated mod each axis length (shape)."""
+    add, invert = combine in (np.add, np.subtract), combine in (np.subtract, np.divide)
+    operands = (x,) if y is x and not invert else (x, y)
+    if not add and not all(_units_mask(v, make_modulus(m)).all() for v in operands):  # -1 padding reads as a unit
+        return None
     out, logs = [], () if add else _TABLES.read(m, _unit_group)["logs"]
-    for v in (x,) if y is x else (x, y):
+    for v in operands:
         ids, vals = (np.zeros(v.shape[1], np.intp), v[0]) if len(v) == 1 else (
             np.flatnonzero(v >= 0) // v.shape[1], v[v >= 0])
-        out.append((ids, vals) if add else (ids, *(log[vals % log.size if log.size < m else vals] for log in logs)))
+        coords = (vals,) if add else tuple(log[vals % log.size if log.size < m else vals] for log in logs)
+        out.append((ids, *(-c % n for c, n in zip(coords, shape))) if out and invert else (ids, *coords))
     return out[0], out[-1]
 
 
 def _enumerated(x: np.ndarray, y: np.ndarray, m: int, combine: np.ufunc, sets=False) -> np.ndarray:
-    """_row_counts by enumeration: each row's pairs (_pair_blocks) bincounted, or with sets marked in a boolean
-    row, in one stretch of m + 1 cells per row whose last cell, the pairs with padding, is dropped. More rows go
-    as int32 where products and row offsets fit, a set's padding read as its row's maximum (a repeat leaves the
-    set as it is). One set above BITSET_LIMIT merges each block's np.unique instead of a length-m array."""
-    same = sets and y is x  # a set needs each unordered pair once, counts every ordered pair
+    """_row_counts by enumeration: each row's pairs (_pair_blocks; x y^-1 as x times y's inverses) bincounted, or
+    with sets marked in a boolean row, in one stretch of m + 1 cells per row, the last (pairs with padding)
+    dropped. More rows go as int32 where products and row offsets fit, a set's padding read as its row's maximum
+    (a repeat leaves the set as it is). One set past BITSET_LIMIT merges its blocks' _distinct values instead."""
+    if combine is np.divide:
+        y, combine = np.where(y >= 0, _inverses(y, make_modulus(m)), -1), np.multiply
+    same = sets and y is x and combine is not np.subtract  # a set needs each unordered pair once, counts every one
     if sets and len(x) == 1 and m > BITSET_LIMIT:
-        pieces = [np.unique(vals) for vals in _pair_blocks(x, y, m, combine, same)]
-        return (np.unique(np.concatenate(pieces)) if pieces else np.empty(0, dtype=np.int64))[None]
+        pieces = [_distinct(vals) for vals in _pair_blocks(x, y, m, combine, same)]
+        return (_distinct(np.concatenate(pieces)) if pieces else np.empty(0, dtype=np.int64))[None]
     if len(x) > 1:
         dtype = np.int32 if (m + 1) * max(m, len(x)) < 1 << 31 else np.int64
         rows = [(np.where(v >= 0, v, v.max(axis=1, keepdims=True, initial=-1)) if sets else v).astype(dtype)
@@ -493,12 +493,13 @@ def _enumerated(x: np.ndarray, y: np.ndarray, m: int, combine: np.ufunc, sets=Fa
     return _row_support(cells) if sets else cells
 
 
-def _row_counts(x: np.ndarray, y: np.ndarray, m: int, combine: np.ufunc = np.add, units=False, sets=False):
+def _row_counts(x: np.ndarray, y: np.ndarray, m: int, combine: np.ufunc = np.add, sets=False):
     """counts[r, t] = #{(i, j) : combine(x[r, i], y[r, j]) = t (mod m)}, (rows, m) int64, for a set family's rows
-    of residues padded with -1 (one row: one set, unpadded); with sets each row's values with counts > 0, ascending
-    and padded with -1. A correlation (np.add over Z_m, with units a product of units over the unit group) is one
-    rfftn of all rows (_cyclic_rows) on the box of an _fft_plan, a row that fails its guard enumerated alone and
-    unpadded; else every row's pairs are enumerated at once (_enumerated)."""
+    of residues padded with -1 (one row: one set, unpadded), combine np.add, np.subtract, np.multiply or np.divide
+    (x y^-1, y's entries units); with sets each row's values with counts > 0, ascending and padded with -1. A
+    correlation (over Z_m, or over the unit group where _points finds units only) is one rfftn of all rows
+    (_cyclic_rows) on the box of an _fft_plan, a row that fails its guard enumerated alone and unpadded; else,
+    and for one product or quotient set (no log tables), all rows' pairs are enumerated at once (_enumerated)."""
     if one := len(x) == 1:  # plain ints: a tiny report makes several of these calls
         pairs, box = x.size * y.size, x.size + y.size - 1
     else:
@@ -506,13 +507,12 @@ def _row_counts(x: np.ndarray, y: np.ndarray, m: int, combine: np.ufunc = np.add
         pairs, box = int(nx @ ny), int((nx + ny).max()) - 1
     if not (sets and one):  # before the log tables and any length-m array; one set's pair values need neither
         _require_fits(m)
-    add = combine is np.add
-    shape = (m,) if add else _TABLES.read(m, _unit_shape)["shape"] if units else None  # None: not a correlation
-    planned = shape and _fft_plan(shape, pairs, box, lambda: _points(x, y, m, add), len(x))
-    if planned:
+    add = combine in (np.add, np.subtract)
+    shape = (m,) if add else None if sets and one else _TABLES.read(m, _unit_shape)["shape"]
+    if planned := shape and _fft_plan(shape, pairs, box, lambda: _points(x, y, m, combine, shape), len(x)):
         plan, xs, ys = planned
         whole = all(n == w for n, _, _, w, _ in plan)
-        boxed = sets and one and add and not whole  # one sum set read off its box: no length-m array
+        boxed = sets and one and not whole  # one sum or difference set read off its box: no length-m array
         _require_fits(plan[0][4] if boxed else m, m)  # any other set's values pass through length-m counts
         if add:  # a window's box lies at sx + sy + j
             cells = None if whole else (plan[0][1] + plan[0][2] + np.arange(plan[0][3])) % m

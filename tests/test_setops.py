@@ -61,17 +61,16 @@ def _support(counts):
 
 def _sums(a, b, sign):
     """counts[t] = #{(x, y) in a x b : x + sign*y = t (mod m)}, read-only: the one-row family of
-    setops._row_counts, with -y for sign -1, and y the same row as x for a set with itself."""
-    m, x = a.modulus.m, a.array[None]
-    y = x if b is a and sign == 1 else (b.array if sign == 1 else -b.array % m)[None]
-    return setops._freeze(setops._row_counts(x, y, m)[0])
+    setops._row_counts, np.subtract for sign -1, and y the same row as x for a set with itself."""
+    x = a.array[None]
+    y = x if b is a else b.array[None]
+    return setops._freeze(setops._row_counts(x, y, a.modulus.m, np.add if sign == 1 else np.subtract)[0])
 
 
 def _quotients(xs, a):
     """counts[t] = #{(x, y) in xs x a : x y^-1 = t (mod m)}, read-only, for sets of units: the one-row
-    family of products of units that the reports count (setops._row_counts against setops._inverses)."""
-    inverses = setops._inverses(a.array, a.modulus)
-    return setops._freeze(setops._row_counts(xs.array[None], inverses[None], a.modulus.m, np.multiply, True)[0])
+    family of quotients that the reports count (setops._row_counts with np.divide)."""
+    return setops._freeze(setops._row_counts(xs.array[None], a.array[None], a.modulus.m, np.divide)[0])
 
 
 def _unit_numerators(xs, m):
@@ -323,7 +322,7 @@ def test_counts_above_two_to_the_twenty_are_dense():
 
 
 def test_products_near_modulus_cap_are_exact():
-    # m exceeds BITSET_LIMIT, so the product set takes np.unique over the
+    # m exceeds BITSET_LIMIT, so the product set takes _distinct over the
     # int64 blocks of the shared pair generator; its products reach 2^62.
     m = (1 << 31) - 1
     mod = make_modulus(m)
@@ -887,16 +886,16 @@ def test_pair_enumeration_on_both_sides_of_the_scatter_limit(monkeypatch, m, sca
     b = sorted(set(random_subset(rng, m, 120)) | {3, m - 1})
     if chunk is not None:
         monkeypatch.setattr(setops, "_CHUNK_ELEMS", chunk)  # several chunks
-    # The operands are built first: residue_set itself deduplicates with np.unique.
+    # The operands are built first: residue_set itself deduplicates with _distinct.
     sa, sb, empty = _set(m, a), _set(m, b), _set(m, [])
     hashed = []
-    original = np.unique
+    original = setops._distinct
 
     def spy(*args, **kwargs):
         hashed.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(np, "unique", spy)
+    monkeypatch.setattr(setops, "_distinct", spy)
     for op, oracle in ((sumset, naive_sumset), (productset, naive_productset)):
         assert op(sa, sb).elements == oracle(a, b, m), op.__name__
         assert op(sa, empty).elements == set()
@@ -954,7 +953,7 @@ def _pair_block_case(draw):
     chosen side of one block: a block holds step = max(1, chunk // |b|)
     entries of a, so |a| <= step gives one block and |a| > step several.
     Pair values go through the length-m scatter or, past BITSET_LIMIT,
-    np.unique."""
+    _distinct."""
     m = draw(st.one_of(st.sampled_from(_SMALL_PRIMES + (36, 720)), st.integers(2, 4096)))
     b = sorted(draw(st.sets(st.integers(0, m - 1), min_size=1, max_size=min(m, 24))))
     chunk = draw(st.integers(1, 96))
@@ -1191,10 +1190,10 @@ def test_extremal_counts_transform_below_the_modulus(monkeypatch):
     built = build_extremal(p, 2000)
     a = built.chosen
     d = Derivation(a)
-    sums, minus = d.family.sums, -a.array[None] % p  # the pieces behind J, with AA built before the spy
+    sums = d.family.sums  # the pieces behind J, with AA built before the spy
     d.prods
     plans = _spy_plans(monkeypatch)
-    quotients, differences = d.quotients, setops._row_counts(sums, minus, p)[0]
+    quotients, differences = d.quotients, setops._row_counts(sums, a.array[None], p, np.subtract)[0]
     assert [(len(plan), ok) for plan, ok in plans] == [(1, True), (1, True)]
     (((n_q, _, _, box_q, length_q),), _), (((n_d, _, _, box_d, length_d),), _) = plans
     assert (n_q, n_d) == (p - 1, p)
@@ -1203,7 +1202,7 @@ def test_extremal_counts_transform_below_the_modulus(monkeypatch):
     # The same counts enumerated.
     with mock.patch.object(setops, "_fft_pays", return_value=False):
         assert np.array_equal(quotients, Derivation(a).quotients)
-        assert np.array_equal(differences, setops._row_counts(sums, minus, p)[0])
+        assert np.array_equal(differences, setops._row_counts(sums, a.array[None], p, np.subtract)[0])
     assert d.quad_count == int(np.dot(quotients, differences))
 
 

@@ -57,10 +57,9 @@ def _sum_counts(a):
 
 
 def _quotient_counts(xs, a):
-    """counts[t] = #{(x, y) in xs x a : x y^-1 = t (mod m)} for sets of units: products of units against
-    setops._inverses, as the reports count them."""
-    inverses = setops._inverses(a.array, a.modulus)
-    return setops._row_counts(xs.array[None], inverses[None], a.modulus.m, np.multiply, True)[0]
+    """counts[t] = #{(x, y) in xs x a : x y^-1 = t (mod m)} for sets of units: quotients (np.divide), as the
+    reports count them."""
+    return setops._row_counts(xs.array[None], a.array[None], a.modulus.m, np.divide)[0]
 
 
 def spectral_quadruple_count(a_set):

@@ -30,7 +30,13 @@ from sumprod.sweeps import (
     write_csv,
 )
 
-from oracles import naive_additive_counts, naive_product_counts, naive_productset, naive_sumset
+from oracles import (
+    naive_additive_counts,
+    naive_product_counts,
+    naive_productset,
+    naive_quotient_counts,
+    naive_sumset,
+)
 
 
 def _reference_set(mod, size, derived, zero_free):
@@ -483,7 +489,7 @@ def test_one_row_family_counts_as_one_set(monkeypatch):
     rows = run_sweep(cfg, threads=1)
     assert [len(trials) for *_, trials in families] == [1, 1]
     counted = [(len(x), n, combine) for x, _, n, combine, sets in enumerated if not sets]
-    assert counted == [(1, 720720, np.multiply)] * 2
+    assert counted == [(1, 720720, np.divide)] * 2
     assert rows == _reference_rows(cfg, 64, range(2))
 
 
@@ -518,9 +524,9 @@ def test_row_counts_match_the_oracles_with_padding_anywhere():
         y = np.roll(x, 1, axis=0)
         for force in (True, False):
             with mock.patch.object(setops, "_fft_pays", return_value=force):
-                sums, prods = setops._row_counts(x, y, m), setops._row_counts(x, y, m, np.multiply, True)
+                sums, prods = setops._row_counts(x, y, m), setops._row_counts(x, y, m, np.multiply)
                 sum_sets = setops._row_counts(x, x, m, sets=True)
-                prod_sets = setops._row_counts(x, x, m, np.multiply, True, sets=True)
+                prod_sets = setops._row_counts(x, x, m, np.multiply, sets=True)
             for r in range(5):
                 xs, ys = rows[r], rows[r - 1]
                 assert _nonzero(sums[r]) == naive_additive_counts(xs, ys, 1, m)
@@ -528,6 +534,82 @@ def test_row_counts_match_the_oracles_with_padding_anywhere():
                 assert _padded_set(sum_sets[r]) == sorted(naive_additive_counts(xs, xs, 1, m))
                 assert _padded_set(prod_sets[r]) == sorted(naive_product_counts(xs, xs, m))
 
+
+
+_OPERATIONS = {
+    np.add: lambda xs, ys, m: naive_additive_counts(xs, ys, 1, m),
+    np.subtract: lambda xs, ys, m: naive_additive_counts(xs, ys, -1, m),
+    np.multiply: naive_product_counts,
+    np.divide: naive_quotient_counts,
+}
+
+
+def _operand_rows(draw, pool, count, one):
+    """count rows drawn from pool: one row unpadded, or a family padded with -1 in front or at the back."""
+    rows = [sorted(draw(st.sets(st.sampled_from(pool), max_size=min(len(pool), 24)))) for _ in range(count)]
+    if one:
+        return rows, np.array(rows[0], dtype=np.int64)[None]
+    x = np.full((count, max(map(len, rows)) + draw(st.integers(0, 2))), -1, dtype=np.int64)
+    for r, row in enumerate(rows):
+        start = x.shape[1] - len(row) if draw(st.booleans()) else 0
+        x[r, start : start + len(row)] = row
+    return rows, x
+
+
+@st.composite
+def _four_operations_case(draw):
+    """One row, or a family of 2-4 rows (an empty row allowed), under one of the four operations, paired with
+    itself or a second family. A quotient's y holds units; a product's or quotient's x holds units or any
+    residues, so units and non-units mix. The gate is the real one (None) or forced to either side."""
+    m = draw(st.one_of(st.sampled_from((2, 9, 36, 101, 720, 3600)), st.integers(2, 600)))
+    combine = draw(st.sampled_from(list(_OPERATIONS)))
+    units, count = [u for u in range(m) if math.gcd(u, m) == 1], draw(st.integers(1, 4))
+    one = count == 1
+    xs, x = _operand_rows(draw, units if combine is not np.add and draw(st.booleans()) else list(range(m)), count, one)
+    if draw(st.booleans()) and (combine is not np.divide or all(math.gcd(v, m) == 1 for row in xs for v in row)):
+        ys, y = xs, x
+    else:
+        ys, y = _operand_rows(draw, units if combine is np.divide else list(range(m)), count, one)
+    return m, combine, xs, x, ys, y, draw(st.booleans()), draw(st.sampled_from((None, True, False)))
+
+
+def _mixed_products_case():
+    """300 residues of Z_3600, units and non-units, times 300 units: a product no transform may count."""
+    rng = np.random.default_rng(3600)
+    units = [u for u in range(3600) if math.gcd(u, 3600) == 1]
+    xs = sorted(rng.choice(3600, 300, replace=False).tolist())
+    ys = sorted(rng.choice(units, 300, replace=False).tolist())
+    return 3600, np.multiply, [xs], np.array([xs]), [ys], np.array([ys]), False, None
+
+
+@settings(max_examples=150, deadline=None)
+@given(_four_operations_case())
+@example(_mixed_products_case())
+@example((101, np.subtract, [[0, 3, 50]], np.array([[0, 3, 50]]), None, None, True, True))  # x - x, one row
+@example((101, np.subtract, [list(range(0, 80, 2))], np.array([range(0, 80, 2)]), None, None, True, False))  # blocks
+@example((36, np.subtract, [[1, 5], [], [7, 30, 35]], np.array([[-1, 1, 5], [-1, -1, -1], [7, 30, 35]]), None, None,
+          False, True))  # x - x, a family with an empty row
+@example((720, np.divide, [[0, 7, 360], [1, 11]], np.array([[0, 7, 360], [1, 11, -1]]), [[1, 7], [719]],
+          np.array([[-1, 1, 7], [719, -1, -1]]), False, True))  # non-unit numerators: enumerated
+def test_row_counts_of_the_four_operations_match_the_oracles(case):
+    # x + y, x - y, x y and x y^-1 of one row or a padded family, transformed or enumerated, as counts or sets:
+    # every row equals the oracle's, and a product or quotient whose operands hold a non-unit never transforms.
+    m, combine, xs, x, ys, y, sets, pays = case
+    if ys is None:
+        ys, y = xs, x
+    forced = mock.patch.object(setops, "_fft_pays", return_value=pays) if pays is not None else mock.MagicMock()
+    with forced, mock.patch.object(setops, "_cyclic_rows", wraps=setops._cyclic_rows) as transform:
+        got = setops._row_counts(x, y, m, combine, sets=sets)
+    units_only = all(math.gcd(v, m) == 1 for row in xs + ys for v in row)
+    if combine in (np.multiply, np.divide) and not units_only:
+        assert not transform.called
+    pairs = sum(len(a) * len(b) for a, b in zip(xs, ys))
+    if pays is not None:
+        additive, one_set = combine in (np.add, np.subtract), sets and len(x) == 1
+        assert transform.called == (pays and pairs > 0 and (additive or units_only and not one_set))
+    for r, (xr, yr) in enumerate(zip(xs, ys)):
+        want = _OPERATIONS[combine](xr, yr, m)
+        assert (_padded_set(got[r]) == sorted(want)) if sets else (_nonzero(got[r]) == want), (r, combine.__name__)
 
 
 @st.composite
@@ -612,7 +694,7 @@ def test_batch_gate_boundary_matches_the_oracles(m, add, sets, rows, factor, see
     y = x if sets else np.array(ys, dtype=np.int64)
     combine = np.add if add else np.multiply
     with mock.patch.object(setops, "_cyclic_rows", wraps=setops._cyclic_rows) as transform:
-        got = setops._row_counts(x, y, m, combine, not add, sets=sets)
+        got = setops._row_counts(x, y, m, combine, sets=sets)
     assert transform.called == (rows * nx * ny > gate)
     for r in range(rows):
         want = naive_additive_counts(xs[r], ys[r], 1, m) if add else naive_product_counts(xs[r], ys[r], m)
@@ -659,7 +741,7 @@ def test_windowed_families_match_the_oracles(case):
     with mock.patch.object(setops, "_fft_pays", return_value=True), mock.patch.object(
         setops, "_cyclic_rows", wraps=setops._cyclic_rows
     ) as transform:
-        got = setops._row_counts(x, y, p, combine, not add, sets=sets)
+        got = setops._row_counts(x, y, p, combine, sets=sets)
     ((n, _, _, w, _),) = transform.call_args.args[0]
     assert w < n == (p if add else p - 1)
     for r in range(len(xs)):
